@@ -21,8 +21,8 @@ tx = dr_apply(A, B, x)
 print(f"start x = {x},  Tx = {tx}")
 print(f"fixed points: the ray through (1, -1); Tx already sits on it\n")
 
-z = inst.known["z"]  # (2, 0): a genuine primal solution
-k = inst.known["k"]  # (0, -1): a genuine dual solution
+z = inst.z  # (2, 0): a genuine primal solution
+k = inst.k  # (0, -1): a genuine dual solution
 print(f"primal solution z = {z}, dual solution k = {k}")
 print("but (z, k) is NOT one of the coupled solution pairs (z + k is not fixed)\n")
 
@@ -42,7 +42,7 @@ trace = iterate(inst.problem, max_iters=50, step_tol=1e-14)
 bad = fejer_check(trace.shadow, SetSample([z]), slack=1e-10)
 print(f"shadow-only check vs z: passed={bad.passed}, first violation at n={bad.first_violation}")
 
-pairs = SetSample([np.concatenate([pz, pk]) for pz, pk in inst.known["s_pairs"]])
+pairs = SetSample([np.concatenate([pz, pk]) for pz, pk in inst.solutions.s_pairs])
 good = fejer_check(np.hstack([trace.shadow, trace.dual_shadow]), pairs, slack=1e-10)
 print(f"coupled check vs certified pairs: passed={good.passed}")
 print("\nmoral: track (shadow, dual shadow) against coupled pairs, not components")

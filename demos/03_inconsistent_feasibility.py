@@ -13,7 +13,6 @@ import numpy as np
 from drsplit import (
     DRProblem,
     build_scenario,
-    estimate_displacement,
     fejer_check,
     iterate,
     normal_problem,
@@ -25,7 +24,7 @@ lines = build_scenario("parallel-lines")
 tl = iterate(lines.problem, max_iters=60, step_tol=0.0)
 print(f"  governing walks down: {tl.governing[0]} -> {tl.governing[-1]}")
 print(f"  every shadow equals {tl.shadow[0]} (constant)")
-print(f"  displacement estimate: {estimate_displacement(tl)} (the gap vector)")
+print(f"  displacement estimate: {tl.v_estimate} (the gap vector)")
 seq = shifted_governing(tl, [0.0, 2.0])
 print(f"  governing + n*v is frozen at {seq[0]} = start\n")
 
@@ -35,7 +34,7 @@ tb = iterate(balls.problem, max_iters=5000, step_tol=0.0)
 print(f"  after {len(tb)} iterations:")
 print(f"  shadow limit  {np.round(tb.shadow[-1], 8)}  (contact point of the first ball)")
 print(f"  displacement  {np.round(tb.v_estimate, 8)}  (points from second ball to first)")
-res = fejer_check(shifted_governing(tb, [-2.0, 0.0]), balls.known["z_v_sample"], slack=1e-9)
+res = fejer_check(shifted_governing(tb, [-2.0, 0.0]), balls.shifted_primal, slack=1e-9)
 print(f"  shifted governing Fejer-monotone to the contact point: {res.passed}\n")
 
 print("= the shifted (normal) problem is consistent =")

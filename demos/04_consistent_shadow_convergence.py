@@ -30,12 +30,12 @@ print(f"dimension {inst.problem.dim}, {len(trace)} iterations")
 print(f"shadow limit: {np.round(trace.shadow[-1], 8)}")
 print(f"trailing-quarter shadow diameter: {diameter(trace.shadow[window]):.3e}")
 
-pairs = SetSample([np.concatenate([z, k]) for z, k in inst.known["s_pairs"]])
+pairs = SetSample([np.concatenate([z, k]) for z, k in inst.solutions.s_pairs])
 coupled = np.hstack([trace.shadow, trace.dual_shadow])
 res = fejer_check(coupled, pairs, slack=1e-10)
 print(f"coupled Fejer monotonicity vs solution pairs: {res.passed}")
 
-report = sweet_principle_check(trace.governing, trace.shadow, inst.known["z_sample"], tol=1e-6)
+report = sweet_principle_check(trace.governing, trace.shadow, inst.solutions.primal, tol=1e-6)
 print(
     "sequential principle evidence: "
     f"driver Fejer={report.fejer.passed}, pairing max {report.pairing_max:.2e}, "

@@ -35,6 +35,6 @@ for seed in range(20):
 print("\n= the same statement is false in the plane =")
 inst = build_scenario("rotator-cone")
 trace = iterate(inst.problem, max_iters=50, step_tol=1e-14)
-res = fejer_check(trace.shadow, SetSample([inst.known["z"]]), slack=1e-10)
+res = fejer_check(trace.shadow, SetSample([inst.z]), slack=1e-10)
 print(f"  shadow-only distance to a primal solution grows by {res.max_sq_increase:.2f}")
 print(f"  (violation at step {res.first_violation}; coupled tracking remains monotone)")

@@ -43,7 +43,6 @@ from .operators import (
     product,
     projector_operator,
     reflected,
-    rotate_quarter,
     rotator,
     scaled_id_plus_normal_cone,
     zero_operator,
@@ -105,7 +104,6 @@ from .splitting import (
     IterationRecord,
     StopReason,
     dr_apply,
-    estimate_displacement,
     iterate,
     normal_problem,
     shifted_governing,

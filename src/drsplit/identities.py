@@ -58,22 +58,6 @@ class ResidualReport:
             (v for k, v in self.entries.items() if not k.endswith("_slack")), default=0.0
         )
 
-    def min_slack(self) -> float:
-        return min((v for k, v in self.entries.items() if k.endswith("_slack")), default=0.0)
-
-    def to_json_dict(self) -> dict:
-        ctx = {}
-        for key, value in self.context.items():
-            if isinstance(value, np.ndarray):
-                ctx[key] = value.tolist()
-            elif isinstance(value, dict):
-                ctx[key] = {
-                    k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in value.items()
-                }
-            else:
-                ctx[key] = value
-        return {"entries": dict(self.entries), "context": ctx}
-
 
 def _same_dim(*points: np.ndarray) -> None:
     dims = {p.shape[0] for p in points}

@@ -5,9 +5,8 @@ which is single valued, everywhere defined, and firmly nonexpansive. All the
 quantities tracked elsewhere (the splitting operator, shadows, solution pairs,
 displacement vectors) are resolvent-expressible, so the multivalued map itself
 is never materialized. Structural facts that cannot be certified cheaply at
-run time (paramonotonicity, being a subdifferential, having a linear graph)
-travel as metadata flags declared at construction; combinators propagate them
-conservatively.
+run time (paramonotonicity, having a linear graph) travel as metadata flags
+declared at construction; combinators propagate them conservatively.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ class MonotoneOperator:
     dim: int
     is_linear_relation: bool = False
     is_paramonotone: bool = False
-    is_subdifferential: bool = False
     label: str = ""
 
     def resolvent(self, x) -> np.ndarray:
@@ -96,7 +94,6 @@ def normal_cone(S: ConvexSet, label: str = "") -> MonotoneOperator:
         dim=S.dim,
         is_linear_relation=is_linear_subspace(S),
         is_paramonotone=True,
-        is_subdifferential=True,
         label=label or f"normal_cone({type(S).__name__})",
     )
 
@@ -122,7 +119,6 @@ def scaled_id_plus_normal_cone(lam: float, C: ConvexSet, label: str = "") -> Mon
         dim=C.dim,
         is_linear_relation=is_linear_subspace(C),
         is_paramonotone=True,
-        is_subdifferential=True,
         label=label or f"{lam}*id+normal_cone",
     )
 
@@ -141,15 +137,8 @@ def rotator(label: str = "rotator") -> MonotoneOperator:
         dim=2,
         is_linear_relation=True,
         is_paramonotone=False,
-        is_subdifferential=False,
         label=label,
     )
-
-
-def rotate_quarter(x) -> np.ndarray:
-    """The rotator's forward map (x1, x2) -> (-x2, x1)."""
-    xv = as_point(x, 2)
-    return np.array([-xv[1], xv[0]])
 
 
 def projector_operator(U: AffineSubspace, label: str = "") -> MonotoneOperator:
@@ -168,7 +157,6 @@ def projector_operator(U: AffineSubspace, label: str = "") -> MonotoneOperator:
         dim=U.dim,
         is_linear_relation=True,
         is_paramonotone=True,
-        is_subdifferential=True,
         label=label or "projector_operator",
     )
 
@@ -238,7 +226,6 @@ def piecewise_linear_1d(
         dim=1,
         is_linear_relation=linear,
         is_paramonotone=True,
-        is_subdifferential=True,
         label=label or "piecewise_linear_1d",
     )
 
@@ -254,7 +241,6 @@ def inverse(A: MonotoneOperator) -> MonotoneOperator:
         dim=A.dim,
         is_linear_relation=A.is_linear_relation,
         is_paramonotone=A.is_paramonotone,
-        is_subdifferential=A.is_subdifferential,
         label=f"inverse({A.label})",
     )
 
@@ -266,7 +252,6 @@ def dual_flip(B: MonotoneOperator) -> MonotoneOperator:
         dim=B.dim,
         is_linear_relation=B.is_linear_relation,
         is_paramonotone=B.is_paramonotone,
-        is_subdifferential=B.is_subdifferential,
         label=f"dual_flip({B.label})",
     )
 
@@ -280,7 +265,6 @@ def outer_shift(A: MonotoneOperator, w) -> MonotoneOperator:
         dim=A.dim,
         is_linear_relation=shifted_is_linear,
         is_paramonotone=A.is_paramonotone,
-        is_subdifferential=A.is_subdifferential,
         label=f"outer_shift({A.label})",
     )
 
@@ -294,7 +278,6 @@ def inner_shift(A: MonotoneOperator, w) -> MonotoneOperator:
         dim=A.dim,
         is_linear_relation=shifted_is_linear,
         is_paramonotone=A.is_paramonotone,
-        is_subdifferential=A.is_subdifferential,
         label=f"inner_shift({A.label})",
     )
 
@@ -311,7 +294,6 @@ def product(A: MonotoneOperator, B: MonotoneOperator) -> MonotoneOperator:
         dim=A.dim + B.dim,
         is_linear_relation=A.is_linear_relation and B.is_linear_relation,
         is_paramonotone=A.is_paramonotone and B.is_paramonotone,
-        is_subdifferential=A.is_subdifferential and B.is_subdifferential,
         label=f"product({A.label}, {B.label})",
     )
 
@@ -323,7 +305,6 @@ def zero_operator(dim: int) -> MonotoneOperator:
         dim=dim,
         is_linear_relation=True,
         is_paramonotone=True,
-        is_subdifferential=True,
         label="zero",
     )
 
@@ -335,6 +316,5 @@ def identity_operator(dim: int) -> MonotoneOperator:
         dim=dim,
         is_linear_relation=True,
         is_paramonotone=True,
-        is_subdifferential=True,
         label="identity",
     )

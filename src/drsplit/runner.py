@@ -8,6 +8,7 @@ carries ``null`` there to preserve reproducibility of the artifact.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import time
@@ -85,8 +86,11 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def _parse_x0(text: str) -> tuple[float, ...]:
+    parts = text.split(",")
+    if any(not part.strip() for part in parts):
+        raise ConfigError(f"invalid x0 {text!r}: empty coordinate")
     try:
-        return tuple(float(part) for part in text.split(",") if part.strip() != "")
+        return tuple(float(part) for part in parts)
     except ValueError as exc:
         raise ConfigError(f"invalid x0 {text!r}: {exc}") from exc
 
@@ -115,9 +119,14 @@ def make_config(file_values: dict[str, str] | None = None, **overrides) -> Scena
             cfg.seed = int(merged.pop("seed"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration value: {exc}") from exc
+    if cfg.step_tol is not None and not (math.isfinite(cfg.step_tol) and cfg.step_tol >= 0):
+        raise ConfigError(f"tol must be finite and >= 0, got {cfg.step_tol}")
     cfg.out_trace = merged.pop("out_trace", None)
     cfg.out_summary = merged.pop("out_summary", None)
+    accepted = inspect.signature(get_scenario(cfg.scenario).build).parameters
     for key, value in merged.items():
+        if key not in accepted:
+            raise ConfigError(f"unknown parameter {key!r} for scenario {cfg.scenario!r}")
         try:
             cfg.params[key] = float(value)
         except (TypeError, ValueError) as exc:
@@ -221,7 +230,7 @@ def run(config: ScenarioConfig) -> tuple[RunSummary, DRTrace]:
     inst = spec.build(dim=config.dim, x0=config.x0, seed=config.seed, **config.params)
     max_iters = config.max_iters if config.max_iters is not None else inst.default_iters
     step_tol = config.step_tol if config.step_tol is not None else inst.default_step_tol
-    trace = iterate(inst.problem, max_iters=max_iters, step_tol=step_tol, shadow_tol=inst.shadow_tol)
+    trace = iterate(inst.problem, max_iters=max_iters, step_tol=step_tol)
     checks = inst.run_checks(trace)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     summary = RunSummary(
@@ -350,9 +359,6 @@ class WorstRecord:
     pair: str
     sample: int
 
-    def to_json_dict(self) -> dict:
-        return {"value": self.value, "pair": self.pair, "sample": self.sample}
-
 
 @dataclass(eq=False)
 class IdentitySweep:
@@ -374,17 +380,6 @@ class IdentitySweep:
     @property
     def exit_code(self) -> int:
         return 0 if self.passed else 1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "samples": self.samples,
-            "rel_tol": self.rel_tol,
-            "slack_tol": self.slack_tol,
-            "passed": self.passed,
-            "worst": {k: v.to_json_dict() for k, v in sorted(self.worst.items())},
-            "slack_worst": {k: v.to_json_dict() for k, v in sorted(self.slack_worst.items())},
-        }
 
 
 def _absorb(worst: dict[str, WorstRecord], report: ResidualReport, pair: str, sample: int):

@@ -1,9 +1,9 @@
 """Named problem scenarios with reference data and attached checkers.
 
-Each scenario bundles a concrete operator pair, a default start, the known
-solution objects (displacement vector, fixed points, solution-pair samples),
-and a list of named checks evaluated on a finished trace. Scenarios are the
-single source the runner, the demos, and the acceptance tests draw from.
+Each scenario bundles a concrete operator pair, a default start, typed
+reference data (displacement vector, solutions, solution-set samples), and a
+list of named checks evaluated on a finished trace. Scenarios are the single
+source the runner, the demos, and the acceptance tests draw from.
 """
 
 from __future__ import annotations
@@ -45,29 +45,35 @@ class CheckResult:
     worst_value: float
     witness_index: Optional[int] = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "worst_value": self.worst_value,
-            "witness_index": self.witness_index,
-        }
 
-
-CheckFn = Callable[[DRTrace, "ScenarioInstance"], CheckResult]
+CheckFn = Callable[[DRTrace], CheckResult]
 
 
 @dataclass(eq=False)
 class ScenarioInstance:
+    """A built scenario: its problem, run defaults, checks and reference data.
+
+    ``v`` is the minimal displacement vector of the splitting map (zero for
+    consistent problems); ``z`` and ``k`` are one primal and one dual
+    solution; ``solutions`` holds the validated solution samples of a
+    consistent problem; ``shifted_primal`` samples the zeros of the v-shifted
+    (normal) problem of a zero-free one.
+    """
+
     name: str
     problem: DRProblem
     default_iters: int
     default_step_tol: float
-    shadow_tol: Optional[float]
-    known: dict
     checks: list[tuple[str, CheckFn]]
+    seed: int
+    v: np.ndarray
+    z: Optional[np.ndarray] = None
+    k: Optional[np.ndarray] = None
+    solutions: Optional[SolutionSets] = None
+    shifted_primal: Optional[SetSample] = None
 
     def run_checks(self, trace: DRTrace) -> dict[str, CheckResult]:
-        return {name: fn(trace, self) for name, fn in self.checks}
+        return {name: fn(trace) for name, fn in self.checks}
 
 
 @dataclass(eq=False)
@@ -75,12 +81,11 @@ class ScenarioSpec:
     name: str
     description: str
     anchor: str  # one-line statement of the mathematical situation exercised
-    default_dim: int
     build: Callable[..., ScenarioInstance] = field(repr=False, default=None)
 
 
 # ---------------------------------------------------------------------------
-# small helpers shared by the checkers
+# small helpers and check factories shared by the scenarios
 
 
 def _pair_sequence(trace: DRTrace) -> np.ndarray:
@@ -101,9 +106,29 @@ def _vector_close_check(vec: np.ndarray, target: np.ndarray, tol: float) -> Chec
     return CheckResult(verdict=bool(err <= tol), worst_value=err)
 
 
-def _pair_fejer_check(trace: DRTrace, inst: ScenarioInstance, slack: float = 1e-10) -> CheckResult:
-    res = fejer_check(_pair_sequence(trace), _pair_sample(inst.known["s_pairs"]), slack=slack)
-    return CheckResult(res.passed, res.max_sq_increase, res.witness_index)
+def _v_check(v: np.ndarray, tol: float) -> CheckFn:
+    """The trace's displacement estimate lies within ``tol`` of ``v``."""
+    return lambda trace: _vector_close_check(trace.v_estimate, v, tol)
+
+
+def _shifted_fejer_check(v: np.ndarray, sample: SetSample) -> CheckFn:
+    """T^n x + n v is Fejer monotone with respect to the shifted-problem zeros."""
+
+    def check(trace: DRTrace) -> CheckResult:
+        res = fejer_check(shifted_governing(trace, v), sample, slack=1e-9)
+        return CheckResult(res.passed, res.max_increase, res.first_violation)
+
+    return check
+
+
+def _pair_fejer_check(pairs) -> CheckFn:
+    """The (shadow, dual shadow) sequence is Fejer monotone w.r.t. the solution pairs."""
+
+    def check(trace: DRTrace) -> CheckResult:
+        res = fejer_check(_pair_sequence(trace), _pair_sample(pairs), slack=1e-10)
+        return CheckResult(res.passed, res.max_sq_increase, res.witness_index)
+
+    return check
 
 
 def _shadow_diameter_check(trace: DRTrace, tol: float = 1e-6) -> CheckResult:
@@ -112,24 +137,29 @@ def _shadow_diameter_check(trace: DRTrace, tol: float = 1e-6) -> CheckResult:
     return CheckResult(verdict=bool(diam <= tol), worst_value=diam)
 
 
-def _summability_check(trace: DRTrace, inst: ScenarioInstance) -> CheckResult:
-    rng = np.random.default_rng(inst.known["seed"] + 7919)
-    alt_start = trace.problem.x0 + rng.uniform(-1.0, 1.0, trace.problem.dim)
-    alt = iterate(
-        DRProblem(trace.problem.A, trace.problem.B, alt_start),
-        max_iters=len(trace),
-        step_tol=0.0,
-    )
-    rep = summability_report(trace, alt, term_tol=1e-8, nonneg_tol=1e-10)
-    worst = min(rep.pairing_a_min, rep.pairing_b_min)
-    return CheckResult(rep.pairings_nonnegative and rep.final_terms_small, worst)
+def _summability_check(seed: int) -> CheckFn:
+    """The telescoping series along the trace and a second seeded start."""
+
+    def check(trace: DRTrace) -> CheckResult:
+        rng = np.random.default_rng(seed + 7919)
+        alt_start = trace.problem.x0 + rng.uniform(-1.0, 1.0, trace.problem.dim)
+        alt = iterate(
+            DRProblem(trace.problem.A, trace.problem.B, alt_start),
+            max_iters=len(trace),
+            step_tol=0.0,
+        )
+        rep = summability_report(trace, alt, term_tol=1e-8, nonneg_tol=1e-10)
+        worst = min(rep.pairing_a_min, rep.pairing_b_min)
+        return CheckResult(rep.pairings_nonnegative and rep.final_terms_small, worst)
+
+    return check
 
 
 # ---------------------------------------------------------------------------
 # scenario builders
 
 
-def _build_rotator_cone(dim=None, x0=None, seed=0, a=1.0, **_ignored) -> ScenarioInstance:
+def _build_rotator_cone(dim=None, x0=None, seed=0, a=1.0) -> ScenarioInstance:
     if dim not in (None, 2):
         raise ConfigError("rotator-cone lives in dimension 2")
     a = float(a)
@@ -146,92 +176,70 @@ def _build_rotator_cone(dim=None, x0=None, seed=0, a=1.0, **_ignored) -> Scenari
         "ray through (1,-1)",
     )
     s_pairs = [(np.array([t, 0.0]), np.array([0.0, -t])) for t in (0.0, 0.5 * a, a, 2.0 * a)]
-    z_sample = SetSample([p[0] for p in s_pairs], "nonnegative horizontal ray")
-    k_sample = SetSample([p[1] for p in s_pairs], "nonpositive vertical ray")
     sets = SolutionSets(
         fix_t=fix_sample,
-        primal=z_sample,
-        dual=k_sample,
+        primal=SetSample([p[0] for p in s_pairs], "nonnegative horizontal ray"),
+        dual=SetSample([p[1] for p in s_pairs], "nonpositive vertical ray"),
         s_pairs=s_pairs,
-        v=np.zeros(2),
-        primal_shifted=z_sample,
-        dual_shifted=k_sample,
     )
     sets.validate(A)
-    known = {
-        "seed": seed,
-        "a": a,
-        "z": z,
-        "k": k,
-        "fix_sample": fix_sample,
-        "s_pairs": s_pairs,
-        "z_sample": z_sample,
-        "k_sample": k_sample,
-        "solution_sets": sets,
-    }
+    # the counterexample values are pinned to the canonical start (a, 0),
+    # not to the configured orbit
+    x = np.array([a, 0.0])
 
-    def check_step_value(trace, inst):
-        tx = dr_apply(A, B, np.array([inst.known["a"], 0.0]))
-        target = np.array([0.5 * inst.known["a"], -0.5 * inst.known["a"]])
-        return _vector_close_check(tx, target, 1e-15)
-
-    def check_pair_growth(trace, inst):
-        aa = inst.known["a"]
-        x = np.array([aa, 0.0])
+    def check_step_value(trace):
         tx = dr_apply(A, B, x)
-        e = np.concatenate([inst.known["z"], inst.known["k"]])
+        return _vector_close_check(tx, np.array([0.5 * a, -0.5 * a]), 1e-15)
+
+    def check_pair_growth(trace):
+        tx = dr_apply(A, B, x)
+        e = np.concatenate([z, k])
         u0 = np.concatenate([A.resolvent(x), x - A.resolvent(x)])
         u1 = np.concatenate([A.resolvent(tx), tx - A.resolvent(tx)])
         value = float(np.dot(u1 - e, u1 - e) - np.dot(u0 - e, u0 - e))
-        return _bounded_value_check(value, 0.5 * aa * aa, 1e-12)
+        return _bounded_value_check(value, 0.5 * a * a, 1e-12)
 
-    def check_primal_growth(trace, inst):
-        aa = inst.known["a"]
-        x = np.array([aa, 0.0])
+    def check_primal_growth(trace):
         tx = dr_apply(A, B, x)
-        z_ = inst.known["z"]
-        d1 = A.resolvent(tx) - z_
-        d0 = A.resolvent(x) - z_
+        d1 = A.resolvent(tx) - z
+        d0 = A.resolvent(x) - z
         value = float(np.dot(d1, d1) - np.dot(d0, d0))
-        return _bounded_value_check(value, 1.25 * aa * aa, 1e-12)
+        return _bounded_value_check(value, 1.25 * a * a, 1e-12)
 
-    def check_primal_fejer_fails(trace, inst):
-        # the violation is pinned to the canonical start (a, 0), not to the
-        # configured orbit: measure the one-step shadow pair from there
-        aa = inst.known["a"]
-        x = np.array([aa, 0.0])
+    def check_primal_fejer_fails(trace):
+        # measure the one-step shadow pair from the canonical start
         shadows = [A.resolvent(x), A.resolvent(dr_apply(A, B, x))]
-        res = fejer_check(shadows, SetSample([inst.known["z"]]), slack=1e-10)
+        res = fejer_check(shadows, SetSample([z]), slack=1e-10)
         ok = (not res.passed) and res.first_violation == 0
         return CheckResult(ok, res.max_sq_increase, res.first_violation)
 
-    def check_fixed_ray(trace, inst):
+    def check_fixed_ray(trace):
         y = find_fixed_point(DRProblem(A, B, trace.problem.x0), tol=1e-12)
         off_ray = abs(y[0] + y[1]) + max(0.0, -y[0])
         return CheckResult(off_ray <= 1e-10, off_ray)
-
-    def check_pair_fejer(trace, inst):
-        return _pair_fejer_check(trace, inst, slack=1e-10)
 
     return ScenarioInstance(
         name="rotator-cone",
         problem=problem,
         default_iters=100,
         default_step_tol=1e-14,
-        shadow_tol=None,
-        known=known,
         checks=[
             ("splitting_step_value", check_step_value),
             ("counterexample_pair_growth", check_pair_growth),
             ("counterexample_primal_growth", check_primal_growth),
             ("primal_only_fejer_fails", check_primal_fejer_fails),
             ("fixed_point_on_ray", check_fixed_ray),
-            ("pair_fejer_wrt_solution_pairs", check_pair_fejer),
+            ("pair_fejer_wrt_solution_pairs", _pair_fejer_check(s_pairs)),
         ],
+        seed=seed,
+        v=np.zeros(2),
+        z=z,
+        k=k,
+        solutions=sets,
     )
 
 
-def _build_shifted_subspace(dim=None, x0=None, seed=0, **_ignored) -> ScenarioInstance:
+def _build_shifted_subspace(dim=None, x0=None, seed=0) -> ScenarioInstance:
     if dim not in (None, 2):
         raise ConfigError("shifted-subspace lives in dimension 2")
     U = AffineSubspace(np.zeros(2), np.array([[1.0, 0.0]]))
@@ -240,17 +248,9 @@ def _build_shifted_subspace(dim=None, x0=None, seed=0, **_ignored) -> ScenarioIn
     B = scaled_id_plus_normal_cone(1.0, AffineSubspace(-b, U.basis), label="id+normal_cone(-b+U)")
     start = as_point(x0, 2) if x0 is not None else np.array([1.0, 1.0])
     problem = DRProblem(A, B, start)
-    known = {
-        "seed": seed,
-        "v_true": b.copy(),
-        "z_v_sample": SetSample([np.zeros(2)], "origin"),
-        "k_v_basis": np.array([[0.0, 1.0]]),
-    }
+    v = b.copy()
 
-    def check_v(trace, inst):
-        return _vector_close_check(trace.v_estimate, inst.known["v_true"], 1e-9)
-
-    def check_shadow_halving(trace, inst):
+    def check_shadow_halving(trace):
         x1 = trace.problem.x0[0]
         upto = min(len(trace), 41)
         worst = 0.0
@@ -259,7 +259,7 @@ def _build_shifted_subspace(dim=None, x0=None, seed=0, **_ignored) -> ScenarioIn
             worst = max(worst, float(np.linalg.norm(trace.shadow[n] - expected)))
         return CheckResult(worst <= 1e-10, worst)
 
-    def check_norm_growth(trace, inst):
+    def check_norm_growth(trace):
         # divergence shows as strict norm growth over the trailing half of
         # the orbit (the onset index depends on the start)
         norms = np.linalg.norm(trace.governing, axis=1)
@@ -267,15 +267,15 @@ def _build_shifted_subspace(dim=None, x0=None, seed=0, **_ignored) -> ScenarioIn
         worst = float(diffs.min()) if diffs.size else 0.0
         return CheckResult(bool(np.all(diffs > 0)), worst)
 
-    def check_dual_growth(trace, inst):
+    def check_dual_growth(trace):
         if len(trace) <= 200:
             return CheckResult(False, float("nan"))
         n50 = float(np.linalg.norm(trace.dual_shadow[50]))
         n200 = float(np.linalg.norm(trace.dual_shadow[200]))
         return CheckResult(n200 > n50, n200 - n50)
 
-    def check_normal_problem(trace, inst):
-        sa, sb = normal_problem(trace.problem.A, trace.problem.B, inst.known["v_true"])
+    def check_normal_problem(trace):
+        sa, sb = normal_problem(trace.problem.A, trace.problem.B, v)
         shifted = iterate(DRProblem(sa, sb, trace.problem.x0), max_iters=200, step_tol=0.0)
         final = float(np.linalg.norm(shifted.shadow[-1]))
         return CheckResult(final <= 1e-8, final)
@@ -285,19 +285,20 @@ def _build_shifted_subspace(dim=None, x0=None, seed=0, **_ignored) -> ScenarioIn
         problem=problem,
         default_iters=256,
         default_step_tol=0.0,
-        shadow_tol=None,
-        known=known,
         checks=[
-            ("v_estimate", check_v),
+            ("v_estimate", _v_check(v, 1e-9)),
             ("shadow_halving", check_shadow_halving),
             ("governing_norm_increasing", check_norm_growth),
             ("dual_shadow_growth", check_dual_growth),
             ("normal_problem_shadow_to_zero", check_normal_problem),
         ],
+        seed=seed,
+        v=v,
+        shifted_primal=SetSample([np.zeros(2)], "origin"),
     )
 
 
-def _build_parallel_lines(dim=None, x0=None, seed=0, gap=2.0, **_ignored) -> ScenarioInstance:
+def _build_parallel_lines(dim=None, x0=None, seed=0, gap=2.0) -> ScenarioInstance:
     if dim not in (None, 2):
         raise ConfigError("parallel-lines lives in dimension 2")
     half = 0.5 * float(gap)
@@ -307,44 +308,31 @@ def _build_parallel_lines(dim=None, x0=None, seed=0, gap=2.0, **_ignored) -> Sce
     B = normal_cone(V, label="normal_cone(lower line)")
     start = as_point(x0, 2) if x0 is not None else np.array([3.0, 5.0])
     problem = DRProblem(A, B, start)
-    v_true = np.array([0.0, float(gap)])
-    known = {
-        "seed": seed,
-        "v_true": v_true,
-        "z_v_sample": SetSample(
-            [np.array([t, half]) for t in (start[0], 0.0, 5.0)], "upper line"
-        ),
-    }
+    v = np.array([0.0, float(gap)])
+    shifted_primal = SetSample([np.array([t, half]) for t in (start[0], 0.0, 5.0)], "upper line")
 
-    def check_v(trace, inst):
-        return _vector_close_check(trace.v_estimate, inst.known["v_true"], 1e-9)
-
-    def check_shadow_constant(trace, inst):
+    def check_shadow_constant(trace):
         target = np.array([trace.problem.x0[0], half])
         worst = float(np.max(np.linalg.norm(trace.shadow - target, axis=1)))
         return CheckResult(worst <= 1e-10, worst)
-
-    def check_shifted_fejer(trace, inst):
-        seq = shifted_governing(trace, inst.known["v_true"])
-        res = fejer_check(seq, inst.known["z_v_sample"], slack=1e-9)
-        return CheckResult(res.passed, res.max_increase, res.first_violation)
 
     return ScenarioInstance(
         name="parallel-lines",
         problem=problem,
         default_iters=128,
         default_step_tol=0.0,
-        shadow_tol=None,
-        known=known,
         checks=[
-            ("v_estimate", check_v),
+            ("v_estimate", _v_check(v, 1e-9)),
             ("shadow_constant", check_shadow_constant),
-            ("shifted_governing_fejer", check_shifted_fejer),
+            ("shifted_governing_fejer", _shifted_fejer_check(v, shifted_primal)),
         ],
+        seed=seed,
+        v=v,
+        shifted_primal=shifted_primal,
     )
 
 
-def _build_disjoint_balls(dim=None, x0=None, seed=0, **_ignored) -> ScenarioInstance:
+def _build_disjoint_balls(dim=None, x0=None, seed=0) -> ScenarioInstance:
     if dim not in (None, 2):
         raise ConfigError("disjoint-balls lives in dimension 2")
     U = Ball(np.array([0.0, 0.0]), 1.0)
@@ -353,66 +341,45 @@ def _build_disjoint_balls(dim=None, x0=None, seed=0, **_ignored) -> ScenarioInst
     B = normal_cone(V, label="normal_cone(ball at (4,0))")
     start = as_point(x0, 2) if x0 is not None else np.array([0.0, 2.0])
     problem = DRProblem(A, B, start)
-    known = {
-        "seed": seed,
-        "v_true": np.array([-2.0, 0.0]),
-        "shadow_limit_true": np.array([1.0, 0.0]),
-        "z_v_sample": SetSample([np.array([1.0, 0.0])], "contact point"),
-    }
+    v = np.array([-2.0, 0.0])
+    shadow_limit = np.array([1.0, 0.0])
+    shifted_primal = SetSample([np.array([1.0, 0.0])], "contact point")
 
-    def check_shadow_limit(trace, inst):
-        return _vector_close_check(trace.shadow[-1], inst.known["shadow_limit_true"], 1e-6)
-
-    def check_v(trace, inst):
-        return _vector_close_check(trace.v_estimate, inst.known["v_true"], 1e-5)
-
-    def check_shifted_fejer(trace, inst):
-        seq = shifted_governing(trace, inst.known["v_true"])
-        res = fejer_check(seq, inst.known["z_v_sample"], slack=1e-9)
-        return CheckResult(res.passed, res.max_increase, res.first_violation)
+    def check_shadow_limit(trace):
+        return _vector_close_check(trace.shadow[-1], shadow_limit, 1e-6)
 
     return ScenarioInstance(
         name="disjoint-balls",
         problem=problem,
         default_iters=5000,
         default_step_tol=0.0,
-        shadow_tol=None,
-        known=known,
         checks=[
             ("shadow_limit", check_shadow_limit),
-            ("v_estimate", check_v),
-            ("shifted_governing_fejer", check_shifted_fejer),
+            ("v_estimate", _v_check(v, 1e-5)),
+            ("shifted_governing_fejer", _shifted_fejer_check(v, shifted_primal)),
         ],
+        seed=seed,
+        v=v,
+        shifted_primal=shifted_primal,
     )
 
 
-def _consistent_checks() -> list[tuple[str, CheckFn]]:
-    def check_converged(trace, inst):
+def _consistent_checks(seed: int, sets: SolutionSets) -> list[tuple[str, CheckFn]]:
+    def check_converged(trace):
         final = float(np.linalg.norm(trace.records[-1].step))
         return CheckResult(final <= 1e-10, final)
 
-    def check_diameter(trace, inst):
-        return _shadow_diameter_check(trace)
-
-    def check_pair_fejer(trace, inst):
-        return _pair_fejer_check(trace, inst, slack=1e-10)
-
-    def check_sweet(trace, inst):
-        rep = sweet_principle_check(
-            trace.governing, trace.shadow, inst.known["z_sample"], tol=1e-6
-        )
+    def check_sweet(trace):
+        rep = sweet_principle_check(trace.governing, trace.shadow, sets.primal, tol=1e-6)
         worst = max(rep.pairing_max, rep.cauchy)
         return CheckResult(rep.verdict, worst)
 
-    def check_summability(trace, inst):
-        return _summability_check(trace, inst)
-
     return [
         ("step_converged", check_converged),
-        ("shadow_trailing_diameter", check_diameter),
-        ("pair_fejer_wrt_solution_pairs", check_pair_fejer),
+        ("shadow_trailing_diameter", _shadow_diameter_check),
+        ("pair_fejer_wrt_solution_pairs", _pair_fejer_check(sets.s_pairs)),
         ("sequential_principle_evidence", check_sweet),
-        ("summability", check_summability),
+        ("summability", _summability_check(seed)),
     ]
 
 
@@ -421,8 +388,9 @@ def _finish_consistent_instance(
     problem: DRProblem,
     seed: int,
     iters: int,
-    extra_known: dict | None = None,
     extra_checks: list[tuple[str, CheckFn]] | None = None,
+    z: Optional[np.ndarray] = None,
+    k: Optional[np.ndarray] = None,
 ) -> ScenarioInstance:
     """Attach solution samples (computed from converged runs) and checkers."""
     fix_candidates = []
@@ -434,39 +402,23 @@ def _finish_consistent_instance(
         )
     fix_sample = SetSample(fix_candidates, "converged fixed points")
     z_sample, k_sample, pairs = primal_dual_from_fix(problem.A, problem.B, fix_sample, tol=1e-9)
-    sets = SolutionSets(
-        fix_t=fix_sample,
-        primal=z_sample,
-        dual=k_sample,
-        s_pairs=pairs,
-        v=np.zeros(problem.dim),
-        primal_shifted=z_sample,
-        dual_shifted=k_sample,
-    )
+    sets = SolutionSets(fix_t=fix_sample, primal=z_sample, dual=k_sample, s_pairs=pairs)
     sets.validate(problem.A)
-    known = {
-        "seed": seed,
-        "fix_sample": fix_sample,
-        "z_sample": z_sample,
-        "k_sample": k_sample,
-        "s_pairs": pairs,
-        "solution_sets": sets,
-        "v_true": np.zeros(problem.dim),
-    }
-    if extra_known:
-        known.update(extra_known)
     return ScenarioInstance(
         name=name,
         problem=problem,
         default_iters=iters,
         default_step_tol=0.0,
-        shadow_tol=None,
-        known=known,
-        checks=_consistent_checks() + (extra_checks or []),
+        checks=_consistent_checks(seed, sets) + (extra_checks or []),
+        seed=seed,
+        v=np.zeros(problem.dim),
+        z=z,
+        k=k,
+        solutions=sets,
     )
 
 
-def _build_affine_consistent(dim=None, x0=None, seed=0, **_ignored) -> ScenarioInstance:
+def _build_affine_consistent(dim=None, x0=None, seed=0) -> ScenarioInstance:
     if dim not in (None, 2):
         raise ConfigError("affine-consistent lives in dimension 2")
     U = AffineSubspace.from_span(np.zeros(2), [np.array([1.0, 0.0])])
@@ -475,39 +427,30 @@ def _build_affine_consistent(dim=None, x0=None, seed=0, **_ignored) -> ScenarioI
     B = normal_cone(V, label="normal_cone(diagonal line)")
     start = as_point(x0, 2) if x0 is not None else np.array([0.0, 1.0])
     problem = DRProblem(A, B, start)
-    return _finish_consistent_instance(
-        "affine-consistent",
-        problem,
-        seed,
-        iters=10_000,
-        extra_known={"affine_sets": (U, V), "common_point": np.zeros(2)},
-    )
+    return _finish_consistent_instance("affine-consistent", problem, seed, iters=10_000)
 
 
-def _build_points_1d(dim=None, x0=None, seed=0, **_ignored) -> ScenarioInstance:
+def _build_points_1d(dim=None, x0=None, seed=0) -> ScenarioInstance:
     if dim not in (None, 1):
         raise ConfigError("points-1d lives in dimension 1")
     A = normal_cone(Singleton(np.array([0.0])), label="normal_cone({0})")
     B = normal_cone(Singleton(np.array([2.0])), label="normal_cone({2})")
     start = as_point(x0, 1) if x0 is not None else np.array([0.0])
     problem = DRProblem(A, B, start)
-    known = {"seed": seed, "v_true": np.array([-2.0])}
+    v = np.array([-2.0])
 
-    def check_arithmetic(trace, inst):
+    def check_arithmetic(trace):
         worst = 0.0
         for r in trace.records:
             worst = max(worst, abs(float(r.governing[0]) - (trace.problem.x0[0] + 2.0 * r.n)))
         return CheckResult(worst <= 1e-12, worst)
 
-    def check_shadow_zero(trace, inst):
+    def check_shadow_zero(trace):
         worst = float(np.max(np.abs(trace.shadow)))
         return CheckResult(worst <= 1e-12, worst)
 
-    def check_v(trace, inst):
-        return _vector_close_check(trace.v_estimate, inst.known["v_true"], 1e-12)
-
-    def check_shifted_constant(trace, inst):
-        seq = np.stack(shifted_governing(trace, inst.known["v_true"]))
+    def check_shifted_constant(trace):
+        seq = np.stack(shifted_governing(trace, v))
         worst = float(np.max(np.abs(seq - trace.problem.x0[None, :])))
         return CheckResult(worst <= 1e-12, worst)
 
@@ -516,14 +459,14 @@ def _build_points_1d(dim=None, x0=None, seed=0, **_ignored) -> ScenarioInstance:
         problem=problem,
         default_iters=64,
         default_step_tol=0.0,
-        shadow_tol=None,
-        known=known,
         checks=[
             ("governing_arithmetic", check_arithmetic),
             ("shadow_zero", check_shadow_zero),
-            ("v_estimate", check_v),
+            ("v_estimate", _v_check(v, 1e-12)),
             ("shifted_governing_constant", check_shifted_constant),
         ],
+        seed=seed,
+        v=v,
     )
 
 
@@ -553,30 +496,29 @@ def random_affine_pair(dim: int, rng: np.random.Generator):
     raise RuntimeError("failed to draw a well-conditioned affine pair")
 
 
-def _build_random_affine(dim=None, x0=None, seed=0, **_ignored) -> ScenarioInstance:
+def _build_random_affine(dim=None, x0=None, seed=0) -> ScenarioInstance:
     d = int(dim) if dim else 5
-    rng = np.random.default_rng(int(seed))
-    U, V, w = random_affine_pair(d, rng)
+    seed = int(seed)
+    rng = np.random.default_rng(seed)
+    U, V, _ = random_affine_pair(d, rng)
     A = normal_cone(U, label="normal_cone(random affine U)")
     B = normal_cone(V, label="normal_cone(random affine V)")
     start = as_point(x0, d) if x0 is not None else rng.uniform(-2.0, 2.0, d)
     problem = DRProblem(A, B, start)
 
-    def check_gap_identity(trace, inst):
+    def check_gap_identity(trace):
         # evaluated at a bounded seeded point: the bound is absolute, so the
         # probe must stay at unit scale regardless of the configured start
-        Uset, Vset = inst.known["affine_sets"]
-        probe = np.random.default_rng(inst.known["seed"] + 31).uniform(-2.0, 2.0, Uset.dim)
-        rep = affine_gap_residuals(Uset, Vset, probe)
+        probe = np.random.default_rng(seed + 31).uniform(-2.0, 2.0, U.dim)
+        rep = affine_gap_residuals(U, V, probe)
         worst = rep.context["raw"]["gap_identity"]
         return CheckResult(worst <= 1e-10, worst)
 
     return _finish_consistent_instance(
         "random-affine",
         problem,
-        int(seed),
+        seed,
         iters=10_000,
-        extra_known={"affine_sets": (U, V), "common_point": w},
         extra_checks=[("gap_identity", check_gap_identity)],
     )
 
@@ -623,27 +565,28 @@ def random_pw1d_pair(rng: np.random.Generator):
     return A, B, np.array([x_star])
 
 
-def _build_random_1d(dim=None, x0=None, seed=0, **_ignored) -> ScenarioInstance:
+def _build_random_1d(dim=None, x0=None, seed=0) -> ScenarioInstance:
     if dim not in (None, 1):
         raise ConfigError("random-1d lives in dimension 1")
-    rng = np.random.default_rng(int(seed))
+    seed = int(seed)
+    rng = np.random.default_rng(seed)
     A, B, z = random_pw1d_pair(rng)
+    k = np.array([0.0])
     start = as_point(x0, 1) if x0 is not None else rng.uniform(-3.0, 3.0, 1)
     problem = DRProblem(A, B, start)
 
-    def check_decoupled(trace, inst):
-        ok = decoupled_1d_fejer_check(
-            trace.problem, inst.known["z_star"], inst.known["k_star"], trace
-        )
+    def check_decoupled(trace):
+        ok = decoupled_1d_fejer_check(trace.problem, z, k, trace)
         return CheckResult(ok, 0.0 if ok else 1.0)
 
     return _finish_consistent_instance(
         "random-1d",
         problem,
-        int(seed),
+        seed,
         iters=10_000,
-        extra_known={"z_star": z, "k_star": np.array([0.0])},
         extra_checks=[("decoupled_fejer", check_decoupled)],
+        z=z,
+        k=k,
     )
 
 
@@ -653,10 +596,8 @@ def _build_random_1d(dim=None, x0=None, seed=0, **_ignored) -> ScenarioInstance:
 _REGISTRY: dict[str, ScenarioSpec] = {}
 
 
-def _register(name, description, anchor, default_dim, build):
-    _REGISTRY[name] = ScenarioSpec(
-        name=name, description=description, anchor=anchor, default_dim=default_dim, build=build
-    )
+def _register(name, description, anchor, build):
+    _REGISTRY[name] = ScenarioSpec(name=name, description=description, anchor=anchor, build=build)
 
 
 _register(
@@ -664,7 +605,6 @@ _register(
     "normal cone of the nonnegative quadrant against the quarter-turn rotation",
     "consistent planar pair whose solution pairs do NOT decouple: distances to "
     "primal-only targets can grow by exactly 5/4 a^2 in one step",
-    2,
     _build_rotator_cone,
 )
 _register(
@@ -672,7 +612,6 @@ _register(
     "horizontal axis against identity plus a perpendicularly shifted copy",
     "zero-free sum with displacement equal to the shift: primal shadows halve "
     "every step while dual shadows diverge",
-    2,
     _build_shifted_subspace,
 )
 _register(
@@ -680,7 +619,6 @@ _register(
     "normal cones of two parallel horizontal lines",
     "infeasible pair on which the splitting map is a pure translation by the "
     "gap vector; shadows are constant",
-    2,
     _build_parallel_lines,
 )
 _register(
@@ -688,7 +626,6 @@ _register(
     "normal cones of two disjoint unit balls on the horizontal axis",
     "infeasible smooth pair: governing iterates drift while shadows converge "
     "to the nearest-point contact",
-    2,
     _build_disjoint_balls,
 )
 _register(
@@ -696,7 +633,6 @@ _register(
     "two intersecting lines through the origin",
     "consistent affine pair with linear convergence; the step length equals "
     "the projection gap at every point",
-    2,
     _build_affine_consistent,
 )
 _register(
@@ -704,7 +640,6 @@ _register(
     "normal cones of the points 0 and 2 on the line",
     "simplest infeasible pair: governing sequence walks arithmetically, "
     "shadow pinned at the first point",
-    1,
     _build_points_1d,
 )
 _register(
@@ -712,7 +647,6 @@ _register(
     "seeded monotone piecewise-linear pair on the line sharing a zero",
     "one-dimensional consistent pair on which shadow and dual shadow are each "
     "separately monotone in distance to their targets",
-    1,
     _build_random_1d,
 )
 _register(
@@ -720,7 +654,6 @@ _register(
     "seeded affine pair in R^d with a forced common point",
     "generic consistent affine geometry with bounded principal angles; used "
     "for convergence, summability and gap-identity sweeps",
-    5,
     _build_random_affine,
 )
 

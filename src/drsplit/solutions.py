@@ -52,9 +52,6 @@ class SolutionSets:
     primal: SetSample  # zeros of A + B
     dual: SetSample  # zeros of the dual pair
     s_pairs: list[tuple[np.ndarray, np.ndarray]]
-    v: np.ndarray
-    primal_shifted: SetSample  # zeros of the v-shifted (normal) problem
-    dual_shifted: SetSample
 
     def validate(self, A: MonotoneOperator, tol: float = 1e-10) -> None:
         for y in self.fix_t.points:
@@ -165,15 +162,6 @@ class FejerResult:
     max_sq_increase: float  # worst growth of squared distance
     witness_index: Optional[int]  # step index achieving max_sq_increase
 
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.passed,
-            "first_violation": self.first_violation,
-            "worst_value": self.max_sq_increase,
-            "worst_norm_increase": self.max_increase,
-            "witness_index": self.witness_index,
-        }
-
 
 def _as_matrix(seq) -> np.ndarray:
     if isinstance(seq, np.ndarray) and seq.ndim == 2:
@@ -253,15 +241,6 @@ class SweetPrincipleReport:
     window_start: int
     verdict: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "fejer": self.fejer.to_json_dict(),
-            "pairing_max": self.pairing_max,
-            "cauchy": self.cauchy,
-            "window_start": self.window_start,
-        }
-
 
 def sweet_principle_check(
     x_seq,
@@ -314,15 +293,6 @@ class SummabilityReport:
     n_terms: int
     pairings_nonnegative: bool
     final_terms_small: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.pairings_nonnegative and self.final_terms_small,
-            "sums": [self.step_diff_sum, self.pairing_a_sum, self.pairing_b_sum],
-            "last_terms": [self.step_diff_last, self.pairing_a_last, self.pairing_b_last],
-            "pairing_minima": [self.pairing_a_min, self.pairing_b_min],
-            "n_terms": self.n_terms,
-        }
 
 
 def summability_report(

@@ -116,25 +116,9 @@ class AffineSubspace:
 
     def orthogonal_complement_basis(self) -> np.ndarray:
         """Orthonormal basis of the orthogonal complement of the direction space."""
-        k, d = self.basis.shape
-        if k == d:
-            return np.zeros((0, d))
-        seed = [self.basis[i] for i in range(k)]
-        rng = np.random.default_rng(0)
-        complement: list[np.ndarray] = []
-        trial = 0
-        while len(complement) < d - k:
-            cand = np.eye(d)[trial % d] if trial < d else rng.standard_normal(d)
-            trial += 1
-            w = cand.copy()
-            for q in seed + complement:
-                w -= np.dot(q, w) * q
-            for q in seed + complement:
-                w -= np.dot(q, w) * q
-            nw = np.linalg.norm(w)
-            if nw > 1e-8:
-                complement.append(w / nw)
-        return np.vstack(complement)
+        # the last d - k columns of a complete QR of the (d, k) basis matrix
+        q = np.linalg.qr(self.basis.T, mode="complete")[0]
+        return q[:, self.basis.shape[0] :].T
 
 
 @dataclass(frozen=True, eq=False)

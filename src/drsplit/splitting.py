@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -33,7 +32,6 @@ DEFAULT_STEP_TOL = 1e-12
 class StopReason(str, Enum):
     MAX_ITERS = "max_iters"
     STEP_CONVERGED = "step_converged"
-    SHADOW_CAUCHY = "shadow_cauchy"
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,26 +130,24 @@ def iterate(
     problem: DRProblem,
     max_iters: int = DEFAULT_MAX_ITERS,
     step_tol: float = DEFAULT_STEP_TOL,
-    shadow_tol: Optional[float] = None,
 ) -> DRTrace:
     """Run the iteration from ``problem.x0`` and record every tracked sequence.
 
-    Stops once the step norm drops below ``step_tol``, or (if ``shadow_tol``
-    is given) once consecutive shadows move less than ``shadow_tol`` -- useful
-    when the governing sequence diverges but its shadows settle -- or after
-    ``max_iters`` records. Divergence is not an error; non-finite coordinates
-    are.
+    Stops once the step norm drops below ``step_tol`` or after ``max_iters``
+    records. Divergence is not an error; non-finite coordinates are. The
+    trace's ``v_estimate`` is the last step vector: step norms are
+    nonincreasing (T is firmly nonexpansive), so it is the best estimate of
+    the minimal displacement vector the run offers.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if step_tol < 0:
-        raise ValueError("step_tol must be >= 0")
+    if not step_tol >= 0:  # also rejects NaN
+        raise ValueError(f"step_tol must be >= 0, got {step_tol}")
     A, B = problem.A, problem.B
     ja_map, jb_map = A.resolvent_map, B.resolvent_map
     x = problem.x0.copy()
     records: list[IterationRecord] = []
     stop = StopReason.MAX_ITERS
-    prev_shadow: Optional[np.ndarray] = None
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(max_iters):
             ja = ja_map(x)
@@ -175,14 +171,6 @@ def iterate(
             if float(np.linalg.norm(step)) < step_tol:
                 stop = StopReason.STEP_CONVERGED
                 break
-            if (
-                shadow_tol is not None
-                and prev_shadow is not None
-                and float(np.linalg.norm(ja - prev_shadow)) < shadow_tol
-            ):
-                stop = StopReason.SHADOW_CAUCHY
-                break
-            prev_shadow = ja
             x = x_next
     return DRTrace(
         problem=problem,
@@ -190,18 +178,6 @@ def iterate(
         v_estimate=records[-1].step.copy(),
         stop_reason=stop,
     )
-
-
-def estimate_displacement(trace: DRTrace) -> np.ndarray:
-    """Minimal-displacement estimate: the final step vector of the trace.
-
-    Step norms are nonincreasing (T is firmly nonexpansive), so the last step
-    is the best estimate available from the run; inspect ``trace.step_norms``
-    to judge how settled it is.
-    """
-    if len(trace.records) < 2:
-        raise ValueError("need at least 2 records to estimate the displacement vector")
-    return trace.records[-1].step.copy()
 
 
 def normal_problem(

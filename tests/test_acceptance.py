@@ -57,7 +57,7 @@ def test_criterion_1_rotator_counterexample():
     x = np.array([1.0, 0.0])
     tx = dr_apply(A, B, x)
     step_err = float(np.max(np.abs(tx - np.array([0.5, -0.5]))))
-    z, k = inst.known["z"], inst.known["k"]
+    z, k = inst.z, inst.k
     u0 = np.concatenate([A.resolvent(x), x - A.resolvent(x)])
     u1 = np.concatenate([A.resolvent(tx), tx - A.resolvent(tx)])
     e = np.concatenate([z, k])
@@ -191,7 +191,7 @@ def test_criterion_6_inconsistent_feasibility():
     shadow_target = np.array([lines.problem.x0[0], 1.0])
     shadow_const = float(np.max(np.linalg.norm(tl.shadow - shadow_target, axis=1)))
     fej_lines = fejer_check(
-        shifted_governing(tl, [0.0, 2.0]), lines.known["z_v_sample"], slack=1e-9
+        shifted_governing(tl, [0.0, 2.0]), lines.shifted_primal, slack=1e-9
     ).passed
 
     balls = build_scenario("disjoint-balls")
@@ -199,7 +199,7 @@ def test_criterion_6_inconsistent_feasibility():
     shadow_err = float(np.linalg.norm(tb.shadow[-1] - np.array([1.0, 0.0])))
     v_balls = float(np.linalg.norm(tb.v_estimate - np.array([-2.0, 0.0])))
     fej_balls = fejer_check(
-        shifted_governing(tb, [-2.0, 0.0]), balls.known["z_v_sample"], slack=1e-9
+        shifted_governing(tb, [-2.0, 0.0]), balls.shifted_primal, slack=1e-9
     ).passed
 
     ok = (
@@ -232,7 +232,7 @@ def test_criterion_7_consistent_convergence():
         trace = iterate(inst.problem, max_iters=10_000, step_tol=0.0)
         window = trailing_quarter(len(trace))
         worst_diam = max(worst_diam, diameter(trace.shadow[window]))
-        res = fejer_check(_pair_sequence(trace), _pair_sample(inst.known["s_pairs"]), slack=1e-10)
+        res = fejer_check(_pair_sequence(trace), _pair_sample(inst.solutions.s_pairs), slack=1e-10)
         all_fejer = all_fejer and res.passed
     ok = worst_diam <= 1e-6 and all_fejer
     _report(
@@ -253,7 +253,7 @@ def test_criterion_8_summability():
     worst_pairing = 0.0
     worst_final = 0.0
     for inst in instances:
-        rng = np.random.default_rng(inst.known["seed"] + 13)
+        rng = np.random.default_rng(inst.seed + 13)
         tr1 = iterate(inst.problem, max_iters=10_000, step_tol=0.0)
         other = DRProblem(
             inst.problem.A, inst.problem.B, inst.problem.x0 + rng.uniform(-1, 1, inst.problem.dim)
@@ -287,7 +287,7 @@ def test_criterion_9_decoupled_1d_fejer():
 
     inst = build_scenario("rotator-cone")
     trace = iterate(inst.problem, max_iters=50, step_tol=1e-14)
-    res = fejer_check(trace.shadow, SetSample([inst.known["z"]]), slack=1e-10)
+    res = fejer_check(trace.shadow, SetSample([inst.z]), slack=1e-10)
     planar_violation = (
         (not res.passed) and res.first_violation == 0 and abs(res.max_sq_increase - 1.25) <= 1e-12
     )

@@ -319,13 +319,3 @@ def test_counterexample_reproduction_exact():
     )
     assert abs(pair_growth - 0.5) <= 1e-12
     assert abs(primal_growth - 1.25) <= 1e-12
-
-
-def test_report_serializes_to_json():
-    import json
-
-    rep = dr_decomposition_residuals(normal_cone(X_AXIS), rotator(), [1.0, 2.0], [0.0, -1.0])
-    text = json.dumps(rep.to_json_dict())
-    parsed = json.loads(text)
-    assert set(parsed) == {"entries", "context"}
-    assert "decomposition_1" in parsed["entries"]

@@ -23,7 +23,6 @@ from drsplit import (
     product,
     projector_operator,
     reflected,
-    rotate_quarter,
     rotator,
     scaled_id_plus_normal_cone,
     zero_operator,
@@ -39,7 +38,7 @@ X_AXIS = AffineSubspace(np.zeros(2), np.array([[1.0, 0.0]]))
 def test_normal_cone_orthant_resolvent():
     op = normal_cone(NonnegativeOrthant(2))
     assert np.allclose(op.resolvent([1.0, -1.0]), [1.0, 0.0], atol=0)
-    assert op.is_paramonotone and op.is_subdifferential and not op.is_linear_relation
+    assert op.is_paramonotone and not op.is_linear_relation
 
 
 def test_normal_cone_linear_subspace_flag():
@@ -87,7 +86,7 @@ def test_rotator_resolvent_values():
     assert np.allclose(B.resolvent([1.0, 0.0]), [0.5, -0.5], atol=0)
     assert np.allclose(B.resolvent([0.0, 0.0]), [0.0, 0.0], atol=0)
     assert np.allclose(B.resolvent([1.0, 1.0]), [1.0, 0.0], atol=0)
-    assert B.is_linear_relation and not B.is_paramonotone and not B.is_subdifferential
+    assert B.is_linear_relation and not B.is_paramonotone
 
 
 def test_rotator_reflected_is_clockwise_turn(rng):
@@ -297,7 +296,6 @@ def test_reflection_involution_for_subspace(rng):
 
 def test_reflected_rotator_matches_formula():
     assert np.allclose(reflected(rotator(), [1.0, 0.0]), [0.0, -1.0], atol=0)
-    assert np.allclose(rotate_quarter([1.0, 0.0]), [0.0, 1.0], atol=0)
 
 
 def test_minty_forward_orthant():

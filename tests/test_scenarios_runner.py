@@ -164,7 +164,9 @@ def test_scenario_dimension_validation():
 def test_identity_sweep_deterministic():
     a = check_identities(seed=7, samples=3)
     b = check_identities(seed=7, samples=3)
-    assert a.to_json_dict() == b.to_json_dict()
+    for attr in ("worst", "slack_worst"):
+        recs = [{n: (r.value, r.pair, r.sample) for n, r in getattr(s, attr).items()} for s in (a, b)]
+        assert recs[0] == recs[1]
     assert a.passed
 
 
@@ -259,3 +261,36 @@ def test_run_respects_step_tolerance_override():
 def test_check_identities_rejects_zero_samples():
     with pytest.raises(ValueError):
         check_identities(samples=0)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+def test_config_rejects_nonfinite_or_negative_tol(tol):
+    with pytest.raises(ConfigError, match="tol"):
+        make_config({"scenario": "affine-consistent", "tol": tol})
+
+
+def test_cli_nan_tol_exits_two(capsys):
+    assert cli_main(["--scenario", "affine-consistent", "--tol", "nan"]) == 2
+    assert "nan" in capsys.readouterr().err
+
+
+def test_config_rejects_unknown_scenario_parameter(tmp_path, capsys):
+    cfgfile = tmp_path / "typo.cfg"
+    cfgfile.write_text("scenario = rotator-cone\niterations = 5\n")
+    with pytest.raises(ConfigError, match="'iterations'.*'rotator-cone'"):
+        make_config(parse_config_file(str(cfgfile)))
+    assert cli_main(["--config", str(cfgfile)]) == 2
+    assert "iterations" in capsys.readouterr().err
+
+
+def test_scenario_parameters_still_accepted():
+    assert make_config({"scenario": "rotator-cone", "a": "2"}).params == {"a": 2.0}
+    summary, _ = run(make_config({"scenario": "parallel-lines", "gap": "3"}))
+    assert np.allclose(summary.v_estimate, [0.0, 3.0], atol=1e-9)
+
+
+def test_config_rejects_empty_x0_coordinate(capsys):
+    with pytest.raises(ConfigError, match="empty coordinate"):
+        make_config(scenario="parallel-lines", x0="1,,2")
+    assert cli_main(["--scenario", "parallel-lines", "--x0", "1,,2"]) == 2
+    assert "1,,2" in capsys.readouterr().err

@@ -110,8 +110,8 @@ def test_cross_product_refuses_rotator():
         paramonotone_cross_product(
             inst.problem.A,
             inst.problem.B,
-            inst.known["z_sample"],
-            inst.known["k_sample"],
+            inst.solutions.primal,
+            inst.solutions.dual,
         )
 
 
@@ -124,14 +124,14 @@ def test_fejer_check_constant_sequence():
 def test_fejer_check_governing_of_consistent_scenario():
     inst = build_scenario("affine-consistent")
     tr = iterate(inst.problem, max_iters=2000, step_tol=0.0)
-    res = fejer_check(tr.governing, inst.known["fix_sample"], slack=1e-10)
+    res = fejer_check(tr.governing, inst.solutions.fix_t, slack=1e-10)
     assert res.passed
 
 
 def test_fejer_check_rotator_counterexample():
     inst = build_scenario("rotator-cone")
     tr = iterate(inst.problem, max_iters=50, step_tol=1e-14)
-    res = fejer_check(tr.shadow, SetSample([inst.known["z"]]), slack=1e-10)
+    res = fejer_check(tr.shadow, SetSample([inst.z]), slack=1e-10)
     assert not res.passed
     assert res.first_violation == 0
     assert abs(res.max_sq_increase - 1.25) <= 1e-12
@@ -140,14 +140,14 @@ def test_fejer_check_rotator_counterexample():
 def test_sweet_principle_consistent_affine():
     inst = build_scenario("affine-consistent")
     tr = iterate(inst.problem, max_iters=4000, step_tol=0.0)
-    rep = sweet_principle_check(tr.governing, tr.shadow, inst.known["z_sample"], tol=1e-6)
+    rep = sweet_principle_check(tr.governing, tr.shadow, inst.solutions.primal, tol=1e-6)
     assert rep.verdict
 
 
 def test_sweet_principle_parallel_lines_shifted():
     inst = build_scenario("parallel-lines")
     tr = iterate(inst.problem, max_iters=64, step_tol=0.0)
-    shifted = shifted_governing(tr, inst.known["v_true"])
+    shifted = shifted_governing(tr, inst.v)
     E = SetSample([np.array([tr.problem.x0[0], 1.0])], "shadow target")
     rep = sweet_principle_check(shifted, [r.shadow for r in tr.records], E, tol=1e-9)
     assert rep.verdict
@@ -258,16 +258,13 @@ def test_decoupled_check_rejects_higher_dimension():
 
 def test_solution_sets_validation_catches_corruption():
     inst = build_scenario("affine-consistent")
-    sets = inst.known["solution_sets"]
+    sets = inst.solutions
     sets.validate(inst.problem.A)  # the genuine sets pass
     corrupted = SolutionSets(
         fix_t=sets.fix_t,
         primal=sets.primal,
         dual=sets.dual,
         s_pairs=[(p[0] + 0.5, p[1]) for p in sets.s_pairs],
-        v=sets.v,
-        primal_shifted=sets.primal_shifted,
-        dual_shifted=sets.dual_shifted,
     )
     with pytest.raises(ValueError):
         corrupted.validate(inst.problem.A)
@@ -279,6 +276,6 @@ def test_shifted_pair_admits_fixed_point(name):
     from drsplit import normal_problem
 
     inst = build_scenario(name)
-    sa, sb = normal_problem(inst.problem.A, inst.problem.B, inst.known["v_true"])
+    sa, sb = normal_problem(inst.problem.A, inst.problem.B, inst.v)
     y = find_fixed_point(DRProblem(sa, sb, inst.problem.x0), tol=1e-10)
     assert np.all(np.isfinite(y))

@@ -153,3 +153,12 @@ def test_whole_space_projects_identically(rng):
     S = whole_space(3)
     x = rng.standard_normal(3)
     assert np.allclose(project(S, x), x, atol=1e-15)
+
+
+@pytest.mark.parametrize("k, d", [(0, 3), (2, 4), (2, 2)])
+def test_orthogonal_complement_basis_is_orthonormal_complement(k, d, rng):
+    U = AffineSubspace.from_span(np.zeros(d), list(rng.standard_normal((k, d))))
+    C = U.orthogonal_complement_basis()
+    assert C.shape == (d - k, d)
+    assert np.allclose(C @ C.T, np.eye(d - k), atol=1e-12)
+    assert np.allclose(U.basis @ C.T, 0.0, atol=1e-12)
