@@ -91,6 +91,7 @@ from .space import (
     NonnegativeOrthant,
     Singleton,
     as_point,
+    as_points,
     inner,
     line,
     norm,

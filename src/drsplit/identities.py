@@ -6,6 +6,12 @@ reported as |lhs - rhs| scaled by 1/(1 + max magnitude of either side), so a
 single tolerance works across quadratic and bilinear terms; inequalities are
 reported as signed slacks (never clamped -- a negative slack beyond tolerance
 is a bug signal). Raw unscaled discrepancies are kept in the report context.
+
+Every function takes one point of shape (d,) per argument, giving float
+residuals, or stacks of row points of shape (m, d), giving one residual per
+row as an array of shape (m,). Row i of a stack's residuals is bitwise equal
+to the residuals of row i alone: inner products are ``np.vecdot``, which
+matches ``np.dot`` on one point and does not mix rows.
 """
 
 from __future__ import annotations
@@ -15,9 +21,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, OperatorFamilyError
-from .operators import MonotoneOperator, minty_forward, normal_cone
-from .space import ConvexSet, as_point, is_affine
+from .operators import MonotoneOperator, normal_cone
+from .space import ConvexSet, as_points, is_affine
 from .splitting import dr_apply
+
+
+# Row-wise inner product; on one point it is bitwise equal to np.dot, which
+# einsum and (a * b).sum(-1) are not.
+_dot = np.vecdot
+
+
+def _norm(v: np.ndarray):
+    """Row-wise norm; on one point bitwise equal to np.linalg.norm."""
+    return np.sqrt(_dot(v, v))
+
+
+def _scaled(raw, lhs_size, rhs_size):
+    return raw / (1.0 + np.maximum(lhs_size, rhs_size))
+
+
+def _value(v):
+    """A float for one point, the array of per-row values for a stack."""
+    return float(v) if np.ndim(v) == 0 else v
 
 
 @dataclass(eq=False)
@@ -35,34 +60,32 @@ class ResidualReport:
     def _raw(self) -> dict[str, float]:
         return self.context.setdefault("raw", {})
 
-    def add_equality(self, name: str, lhs: float, rhs: float) -> None:
-        scale = 1.0 + max(abs(lhs), abs(rhs))
-        self.entries[name] = abs(lhs - rhs) / scale
-        self._raw()[name] = abs(lhs - rhs)
+    def _record(self, name: str, value, raw) -> None:
+        self.entries[name] = _value(value)
+        self._raw()[name] = _value(raw)
+
+    def add_equality(self, name: str, lhs, rhs) -> None:
+        raw = np.abs(lhs - rhs)
+        self._record(name, _scaled(raw, np.abs(lhs), np.abs(rhs)), raw)
 
     def add_vector_equality(self, name: str, lhs: np.ndarray, rhs: np.ndarray) -> None:
-        nl = float(np.linalg.norm(lhs))
-        nr = float(np.linalg.norm(rhs))
-        raw = float(np.linalg.norm(lhs - rhs))
-        self.entries[name] = raw / (1.0 + max(nl, nr))
-        self._raw()[name] = raw
+        raw = _norm(lhs - rhs)
+        self._record(name, _scaled(raw, _norm(lhs), _norm(rhs)), raw)
 
-    def add_slack(self, name: str, lhs: float, rhs: float) -> None:
+    def add_slack(self, name: str, lhs, rhs) -> None:
         """Record lhs - rhs for an inequality lhs >= rhs, sign preserved."""
-        scale = 1.0 + max(abs(lhs), abs(rhs))
-        self.entries[name] = (lhs - rhs) / scale
-        self._raw()[name] = lhs - rhs
+        raw = lhs - rhs
+        self._record(name, _scaled(raw, np.abs(lhs), np.abs(rhs)), raw)
 
-    def max_equality_residual(self) -> float:
-        return max(
-            (v for k, v in self.entries.items() if not k.endswith("_slack")), default=0.0
-        )
+    def max_equality_residual(self):
+        values = [v for k, v in self.entries.items() if not k.endswith("_slack")]
+        return _value(np.max(values, axis=0)) if values else 0.0
 
 
-def _same_dim(*points: np.ndarray) -> None:
-    dims = {p.shape[0] for p in points}
-    if len(dims) > 1:
-        raise DimensionMismatchError(f"points of different dimensions: {sorted(dims)}")
+def _same_shape(*points: np.ndarray) -> None:
+    shapes = {p.shape for p in points}
+    if len(shapes) > 1:
+        raise DimensionMismatchError(f"points of different shapes: {sorted(shapes)}")
 
 
 def three_point_residuals(a, b, z) -> ResidualReport:
@@ -72,46 +95,42 @@ def three_point_residuals(a, b, z) -> ResidualReport:
     differences they are what collapses the splitting step into monotone
     pairings.
     """
-    av, bv, zv = as_point(a), as_point(b), as_point(z)
-    _same_dim(av, bv, zv)
-    cross = float(np.dot(av, zv - av)) + float(np.dot(bv, 2.0 * av - zv - bv))
+    av, bv, zv = as_points(a), as_points(b), as_points(z)
+    _same_shape(av, bv, zv)
+    cross = _dot(av, zv - av) + _dot(bv, 2.0 * av - zv - bv)
     rep = ResidualReport(context={"a": av, "b": bv, "z": zv})
-    rep.add_equality(
-        "three_point_1", float(np.dot(zv, zv - av + bv)), float(np.dot(zv - av + bv, zv - av + bv)) + cross
-    )
-    rep.add_equality(
-        "three_point_2", float(np.dot(zv, av - bv)), float(np.dot(av - bv, av - bv)) + cross
-    )
+    rep.add_equality("three_point_1", _dot(zv, zv - av + bv), _dot(zv - av + bv, zv - av + bv) + cross)
+    rep.add_equality("three_point_2", _dot(zv, av - bv), _dot(av - bv, av - bv) + cross)
     rep.add_equality(
         "three_point_3",
-        float(np.dot(zv, zv)),
-        float(np.dot(zv - av + bv, zv - av + bv)) + float(np.dot(bv - av, bv - av)) + 2.0 * cross,
+        _dot(zv, zv),
+        _dot(zv - av + bv, zv - av + bv) + _dot(bv - av, bv - av) + 2.0 * cross,
     )
     return rep
 
 
-def eight_point_residual(a, b, x, y, a_star, b_star, u, v) -> float:
+def eight_point_residual(a, b, x, y, a_star, b_star, u, v):
     """Scaled residual of the eight-point pairing expansion on X x X.
 
     lhs = <(a,b) - (x,y), (a*,b*) - (u,v)> in the product space; the rhs
     regroups it so that difference terms a - b and sums a* + b* appear, which
     is the form whose limits vanish along the iteration.
     """
-    pts = [as_point(p) for p in (a, b, x, y, a_star, b_star, u, v)]
-    _same_dim(*pts)
+    pts = [as_points(p) for p in (a, b, x, y, a_star, b_star, u, v)]
+    _same_shape(*pts)
     av, bv, xv, yv, asv, bsv, uv, vv = pts
-    lhs = float(np.dot(av - xv, asv - uv)) + float(np.dot(bv - yv, bsv - vv))
+    lhs = _dot(av - xv, asv - uv) + _dot(bv - yv, bsv - vv)
     rhs = (
-        float(np.dot(av - bv, asv))
-        + float(np.dot(xv, uv))
-        - float(np.dot(xv, asv))
-        - float(np.dot(av - bv, uv))
-        + float(np.dot(bv, asv + bsv))
-        + float(np.dot(yv, vv))
-        - float(np.dot(yv, bsv))
-        - float(np.dot(bv, uv + vv))
+        _dot(av - bv, asv)
+        + _dot(xv, uv)
+        - _dot(xv, asv)
+        - _dot(av - bv, uv)
+        + _dot(bv, asv + bsv)
+        + _dot(yv, vv)
+        - _dot(yv, bsv)
+        - _dot(bv, uv + vv)
     )
-    return abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
+    return _value(_scaled(np.abs(lhs - rhs), np.abs(lhs), np.abs(rhs)))
 
 
 def _splitting_data(A: MonotoneOperator, B: MonotoneOperator, x: np.ndarray):
@@ -135,27 +154,26 @@ def dr_decomposition_residuals(A: MonotoneOperator, B: MonotoneOperator, x, y) -
     """
     if A.dim != B.dim:
         raise DimensionMismatchError(f"operator dimensions differ: {A.dim} vs {B.dim}")
-    xv = as_point(x, A.dim)
-    yv = as_point(y, A.dim)
+    xv = as_points(x, A.dim)
+    yv = as_points(y, A.dim)
+    _same_shape(xv, yv)
     jax, dax, jbx, dbx, tx = _splitting_data(A, B, xv)
     jay, day, jby, dby, ty = _splitting_data(A, B, yv)
-    pair_a = float(np.dot(jax - jay, dax - day))
-    pair_b = float(np.dot(jbx - jby, dbx - dby))
+    pair_a = _dot(jax - jay, dax - day)
+    pair_b = _dot(jbx - jby, dbx - dby)
     dt = (xv - tx) - (yv - ty)
     jatx = A.resolvent_map(tx)
     jaty = A.resolvent_map(ty)
     datx = tx - jatx
     daty = ty - jaty
-    pair_a_after = float(np.dot(jatx - jaty, datx - daty))
+    pair_a_after = _dot(jatx - jaty, datx - daty)
 
-    def nsq(v: np.ndarray) -> float:
-        return float(np.dot(v, v))
+    def nsq(v: np.ndarray):
+        return _dot(v, v)
 
     rep = ResidualReport(context={"x": xv, "y": yv})
-    rep.add_equality(
-        "decomposition_1", float(np.dot(tx - ty, xv - yv)), nsq(tx - ty) + pair_a + pair_b
-    )
-    rep.add_equality("decomposition_2", float(np.dot(dt, xv - yv)), nsq(dt) + pair_a + pair_b)
+    rep.add_equality("decomposition_1", _dot(tx - ty, xv - yv), nsq(tx - ty) + pair_a + pair_b)
+    rep.add_equality("decomposition_2", _dot(dt, xv - yv), nsq(dt) + pair_a + pair_b)
     rep.add_equality(
         "decomposition_3", nsq(xv - yv), nsq(tx - ty) + nsq(dt) + 2.0 * pair_a + 2.0 * pair_b
     )
@@ -172,36 +190,32 @@ def fixed_point_step_residuals(A: MonotoneOperator, B: MonotoneOperator, x) -> R
     """The step x - Tx written two ways, plus graph-membership round trips.
 
     x - Tx equals both J_A x - J_B R_A x and J_A' x + J_B' R_A x (primed maps
-    are resolvents of inverses); the four points involved form graph pairs of
-    A and of B, verified here by re-projecting each pair through the
-    resolvent.
+    are resolvents of inverses); the four points involved form the graph
+    pairs (J_A x, J_A' x) of A and (J_B R_A x, J_B' R_A x) of B, verified here
+    by re-projecting each pair's sum through the resolvent.
     """
     if A.dim != B.dim:
         raise DimensionMismatchError(f"operator dimensions differ: {A.dim} vs {B.dim}")
-    xv = as_point(x, A.dim)
+    xv = as_points(x, A.dim)
     ja, da, jb, db, tx = _splitting_data(A, B, xv)
     step = xv - tx
     rep = ResidualReport(context={"x": xv})
     rep.add_vector_equality("step_shadow_gap", step, ja - jb)
     rep.add_vector_equality("step_dual_sum", step, da + db)
-    ga = minty_forward(A, xv)
-    gb = minty_forward(B, 2.0 * ja - xv)
-    rep.add_vector_equality("graph_roundtrip_a", A.resolvent_map(ga.point + ga.normal), ga.point)
-    rep.add_vector_equality("graph_roundtrip_b", B.resolvent_map(gb.point + gb.normal), gb.point)
+    rep.add_vector_equality("graph_roundtrip_a", A.resolvent_map(ja + da), ja)
+    rep.add_vector_equality("graph_roundtrip_b", B.resolvent_map(jb + db), jb)
     return rep
 
 
-def linear_relation_residual(A: MonotoneOperator, B: MonotoneOperator, x) -> float:
+def linear_relation_residual(A: MonotoneOperator, B: MonotoneOperator, x):
     """Scaled residual of Id - T = J_A - 2 J_B J_A + J_B (linear resolvents only)."""
     if not (A.is_linear_relation and B.is_linear_relation):
         raise OperatorFamilyError("both operators must be linear relations")
-    xv = as_point(x, A.dim)
+    xv = as_points(x, A.dim)
     ja = A.resolvent_map(xv)
     step = xv - dr_apply(A, B, xv)
     explicit = ja - 2.0 * B.resolvent_map(ja) + B.resolvent_map(xv)
-    raw = float(np.linalg.norm(step - explicit))
-    scale = 1.0 + max(float(np.linalg.norm(step)), float(np.linalg.norm(explicit)))
-    return raw / scale
+    return _value(_scaled(_norm(step - explicit), _norm(step), _norm(explicit)))
 
 
 def _linear_forward(A: MonotoneOperator, x: np.ndarray) -> np.ndarray:
@@ -212,16 +226,14 @@ def _linear_forward(A: MonotoneOperator, x: np.ndarray) -> np.ndarray:
 def _require_quarter_turn_family(A: MonotoneOperator, name: str) -> None:
     if A.dim != 2 or not A.is_linear_relation:
         raise OperatorFamilyError(f"{name} must be a planar linear operator")
-    rng = np.random.default_rng(12345)
-    for _ in range(4):
-        s = rng.standard_normal(2)
-        g = minty_forward(A, s)
-        if abs(float(np.dot(g.point, g.normal))) > 1e-10 * (1.0 + float(np.dot(s, s))):
-            raise OperatorFamilyError(f"{name} is not skew")
-        if np.linalg.norm(_linear_forward(A, _linear_forward(A, s)) + s) > 1e-10 * (
-            1.0 + np.linalg.norm(s)
-        ):
-            raise OperatorFamilyError(f"{name} does not square to -Id")
+    s = np.random.default_rng(12345).standard_normal((4, 2))
+    j = A.resolvent_map(s)
+    not_skew = np.abs(_dot(j, s - j)) > 1e-10 * (1.0 + _dot(s, s))
+    not_square = _norm(_linear_forward(A, _linear_forward(A, s)) + s) > 1e-10 * (1.0 + _norm(s))
+    failed = np.flatnonzero(not_skew | not_square)
+    if failed.size:
+        reason = "is not skew" if not_skew[failed[0]] else "does not square to -Id"
+        raise OperatorFamilyError(f"{name} {reason}")
 
 
 def skew_residuals(A: MonotoneOperator, B: MonotoneOperator, x, y) -> ResidualReport:
@@ -233,8 +245,9 @@ def skew_residuals(A: MonotoneOperator, B: MonotoneOperator, x, y) -> ResidualRe
     """
     _require_quarter_turn_family(A, "A")
     _require_quarter_turn_family(B, "B")
-    xv = as_point(x, 2)
-    yv = as_point(y, 2)
+    xv = as_points(x, 2)
+    yv = as_points(y, 2)
+    _same_shape(xv, yv)
     tx = dr_apply(A, B, xv)
     ty = dr_apply(A, B, yv)
     jax, jay = A.resolvent_map(xv), A.resolvent_map(yv)
@@ -243,12 +256,12 @@ def skew_residuals(A: MonotoneOperator, B: MonotoneOperator, x, y) -> ResidualRe
     datx, daty = tx - jatx, ty - jaty
     dt = (xv - tx) - (yv - ty)
 
-    def nsq(v: np.ndarray) -> float:
-        return float(np.dot(v, v))
+    def nsq(v: np.ndarray):
+        return _dot(v, v)
 
     rep = ResidualReport(context={"x": xv, "y": yv})
-    rep.add_equality("skew_1", float(np.dot(tx - ty, xv - yv)), nsq(tx - ty))
-    rep.add_equality("skew_2", float(np.dot(dt, xv - yv)), nsq(dt))
+    rep.add_equality("skew_1", _dot(tx - ty, xv - yv), nsq(tx - ty))
+    rep.add_equality("skew_2", _dot(dt, xv - yv), nsq(dt))
     rep.add_equality("skew_3", nsq(xv - yv), nsq(tx - ty) + nsq(dt))
     rep.add_equality(
         "skew_4",
@@ -256,7 +269,7 @@ def skew_residuals(A: MonotoneOperator, B: MonotoneOperator, x, y) -> ResidualRe
         nsq(dt),
     )
     rep.add_equality("skew_energy", nsq(xv), nsq(tx) + nsq(xv - tx))
-    rep.add_equality("skew_orthogonality", float(np.dot(tx, xv - tx)), 0.0)
+    rep.add_equality("skew_orthogonality", _dot(tx, xv - tx), 0.0)
     composed = _linear_forward(B, _linear_forward(A, xv))
     rep.add_vector_equality("skew_half_composition", xv - tx, 0.5 * (xv - composed))
     return rep
@@ -265,12 +278,11 @@ def skew_residuals(A: MonotoneOperator, B: MonotoneOperator, x, y) -> ResidualRe
 def _materialize_affine_fixed_point(A: MonotoneOperator, B: MonotoneOperator) -> np.ndarray:
     """Fixed point of the (affine) splitting map via direct linear algebra."""
     d = A.dim
-    origin = np.zeros(d)
-    c = dr_apply(A, B, origin)
-    m = np.empty((d, d))
     eye = np.eye(d)
-    for i in range(d):
-        m[:, i] = dr_apply(A, B, eye[i]) - c
+    # images of the origin and of the unit vectors, in one call
+    images = dr_apply(A, B, np.vstack([np.zeros(d), eye]))
+    c = images[0]
+    m = np.ascontiguousarray((images[1:] - c).T)
     sol, *_ = np.linalg.lstsq(eye - m, c, rcond=None)
     if np.linalg.norm(sol - (m @ sol + c)) > 1e-8 * (1.0 + np.linalg.norm(sol)):
         raise ValueError("the affine pair has no fixed point (sets do not intersect)")
@@ -288,7 +300,7 @@ def affine_gap_residuals(U: ConvexSet, V: ConvexSet, x) -> ResidualReport:
         raise OperatorFamilyError("U and V must be affine subspaces")
     if U.dim != V.dim:
         raise DimensionMismatchError(f"set dimensions differ: {U.dim} vs {V.dim}")
-    xv = as_point(x, U.dim)
+    xv = as_points(x, U.dim)
     A = normal_cone(U)
     B = normal_cone(V)
     y = _materialize_affine_fixed_point(A, B)
@@ -298,8 +310,8 @@ def affine_gap_residuals(U: ConvexSet, V: ConvexSet, x) -> ResidualReport:
     pu_x, pv_x = U.project(xv), V.project(xv)
     pu_tx = U.project(tx)
 
-    def nsq(v: np.ndarray) -> float:
-        return float(np.dot(v, v))
+    def nsq(v: np.ndarray):
+        return _dot(v, v)
 
     rep = ResidualReport(context={"x": xv, "fixed_point": y, "z": z, "k": k})
     rep.add_equality("gap_identity", nsq(xv - tx), nsq(pu_x - pv_x))

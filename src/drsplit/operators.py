@@ -4,24 +4,29 @@ An operator A is stored purely through its resolvent J_A = (Id + A)^(-1),
 which is single valued, everywhere defined, and firmly nonexpansive. All the
 quantities tracked elsewhere (the splitting operator, shadows, solution pairs,
 displacement vectors) are resolvent-expressible, so the multivalued map itself
-is never materialized. Structural facts that cannot be certified cheaply at
-run time (paramonotonicity, having a linear graph) travel as metadata flags
-declared at construction; combinators propagate them conservatively.
+is never materialized. A resolvent map takes one point of shape (d,) or a
+stack of row points of shape (m, d) and returns the same shape, so a batch of
+independent points costs one call. Structural facts that cannot be certified
+cheaply at run time (paramonotonicity, having a linear graph) travel as
+metadata flags declared at construction; combinators propagate them
+conservatively.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import MonotonicityError
+from .errors import DimensionMismatchError, MonotonicityError
 from .space import (
     AffineSubspace,
     ConvexSet,
     as_point,
+    as_points,
     is_affine,
     is_linear_subspace,
 )
@@ -33,7 +38,11 @@ class MonotoneOperator:
 
     ``resolvent_map`` must be total on R^dim, deterministic, and firmly
     nonexpansive; the test suite samples these properties for every
-    constructor and combinator below.
+    constructor and combinator below. It takes one point of shape (dim,) or a
+    stack of row points of shape (m, dim) and returns an array of the same
+    shape, and row i of a stack's image must be bitwise equal to the image of
+    row i alone. The map is called unchecked inside ``iterate``; ``resolvent``
+    and ``dr_apply`` check the shape of its output.
     """
 
     resolvent_map: Callable[[np.ndarray], np.ndarray]
@@ -43,9 +52,18 @@ class MonotoneOperator:
     label: str = ""
 
     def resolvent(self, x) -> np.ndarray:
-        """Evaluate J_A at ``x`` (validates dimension and finiteness)."""
-        xv = as_point(x, self.dim)
-        return np.asarray(self.resolvent_map(xv), dtype=float)
+        """Evaluate J_A at one point or at each row of a stack (validates
+        dimension, finiteness and the shape of the image)."""
+        return np.asarray(self._checked_map(as_points(x, self.dim)), dtype=float)
+
+    def _checked_map(self, x: np.ndarray) -> np.ndarray:
+        image = self.resolvent_map(x)
+        if np.shape(image) != x.shape:
+            raise DimensionMismatchError(
+                f"resolvent of {self.label or 'anonymous'} returned shape {np.shape(image)} "
+                f"for input of shape {x.shape}"
+            )
+        return image
 
     def __repr__(self):  # keep tracebacks short
         return f"MonotoneOperator({self.label or 'anonymous'}, dim={self.dim})"
@@ -105,8 +123,8 @@ def scaled_id_plus_normal_cone(lam: float, C: ConvexSet, label: str = "") -> Mon
     positive scaling, so (Id + lam*Id + N_C)^(-1) collapses to a projection of
     the shrunk argument.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not lam > 0:  # also rejects NaN
+        raise ValueError(f"lam must be positive, got {lam}")
     if not is_affine(C):
         raise TypeError("C must be an affine subspace (or single point)")
     shrink = 1.0 / (1.0 + lam)
@@ -123,6 +141,9 @@ def scaled_id_plus_normal_cone(lam: float, C: ConvexSet, label: str = "") -> Mon
     )
 
 
+_ROTATOR_SIGNS = np.array([1.0, -1.0])
+
+
 def rotator(label: str = "rotator") -> MonotoneOperator:
     """Quarter-turn rotation of the plane as a (skew, non-paramonotone) operator.
 
@@ -130,7 +151,11 @@ def rotator(label: str = "rotator") -> MonotoneOperator:
     """
 
     def res(x: np.ndarray) -> np.ndarray:
-        return np.array([0.5 * (x[0] + x[1]), 0.5 * (-x[0] + x[1])])
+        if x.ndim == 1:
+            return np.array([0.5 * (x[0] + x[1]), 0.5 * (-x[0] + x[1])])
+        # (x2 + x1, x2 - x1) / 2 row by row; x @ [[1, -1], [1, 1]] would turn
+        # a sum of two negative zeros into +0.0
+        return 0.5 * (x[:, 1:] + x[:, :1] * _ROTATOR_SIGNS)
 
     return MonotoneOperator(
         resolvent_map=res,
@@ -172,7 +197,7 @@ def piecewise_linear_1d(
     same segment). An infinite left slope on the first break or right slope on
     the last break encodes a vertical half-line there, i.e. a domain edge; so
     a single break with two infinite slopes is the normal cone of a point.
-    The resolvent is evaluated by a closed-form segment scan and is
+    The resolvent is one table lookup over the pieces of Id + A and is
     nondecreasing and 1-Lipschitz.
     """
     if not breaks:
@@ -180,6 +205,8 @@ def piecewise_linear_1d(
     pos = np.array([float(b[0]) for b in breaks])
     left = np.array([float(b[1]) for b in breaks])
     right = np.array([float(b[2]) for b in breaks])
+    if not np.all(np.isfinite(pos)):
+        raise MonotonicityError("break positions must be finite")
     if np.any(np.diff(pos) <= 0):
         raise MonotonicityError("break positions must be strictly increasing")
     if np.any(left < 0) or np.any(right < 0) or np.any(np.isnan(left)) or np.any(np.isnan(right)):
@@ -197,22 +224,23 @@ def piecewise_linear_1d(
     w = pos + values  # knot inputs of Id + A, strictly increasing
     left_slope = left[0]
     right_slope = right[-1]
-    vertical_at_singleton = m == 1 and math.isinf(left_slope) and math.isinf(right_slope)
+    # piece 0 is the left half-line below w[0]; piece j >= 1 starts at knot
+    # w[j-1] with the slope right of break j-1. An infinite slope divides the
+    # offset from the knot to 0, which pins a vertical half-line at its break.
+    piece_pos = np.concatenate(([pos[0]], pos))
+    piece_w = np.concatenate(([w[0]], w))
+    piece_div = 1.0 + np.concatenate(([left_slope], right))
+    # the same lookup in Python floats costs a third on one point
+    knots = w.tolist()
+    pos_list, w_list, div_list = piece_pos.tolist(), piece_w.tolist(), piece_div.tolist()
 
     def res(x: np.ndarray) -> np.ndarray:
-        t = float(x[0])
-        if vertical_at_singleton:
-            return np.array([pos[0]])
-        if t <= w[0]:
-            if math.isinf(left_slope):
-                return np.array([pos[0]])
-            return np.array([pos[0] + (t - w[0]) / (1.0 + left_slope)])
-        if t >= w[-1]:
-            if math.isinf(right_slope):
-                return np.array([pos[-1]])
-            return np.array([pos[-1] + (t - w[-1]) / (1.0 + right_slope)])
-        i = int(np.searchsorted(w, t, side="right")) - 1
-        return np.array([pos[i] + (t - w[i]) / (1.0 + seg_slopes[i])])
+        if x.ndim == 1:
+            t = float(x[0])
+            i = bisect.bisect_right(knots, t)
+            return np.array([pos_list[i] + (t - w_list[i]) / div_list[i]])
+        i = np.searchsorted(w, x, side="right")
+        return piece_pos[i] + (x - piece_w[i]) / piece_div[i]
 
     if m == 1:
         linear = (math.isinf(left_slope) and math.isinf(right_slope) and pos[0] == 0.0) or (
@@ -287,7 +315,9 @@ def product(A: MonotoneOperator, B: MonotoneOperator) -> MonotoneOperator:
     da = A.dim
 
     def res(x: np.ndarray) -> np.ndarray:
-        return np.concatenate([A.resolvent_map(x[:da]), B.resolvent_map(x[da:])])
+        return np.concatenate(
+            [A.resolvent_map(x[..., :da]), B.resolvent_map(x[..., da:])], axis=-1
+        )
 
     return MonotoneOperator(
         resolvent_map=res,

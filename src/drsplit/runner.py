@@ -382,30 +382,53 @@ class IdentitySweep:
         return 0 if self.passed else 1
 
 
-def _absorb(worst: dict[str, WorstRecord], report: ResidualReport, pair: str, sample: int):
-    for name, value in report.entries.items():
+# Samples are drawn and evaluated in blocks of at most this many rows, one
+# call per identity and block, so the sweep's memory does not grow with the
+# sample count.
+SWEEP_BLOCK = 1024
+
+
+def _blocks(samples: int) -> list[tuple[int, int]]:
+    """(first sample, row count) of each block of a sweep over ``samples`` samples."""
+    return [(first, min(SWEEP_BLOCK, samples - first)) for first in range(0, samples, SWEEP_BLOCK)]
+
+
+def _absorb_value(
+    worst: dict[str, WorstRecord], name: str, values: np.ndarray, pair: str, first: int, slack: bool = False
+):
+    """Keep the worst row of a block: the largest residual, or the smallest slack.
+
+    The earliest sample wins a tie, within the block and against the record
+    held so far.
+    """
+    i = int(np.argmin(values) if slack else np.argmax(values))
+    value = float(values[i])
+    held = worst.get(name)
+    if held is None or (value < held.value if slack else value > held.value):
+        worst[name] = WorstRecord(value, pair, first + i)
+
+
+def _absorb(
+    worst: dict[str, WorstRecord],
+    slack_worst: dict[str, WorstRecord],
+    report: ResidualReport,
+    pair: str,
+    first: int,
+):
+    for name, values in report.entries.items():
         if name.endswith("_slack"):
-            continue
-        if name not in worst or value > worst[name].value:
-            worst[name] = WorstRecord(value, pair, sample)
+            _absorb_value(slack_worst, name, values, pair, first, slack=True)
+        else:
+            _absorb_value(worst, name, values, pair, first)
 
 
-def _absorb_slacks(slacks: dict[str, WorstRecord], report: ResidualReport, pair: str, sample: int):
-    for name, value in report.entries.items():
-        if not name.endswith("_slack"):
-            continue
-        if name not in slacks or value < slacks[name].value:
-            slacks[name] = WorstRecord(value, pair, sample)
+def _scaled_vec_residual(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Row-wise ||lhs - rhs|| / (1 + max(||lhs||, ||rhs||)), bitwise as with np.linalg.norm."""
 
+    def norm(v):
+        return np.sqrt(np.vecdot(v, v))
 
-def _absorb_value(worst: dict[str, WorstRecord], name: str, value: float, pair: str, sample: int):
-    if name not in worst or value > worst[name].value:
-        worst[name] = WorstRecord(value, pair, sample)
-
-
-def _scaled_vec_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    raw = float(np.linalg.norm(lhs - rhs))
-    return raw / (1.0 + max(float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs))))
+    return norm(lhs - rhs) / (1.0 + np.maximum(norm(lhs), norm(rhs)))
 
 
 def check_identities(
@@ -415,7 +438,11 @@ def check_identities(
     rel_tol: float = 1e-9,
     slack_tol: float = 1e-10,
 ) -> IdentitySweep:
-    """Evaluate every identity over every registered pair at seeded random points."""
+    """Evaluate every identity over every registered pair at seeded random points.
+
+    Each identity is evaluated once per block of samples on the stack of the
+    block's points; the records equal those of a sample-by-sample sweep.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     entries = operator_pair_library() if pairs is None else pairs
@@ -425,71 +452,57 @@ def check_identities(
 
     for d in sorted({e.dim for e in entries}):
         tag = f"points-dim{d}"
-        for s in range(samples):
-            pts = rng.standard_normal((8, d)) * 1.5
-            _absorb(worst, three_point_residuals(pts[0], pts[1], pts[2]), tag, s)
-            _absorb_value(
-                worst, "eight_point", eight_point_residual(*pts), tag, s
-            )
+        for first, n in _blocks(samples):
+            pts = rng.standard_normal((n, 8, d)) * 1.5
+            rows = pts.transpose(1, 0, 2)
+            _absorb(worst, slack_worst, three_point_residuals(*rows[:3]), tag, first)
+            _absorb_value(worst, "eight_point", eight_point_residual(*rows), tag, first)
 
     for entry in entries:
-        A, B = entry.A, entry.B
+        A, B, label = entry.A, entry.B, entry.label
         a_inv = inverse(A)
         b_inv = inverse(B)
         dual_b = dual_flip(b_inv)
         prod = product(A, B)
-        for s in range(samples):
-            x = rng.standard_normal(entry.dim) * 1.5
-            y = rng.standard_normal(entry.dim) * 1.5
-            rep = dr_decomposition_residuals(A, B, x, y)
-            _absorb(worst, rep, entry.label, s)
-            _absorb_slacks(slack_worst, rep, entry.label, s)
-            _absorb(worst, fixed_point_step_residuals(A, B, x), entry.label, s)
+        for first, n in _blocks(samples):
+            xy = rng.standard_normal((n, 2, entry.dim)) * 1.5
+            x, y = xy[:, 0], xy[:, 1]
+            _absorb(worst, slack_worst, dr_decomposition_residuals(A, B, x, y), label, first)
+            _absorb(worst, slack_worst, fixed_point_step_residuals(A, B, x), label, first)
             _absorb_value(
                 worst,
                 "inverse_resolvent_sum",
-                max(
+                np.maximum(
                     _scaled_vec_residual(A.resolvent_map(x) + a_inv.resolvent_map(x), x),
                     _scaled_vec_residual(B.resolvent_map(x) + b_inv.resolvent_map(x), x),
                 ),
-                entry.label,
-                s,
+                label,
+                first,
             )
             _absorb_value(
                 worst,
                 "self_duality",
                 _scaled_vec_residual(dr_apply(A, B, x), dr_apply(a_inv, dual_b, x)),
-                entry.label,
-                s,
+                label,
+                first,
             )
-            xy = np.concatenate([x, y])
             _absorb_value(
                 worst,
                 "product_resolvent",
                 _scaled_vec_residual(
-                    prod.resolvent_map(xy),
-                    np.concatenate([A.resolvent_map(x), B.resolvent_map(y)]),
+                    prod.resolvent_map(xy.reshape(n, -1)),
+                    np.concatenate([A.resolvent_map(x), B.resolvent_map(y)], axis=1),
                 ),
-                entry.label,
-                s,
+                label,
+                first,
             )
             if A.is_linear_relation and B.is_linear_relation:
-                _absorb_value(
-                    worst,
-                    "linear_relation_step",
-                    linear_relation_residual(A, B, x),
-                    entry.label,
-                    s,
-                )
+                _absorb_value(worst, "linear_relation_step", linear_relation_residual(A, B, x), label, first)
             if entry.skew_family:
-                _absorb(worst, skew_residuals(A, B, x, y), entry.label, s)
+                _absorb(worst, slack_worst, skew_residuals(A, B, x, y), label, first)
             if entry.affine_sets is not None:
-                _absorb(
-                    worst,
-                    affine_gap_residuals(entry.affine_sets[0], entry.affine_sets[1], x),
-                    entry.label,
-                    s,
-                )
+                U, V = entry.affine_sets
+                _absorb(worst, slack_worst, affine_gap_residuals(U, V, x), label, first)
     return IdentitySweep(
         seed=seed,
         samples=samples,

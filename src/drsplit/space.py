@@ -1,9 +1,12 @@
 """Finite-dimensional real inner-product space primitives.
 
 Points are plain 1-d float64 numpy arrays. Convex sets are small immutable
-descriptions with closed-form projections; nothing here iterates. Affine
-subspaces carry an orthonormal direction basis so their projections are exact
-to machine precision, which the downstream identity checks rely on.
+descriptions with closed-form projections; nothing here iterates. Every
+``project`` takes one point of shape (d,) or a stack of row points of shape
+(m, d) and returns the same shape; row i of a stack's projection is bitwise
+equal to the projection of row i alone. Affine subspaces carry an orthonormal
+direction basis so their projections are exact to machine precision, which
+the downstream identity checks rely on.
 """
 
 from __future__ import annotations
@@ -18,15 +21,24 @@ from .errors import DimensionMismatchError, RankDeficiencyError
 ORTHO_TOL = 1e-12
 
 
-def as_point(x, dim: int | None = None) -> np.ndarray:
-    """Coerce ``x`` to a finite 1-d float64 vector, optionally of dimension ``dim``."""
+def as_points(x, dim: int | None = None) -> np.ndarray:
+    """Coerce ``x`` to one finite float64 point of shape (d,) or a stack of
+    row points of shape (m, d), optionally of dimension ``dim``."""
     p = np.atleast_1d(np.asarray(x, dtype=float))
-    if p.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {p.shape}")
+    if p.ndim > 2:
+        raise ValueError(f"expected a point or a stack of row points, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
         raise ValueError("point has non-finite coordinates")
-    if dim is not None and p.shape[0] != dim:
-        raise DimensionMismatchError(f"expected dimension {dim}, got {p.shape[0]}")
+    if dim is not None and p.shape[-1] != dim:
+        raise DimensionMismatchError(f"expected dimension {dim}, got {p.shape[-1]}")
+    return p
+
+
+def as_point(x, dim: int | None = None) -> np.ndarray:
+    """Coerce ``x`` to a finite 1-d float64 vector, optionally of dimension ``dim``."""
+    p = as_points(x, dim)
+    if p.ndim != 1:
+        raise ValueError(f"expected a 1-d vector, got shape {p.shape}")
     return p
 
 
@@ -112,7 +124,10 @@ class AffineSubspace:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         rel = x - self.offset
-        return self.offset + self.basis.T @ (self.basis @ rel)
+        if x.ndim == 1:
+            return self.offset + self.basis.T @ (self.basis @ rel)
+        # a stack of one-row products; one (m, d) gemm would round rows differently
+        return self.offset + ((rel[:, None, :] @ self.basis.T) @ self.basis)[:, 0, :]
 
     def orthogonal_complement_basis(self) -> np.ndarray:
         """Orthonormal basis of the orthogonal complement of the direction space."""
@@ -157,7 +172,10 @@ class Box:
         return self.lower.shape[0]
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lower, self.upper)
+        # np.clip can return the other signed zero on a broadcast stack than
+        # on one point; maximum then minimum is row-independent and equals
+        # np.clip on one point
+        return np.minimum(np.maximum(x, self.lower), self.upper)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,10 +196,14 @@ class Ball:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         rel = x - self.center
-        dist = np.linalg.norm(rel)
-        if dist <= self.radius:
-            return x.astype(float, copy=True)
-        return self.center + (self.radius / dist) * rel
+        if x.ndim == 1:
+            dist = np.linalg.norm(rel)
+            if dist <= self.radius:
+                return x.astype(float, copy=True)
+            return self.center + (self.radius / dist) * rel
+        dist = np.sqrt(np.vecdot(rel, rel))[:, None]
+        outside = self.center + (self.radius / np.maximum(dist, self.radius)) * rel
+        return np.where(dist <= self.radius, x, outside)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,15 +218,17 @@ class Singleton:
         return self.point.shape[0]
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return self.point.copy()
+        if x.ndim == 1:
+            return self.point.copy()
+        return np.broadcast_to(self.point, x.shape).copy()
 
 
 ConvexSet = Union[AffineSubspace, NonnegativeOrthant, Box, Ball, Singleton]
 
 
 def project(S: ConvexSet, x) -> np.ndarray:
-    """Nearest point of ``S`` to ``x`` (exact, closed form)."""
-    xv = as_point(x, S.dim)
+    """Nearest point of ``S`` to ``x``, one point or a stack of rows (exact, closed form)."""
+    xv = as_points(x, S.dim)
     return S.project(xv)
 
 

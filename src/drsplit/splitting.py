@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteIterateError
 from .operators import MonotoneOperator, inner_shift, outer_shift
-from .space import as_point
+from .space import as_point, as_points
 
 DEFAULT_MAX_ITERS = 100_000
 DEFAULT_STEP_TOL = 1e-12
@@ -118,12 +118,13 @@ class DRTrace:
 
 
 def dr_apply(A: MonotoneOperator, B: MonotoneOperator, x) -> np.ndarray:
-    """One application of the splitting operator: x - J_A x + J_B(2 J_A x - x)."""
+    """One application of the splitting operator, x - J_A x + J_B(2 J_A x - x),
+    at one point or at each row of a stack."""
     if A.dim != B.dim:
         raise DimensionMismatchError(f"operator dimensions differ: {A.dim} vs {B.dim}")
-    xv = as_point(x, A.dim)
-    ja = A.resolvent_map(xv)
-    return xv - ja + B.resolvent_map(2.0 * ja - xv)
+    xv = as_points(x, A.dim)
+    ja = A._checked_map(xv)
+    return xv - ja + B._checked_map(2.0 * ja - xv)
 
 
 def iterate(

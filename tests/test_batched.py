@@ -1,0 +1,327 @@
+"""The batched resolvent contract: one point of shape (d,) or a stack of rows
+of shape (m, d), with each row of a stack's image bitwise equal to the image
+of that row alone; and the block-wise identity sweep against a
+sample-by-sample reference."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from drsplit import (
+    AffineSubspace,
+    Ball,
+    Box,
+    DimensionMismatchError,
+    MonotoneOperator,
+    NonnegativeOrthant,
+    Singleton,
+    as_points,
+    check_identities,
+    dr_apply,
+    dr_decomposition_residuals,
+    dual_flip,
+    eight_point_residual,
+    fixed_point_step_residuals,
+    identity_operator,
+    inner_shift,
+    inverse,
+    linear_relation_residual,
+    normal_cone,
+    operator_pair_library,
+    outer_shift,
+    piecewise_linear_1d,
+    product,
+    project,
+    projector_operator,
+    rotator,
+    scaled_id_plus_normal_cone,
+    skew_residuals,
+    three_point_residuals,
+    zero_operator,
+)
+from drsplit import runner
+from drsplit.identities import affine_gap_residuals
+
+# small exact values, so that rows land on knots, bounds and sphere points
+SPECIALS = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.0]
+COORD = st.one_of(
+    st.sampled_from(SPECIALS),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+def _subspace(rng, d: int, k: int, offset) -> AffineSubspace:
+    basis = np.linalg.qr(rng.standard_normal((d, d)))[0][:k] if k else np.zeros((0, d))
+    return AffineSubspace(np.asarray(offset, dtype=float), basis)
+
+
+@st.composite
+def _pw1d(draw):
+    m = draw(st.integers(1, 4))
+    pos = sorted(draw(st.sets(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]), min_size=m, max_size=m)))
+    inner_slopes = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=m - 1, max_size=m - 1))
+    left = [draw(st.sampled_from([0.0, 1.0, math.inf]))] + inner_slopes
+    right = inner_slopes + [draw(st.sampled_from([0.0, 2.0, math.inf]))]
+    return piecewise_linear_1d(list(zip(pos, left, right)))
+
+
+@st.composite
+def _base(draw, d: int):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.lists(st.sampled_from(SPECIALS), min_size=d, max_size=d))
+    kind = draw(
+        st.sampled_from(
+            ["affine", "orthant", "box", "ball", "singleton", "scaled", "projector", "zero", "identity"]
+            + (["rotator"] if d == 2 else [])
+            + (["pw1d"] if d == 1 else [])
+        )
+    )
+    if kind == "affine":
+        return normal_cone(_subspace(rng, d, draw(st.integers(0, d)), offset))
+    if kind == "orthant":
+        return normal_cone(NonnegativeOrthant(d))
+    if kind == "box":
+        bounds = [(-math.inf, 0.0), (-math.inf, math.inf), (-1.0, -1.0), (-1.0, 1.0), (0.0, 0.5), (0.0, math.inf)]
+        lower, upper = zip(*draw(st.lists(st.sampled_from(bounds), min_size=d, max_size=d)))
+        return normal_cone(Box(lower, upper))
+    if kind == "ball":
+        return normal_cone(Ball(offset, draw(st.sampled_from([0.5, 1.0, 2.0]))))
+    if kind == "singleton":
+        return normal_cone(Singleton(offset))
+    if kind == "scaled":
+        C = Singleton(offset) if draw(st.booleans()) else _subspace(rng, d, draw(st.integers(0, d)), offset)
+        return scaled_id_plus_normal_cone(draw(st.sampled_from([0.5, 1.0, 3.0])), C)
+    if kind == "projector":
+        return projector_operator(_subspace(rng, d, draw(st.integers(0, d)), np.zeros(d)))
+    if kind == "zero":
+        return zero_operator(d)
+    if kind == "identity":
+        return identity_operator(d)
+    if kind == "rotator":
+        return rotator()
+    return draw(_pw1d())
+
+
+@st.composite
+def _operator(draw, d: int, depth: int):
+    if depth == 0 or draw(st.booleans()):
+        return draw(_base(d))
+    kind = draw(st.sampled_from(["inverse", "dual_flip", "outer_shift", "inner_shift"] + (["product"] if d > 1 else [])))
+    if kind == "product":
+        da = draw(st.integers(1, d - 1))
+        return product(draw(_operator(da, depth - 1)), draw(_operator(d - da, depth - 1)))
+    A = draw(_operator(d, depth - 1))
+    if kind == "inverse":
+        return inverse(A)
+    if kind == "dual_flip":
+        return dual_flip(A)
+    w = draw(st.lists(COORD, min_size=d, max_size=d))
+    return (outer_shift if kind == "outer_shift" else inner_shift)(A, w)
+
+
+@st.composite
+def _operator_and_stack(draw):
+    d = draw(st.integers(1, 4))
+    op = draw(_operator(d, 3))
+    m = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(COORD, min_size=d, max_size=d), min_size=m, max_size=m))
+    return op, np.array(rows, dtype=float).reshape(m, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operator_and_stack())
+def test_stack_rows_equal_single_points_bitwise(case):
+    op, X = case
+    Y = op.resolvent_map(X)
+    assert Y.shape == X.shape, op.label
+    assert Y.dtype == np.float64
+    for i in range(X.shape[0]):
+        y = op.resolvent_map(X[i])
+        assert y.shape == X[i].shape, op.label
+        assert Y[i].tobytes() == y.tobytes(), (op.label, X[i], Y[i], y)
+    assert op.resolvent(X).tobytes() == Y.tobytes()
+
+
+def test_affine_stack_matches_single_point_form():
+    # the stacked affine projection must reproduce offset + B^T (B rel) row by row
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 5, 17, 50):
+        for k in sorted({0, 1, d // 2, d}):
+            U = _subspace(rng, d, k, rng.standard_normal(d))
+            X = 3.0 * rng.standard_normal((7, d))
+            P = U.project(X)
+            for i in range(7):
+                assert P[i].tobytes() == (U.offset + U.basis.T @ (U.basis @ (X[i] - U.offset))).tobytes()
+
+
+def test_public_projection_and_resolvent_take_stacks():
+    X = np.array([[3.0, 4.0], [0.1, 0.2], [-1.0, 9.0]])
+    ball = Ball([0.0, 0.0], 1.0)
+    P = project(ball, X)
+    assert np.allclose(P[0], [0.6, 0.8], rtol=0, atol=1e-15)
+    assert np.array_equal(P[1:], [X[1], ball.project(X[2])])
+    op = normal_cone(NonnegativeOrthant(2))
+    assert np.array_equal(op.resolvent(X), np.maximum(X, 0.0))
+    assert np.array_equal(dr_apply(op, rotator(), X)[1], dr_apply(op, rotator(), X[1]))
+
+
+def test_as_points_validates_stacks():
+    assert as_points([[1.0, 2.0], [3.0, 4.0]], 2).shape == (2, 2)
+    assert as_points(3.0).shape == (1,)
+    with pytest.raises(ValueError, match="stack"):
+        as_points(np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="non-finite"):
+        as_points([[1.0, np.nan]])
+    with pytest.raises(DimensionMismatchError):
+        as_points(np.zeros((4, 3)), 2)
+
+
+def test_resolvent_and_dr_apply_reject_wrong_output_shape():
+    bad = MonotoneOperator(resolvent_map=lambda x: np.zeros(3), dim=2, label="bad-map")
+    with pytest.raises(DimensionMismatchError, match=r"bad-map.*\(3,\).*\(2,\)"):
+        bad.resolvent([1.0, 2.0])
+    with pytest.raises(DimensionMismatchError, match="bad-map"):
+        dr_apply(bad, rotator(), [1.0, 2.0])
+    with pytest.raises(DimensionMismatchError, match="bad-map"):
+        dr_apply(rotator(), bad, [1.0, 2.0])
+    # a map that ignores the row axis would broadcast silently
+    rowless = MonotoneOperator(resolvent_map=lambda x: np.zeros(2), dim=2, label="rowless")
+    assert np.array_equal(rowless.resolvent([1.0, 2.0]), [0.0, 0.0])
+    with pytest.raises(DimensionMismatchError, match=r"rowless.*\(2,\).*\(3, 2\)"):
+        rowless.resolvent(np.ones((3, 2)))
+
+
+# ---------------------------------------------------------------------------
+# residual reports on stacks
+
+
+def _assert_rows_match(stacked, single_of_row, m):
+    for i in range(m):
+        single = single_of_row(i)
+        if isinstance(single, float):
+            assert float(stacked[i]).hex() == single.hex()
+            continue
+        assert set(stacked.entries) == set(single.entries)
+        for name, values in stacked.entries.items():
+            assert values.shape == (m,)
+            assert float(values[i]).hex() == single.entries[name].hex(), name
+
+
+def test_residual_reports_on_stacks_match_rows():
+    rng = np.random.default_rng(4)
+    m = 5
+    for entry in operator_pair_library():
+        A, B = entry.A, entry.B
+        X = 1.5 * rng.standard_normal((m, entry.dim))
+        Y = 1.5 * rng.standard_normal((m, entry.dim))
+        _assert_rows_match(dr_decomposition_residuals(A, B, X, Y), lambda i: dr_decomposition_residuals(A, B, X[i], Y[i]), m)
+        _assert_rows_match(fixed_point_step_residuals(A, B, X), lambda i: fixed_point_step_residuals(A, B, X[i]), m)
+        if A.is_linear_relation and B.is_linear_relation:
+            _assert_rows_match(linear_relation_residual(A, B, X), lambda i: linear_relation_residual(A, B, X[i]), m)
+        if entry.skew_family:
+            _assert_rows_match(skew_residuals(A, B, X, Y), lambda i: skew_residuals(A, B, X[i], Y[i]), m)
+        if entry.affine_sets is not None:
+            U, V = entry.affine_sets
+            _assert_rows_match(affine_gap_residuals(U, V, X), lambda i: affine_gap_residuals(U, V, X[i]), m)
+    P = 1.5 * rng.standard_normal((8, m, 3))
+    _assert_rows_match(three_point_residuals(*P[:3]), lambda i: three_point_residuals(*P[:3, i]), m)
+    _assert_rows_match(eight_point_residual(*P), lambda i: eight_point_residual(*P[:, i]), m)
+
+
+def test_stacked_report_max_and_shape_checks():
+    rep = three_point_residuals(np.zeros((3, 2)), np.zeros((3, 2)), np.ones((3, 2)))
+    assert rep.max_equality_residual().shape == (3,)
+    with pytest.raises(DimensionMismatchError):
+        three_point_residuals(np.zeros((3, 2)), np.zeros((2, 2)), np.zeros((3, 2)))
+    with pytest.raises(DimensionMismatchError):
+        dr_decomposition_residuals(rotator(), rotator(), np.zeros((3, 2)), np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# the block-wise sweep against a sample-by-sample reference
+
+
+def _scaled_vec_residual(lhs, rhs):
+    raw = float(np.linalg.norm(lhs - rhs))
+    return raw / (1.0 + max(float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs))))
+
+
+def _reference_sweep(seed, samples, entries):
+    """The sweep evaluated one sample at a time, with the first sample winning ties."""
+    rng = np.random.default_rng(seed)
+    worst, slack = {}, {}
+
+    def absorb(values, pair, s):
+        for name, value in values.items():
+            table, worse = (slack, value < slack.get(name, (math.inf,))[0]) if name.endswith("_slack") else (
+                worst,
+                value > worst.get(name, (-math.inf,))[0],
+            )
+            if name not in table or worse:
+                table[name] = (value, pair, s)
+
+    for d in sorted({e.dim for e in entries}):
+        for s in range(samples):
+            pts = rng.standard_normal((8, d)) * 1.5
+            absorb(three_point_residuals(*pts[:3]).entries, f"points-dim{d}", s)
+            absorb({"eight_point": eight_point_residual(*pts)}, f"points-dim{d}", s)
+    for e in entries:
+        A, B = e.A, e.B
+        a_inv, b_inv = inverse(A), inverse(B)
+        for s in range(samples):
+            x = rng.standard_normal(e.dim) * 1.5
+            y = rng.standard_normal(e.dim) * 1.5
+            absorb(dr_decomposition_residuals(A, B, x, y).entries, e.label, s)
+            absorb(fixed_point_step_residuals(A, B, x).entries, e.label, s)
+            extra = {
+                "inverse_resolvent_sum": max(
+                    _scaled_vec_residual(A.resolvent(x) + a_inv.resolvent(x), x),
+                    _scaled_vec_residual(B.resolvent(x) + b_inv.resolvent(x), x),
+                ),
+                "self_duality": _scaled_vec_residual(dr_apply(A, B, x), dr_apply(a_inv, dual_flip(b_inv), x)),
+                "product_resolvent": _scaled_vec_residual(
+                    product(A, B).resolvent(np.concatenate([x, y])),
+                    np.concatenate([A.resolvent(x), B.resolvent(y)]),
+                ),
+            }
+            if A.is_linear_relation and B.is_linear_relation:
+                extra["linear_relation_step"] = linear_relation_residual(A, B, x)
+            absorb(extra, e.label, s)
+            if e.skew_family:
+                absorb(skew_residuals(A, B, x, y).entries, e.label, s)
+            if e.affine_sets is not None:
+                absorb(affine_gap_residuals(*e.affine_sets, x).entries, e.label, s)
+    return worst, slack
+
+
+def _records(table):
+    return {name: (float(r.value).hex(), r.pair, r.sample) for name, r in table.items()}
+
+
+def _assert_sweep_matches_reference(seed, samples, entries=None):
+    sweep = check_identities(seed=seed, samples=samples, pairs=entries)
+    worst, slack = _reference_sweep(seed, samples, entries or operator_pair_library())
+    assert _records(sweep.worst) == {k: (v.hex(), p, s) for k, (v, p, s) in worst.items()}
+    assert _records(sweep.slack_worst) == {k: (v.hex(), p, s) for k, (v, p, s) in slack.items()}
+    assert list(sweep.worst) == list(worst)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("samples", [1, 3, 20])
+def test_sweep_records_equal_sample_by_sample_reference(seed, samples):
+    _assert_sweep_matches_reference(seed, samples)
+
+
+def test_sweep_records_equal_reference_across_a_block_boundary():
+    library = {e.label: e for e in operator_pair_library()}
+    entries = [library[k] for k in ("kinked-1d", "rotator-rotator", "disjoint-balls", "random-affine-5d")]
+    _assert_sweep_matches_reference(5, runner.SWEEP_BLOCK + 3, entries)
+
+
+def test_sweep_records_equal_reference_with_small_blocks(monkeypatch):
+    monkeypatch.setattr(runner, "SWEEP_BLOCK", 4)
+    assert runner._blocks(11) == [(0, 4), (4, 4), (8, 3)]
+    _assert_sweep_matches_reference(3, 11)

@@ -81,6 +81,13 @@ def test_scaled_id_plus_normal_cone_rejects_nonaffine():
         scaled_id_plus_normal_cone(1.0, NonnegativeOrthant(2))
 
 
+def test_scaled_id_plus_normal_cone_rejects_nan_lam():
+    with pytest.raises(ValueError, match="nan"):
+        scaled_id_plus_normal_cone(float("nan"), X_AXIS)
+    with pytest.raises(ValueError):
+        scaled_id_plus_normal_cone(0.0, X_AXIS)
+
+
 def test_rotator_resolvent_values():
     B = rotator()
     assert np.allclose(B.resolvent([1.0, 0.0]), [0.5, -0.5], atol=0)
@@ -179,6 +186,16 @@ def test_pw1d_rejects_slope_mismatch():
 def test_pw1d_rejects_interior_vertical():
     with pytest.raises(MonotonicityError):
         piecewise_linear_1d([(0.0, 1.0, math.inf), (1.0, math.inf, 1.0)])
+
+
+def test_pw1d_rejects_non_finite_breaks():
+    for breaks in (
+        [(math.nan, 1.0, 1.0)],
+        [(0.0, 1.0, 1.0), (math.nan, 1.0, 1.0)],
+        [(0.0, 1.0, 1.0), (math.inf, 1.0, 1.0)],
+    ):
+        with pytest.raises(MonotonicityError, match="finite"):
+            piecewise_linear_1d(breaks)
 
 
 def test_pw1d_resolvent_nondecreasing_1lipschitz(rng):
