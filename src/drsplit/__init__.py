@@ -102,7 +102,6 @@ from .space import (
 from .splitting import (
     DRProblem,
     DRTrace,
-    IterationRecord,
     StopReason,
     dr_apply,
     iterate,

@@ -155,14 +155,19 @@ def write_trace_csv(trace: DRTrace, path: str) -> None:
         + ["step_norm"]
         + [f"v{i}" for i in range(d)]
     )
+    table = np.hstack(
+        [
+            trace.governing,
+            trace.shadow,
+            trace.dual_shadow,
+            trace.b_shadow,
+            trace.step_norms[:, None],
+            trace.steps,
+        ]
+    )
     lines = [",".join(header)]
-    for r in trace.records:
-        cells = [str(r.n)]
-        for vec in (r.governing, r.shadow, r.dual_shadow, r.b_shadow):
-            cells.extend(format_float(c) for c in vec)
-        cells.append(format_float(np.linalg.norm(r.step)))
-        cells.extend(format_float(c) for c in r.step)
-        lines.append(",".join(cells))
+    for n, row in enumerate(table.tolist()):
+        lines.append(",".join([str(n)] + [format_float(c) for c in row]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -237,7 +242,7 @@ def run(config: ScenarioConfig) -> tuple[RunSummary, DRTrace]:
         scenario=inst.name,
         iterations=len(trace),
         v_estimate=trace.v_estimate,
-        final_step_norm=float(np.linalg.norm(trace.records[-1].step)),
+        final_step_norm=float(trace.step_norms[-1]),
         shadow_limit=trace.shadow[-1],
         checks=checks,
         wall_ms=wall_ms,

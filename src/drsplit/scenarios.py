@@ -366,7 +366,7 @@ def _build_disjoint_balls(dim=None, x0=None, seed=0) -> ScenarioInstance:
 
 def _consistent_checks(seed: int, sets: SolutionSets) -> list[tuple[str, CheckFn]]:
     def check_converged(trace):
-        final = float(np.linalg.norm(trace.records[-1].step))
+        final = float(trace.step_norms[-1])
         return CheckResult(final <= 1e-10, final)
 
     def check_sweet(trace):
@@ -440,9 +440,8 @@ def _build_points_1d(dim=None, x0=None, seed=0) -> ScenarioInstance:
     v = np.array([-2.0])
 
     def check_arithmetic(trace):
-        worst = 0.0
-        for r in trace.records:
-            worst = max(worst, abs(float(r.governing[0]) - (trace.problem.x0[0] + 2.0 * r.n)))
+        expected = trace.problem.x0[0] + 2.0 * np.arange(len(trace))
+        worst = float(np.max(np.abs(trace.governing[:, 0] - expected)))
         return CheckResult(worst <= 1e-12, worst)
 
     def check_shadow_zero(trace):
@@ -450,7 +449,7 @@ def _build_points_1d(dim=None, x0=None, seed=0) -> ScenarioInstance:
         return CheckResult(worst <= 1e-12, worst)
 
     def check_shifted_constant(trace):
-        seq = np.stack(shifted_governing(trace, v))
+        seq = shifted_governing(trace, v)
         worst = float(np.max(np.abs(seq - trace.problem.x0[None, :])))
         return CheckResult(worst <= 1e-12, worst)
 

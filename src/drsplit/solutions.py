@@ -84,10 +84,9 @@ def find_fixed_point(problem: DRProblem, tol: float = 1e-12, max_iters: int = 10
     """
     trace = iterate(problem, max_iters=max_iters, step_tol=tol)
     if trace.stop_reason is StopReason.STEP_CONVERGED:
-        return trace.records[-1].governing.copy()
+        return trace.governing[-1].copy()
     raise PossiblyInconsistentError(
-        step_norm=float(np.linalg.norm(trace.records[-1].step)),
-        v_estimate=trace.records[-1].step.copy(),
+        step_norm=float(trace.step_norms[-1]), v_estimate=trace.v_estimate.copy()
     )
 
 

@@ -16,8 +16,9 @@ zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -53,68 +54,58 @@ class DRProblem:
         return self.x0.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class IterationRecord:
-    n: int
-    governing: np.ndarray
-    shadow: np.ndarray
-    dual_shadow: np.ndarray
-    b_shadow: np.ndarray
-    b_dual_shadow: np.ndarray
-    step: np.ndarray
-
-
 @dataclass(eq=False)
 class DRTrace:
+    """The tracked sequences of one run as ``(n, d)`` arrays, row n for T^n x.
+
+    ``iterate`` fills ``governing``, ``shadow`` and ``b_shadow``; the other
+    sequences are derived from them with the loop's own expressions, so every
+    row is bitwise what the loop computed.
+    """
+
     problem: DRProblem
-    records: list[IterationRecord]
-    v_estimate: np.ndarray
+    governing: np.ndarray
+    shadow: np.ndarray
+    b_shadow: np.ndarray
     stop_reason: StopReason
-    _arrays: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.governing.shape[0]
 
-    def __repr__(self):  # the default would dump every record
+    def __repr__(self):  # the default would dump every array
         return (
-            f"DRTrace({len(self.records)} records, dim={self.problem.dim}, "
+            f"DRTrace({len(self)} records, dim={self.problem.dim}, "
             f"stop={self.stop_reason.value})"
         )
 
-    def _stack(self, name: str) -> np.ndarray:
-        if name not in self._arrays:
-            self._arrays[name] = np.stack([getattr(r, name) for r in self.records])
-        return self._arrays[name]
-
-    @property
-    def governing(self) -> np.ndarray:
-        return self._stack("governing")
-
-    @property
-    def shadow(self) -> np.ndarray:
-        return self._stack("shadow")
-
-    @property
+    @cached_property
     def dual_shadow(self) -> np.ndarray:
-        return self._stack("dual_shadow")
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.governing - self.shadow
 
-    @property
-    def b_shadow(self) -> np.ndarray:
-        return self._stack("b_shadow")
-
-    @property
+    @cached_property
     def b_dual_shadow(self) -> np.ndarray:
-        return self._stack("b_dual_shadow")
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (2.0 * self.shadow - self.governing) - self.b_shadow
 
-    @property
+    @cached_property
     def steps(self) -> np.ndarray:
-        return self._stack("step")
+        """T^n x - T^(n+1) x."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.governing - (self.dual_shadow + self.b_shadow)
+
+    @cached_property
+    def step_norms(self) -> np.ndarray:
+        return _norms(self.steps)
 
     @property
-    def step_norms(self) -> np.ndarray:
-        if "step_norms" not in self._arrays:
-            self._arrays["step_norms"] = np.linalg.norm(self.steps, axis=1)
-        return self._arrays["step_norms"]
+    def v_estimate(self) -> np.ndarray:
+        return self.steps[-1]
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of a point or of each row: the one step-norm rule."""
+    return np.sqrt(np.vecdot(x, x))
 
 
 def dr_apply(A: MonotoneOperator, B: MonotoneOperator, x) -> np.ndarray:
@@ -135,10 +126,11 @@ def iterate(
     """Run the iteration from ``problem.x0`` and record every tracked sequence.
 
     Stops once the step norm drops below ``step_tol`` or after ``max_iters``
-    records. Divergence is not an error; non-finite coordinates are. The
-    trace's ``v_estimate`` is the last step vector: step norms are
-    nonincreasing (T is firmly nonexpansive), so it is the best estimate of
-    the minimal displacement vector the run offers.
+    records. Divergence is not an error; non-finite coordinates are, and so is
+    a ``max_iters`` whose trace arrays cannot be allocated. The trace's
+    ``v_estimate`` is the last step vector: step norms are nonincreasing (T is
+    firmly nonexpansive), so it is the best estimate of the minimal
+    displacement vector the run offers.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -146,39 +138,31 @@ def iterate(
         raise ValueError(f"step_tol must be >= 0, got {step_tol}")
     A, B = problem.A, problem.B
     ja_map, jb_map = A.resolvent_map, B.resolvent_map
+    try:
+        governing, shadow, b_shadow = (np.empty((max_iters, problem.dim)) for _ in range(3))
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(
+            f"a trace of max_iters={max_iters} records in dimension {problem.dim} "
+            "does not fit in memory"
+        ) from exc
     x = problem.x0.copy()
-    records: list[IterationRecord] = []
     stop = StopReason.MAX_ITERS
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(max_iters):
             ja = ja_map(x)
-            ra = 2.0 * ja - x
-            jb = jb_map(ra)
+            jb = jb_map(2.0 * ja - x)
             x_next = x - ja + jb
             if not np.all(np.isfinite(x_next)):
                 raise NonFiniteIterateError(n)
-            step = x - x_next
-            records.append(
-                IterationRecord(
-                    n=n,
-                    governing=x,
-                    shadow=ja,
-                    dual_shadow=x - ja,
-                    b_shadow=jb,
-                    b_dual_shadow=ra - jb,
-                    step=step,
-                )
-            )
-            if float(np.linalg.norm(step)) < step_tol:
+            governing[n], shadow[n], b_shadow[n] = x, ja, jb
+            if _norms(x - x_next) < step_tol:
                 stop = StopReason.STEP_CONVERGED
+                governing, shadow, b_shadow = (
+                    a[: n + 1].copy() for a in (governing, shadow, b_shadow)
+                )
                 break
             x = x_next
-    return DRTrace(
-        problem=problem,
-        records=records,
-        v_estimate=records[-1].step.copy(),
-        stop_reason=stop,
-    )
+    return DRTrace(problem, governing, shadow, b_shadow, stop)
 
 
 def normal_problem(
@@ -188,8 +172,9 @@ def normal_problem(
     return outer_shift(A, v), inner_shift(B, v)
 
 
-def shifted_governing(trace: DRTrace, v) -> list[np.ndarray]:
-    """The sequence T^n x + n*v; bounded (indeed Fejer monotone) when v is the
-    displacement vector and the shifted problem has solutions."""
+def shifted_governing(trace: DRTrace, v) -> np.ndarray:
+    """The sequence T^n x + n*v as an (n, d) array; bounded (indeed Fejer
+    monotone) when v is the displacement vector and the shifted problem has
+    solutions."""
     vv = as_point(v, trace.problem.dim)
-    return [r.governing + r.n * vv for r in trace.records]
+    return trace.governing + np.arange(len(trace))[:, None] * vv

@@ -86,20 +86,22 @@ def test_eight_point_pairing_against_live_traces(rng):
         for _ in range(10):
             ga = minty_forward(entry.A, 2 * rng.standard_normal(entry.dim))
             gb = minty_forward(entry.B, 2 * rng.standard_normal(entry.dim))
-            for r in trace.records[::5]:
+            for n in range(0, len(trace), 5):
                 pairing = float(
-                    np.dot(r.shadow - ga.point, r.dual_shadow - ga.normal)
-                ) + float(np.dot(r.b_shadow - gb.point, r.b_dual_shadow - gb.normal))
+                    np.dot(trace.shadow[n] - ga.point, trace.dual_shadow[n] - ga.normal)
+                ) + float(
+                    np.dot(trace.b_shadow[n] - gb.point, trace.b_dual_shadow[n] - gb.normal)
+                )
                 assert pairing >= -1e-10, entry.label
                 # and the expansion itself holds verbatim on these points
                 assert (
                     eight_point_residual(
-                        r.shadow,
-                        r.b_shadow,
+                        trace.shadow[n],
+                        trace.b_shadow[n],
                         ga.point,
                         gb.point,
-                        r.dual_shadow,
-                        r.b_dual_shadow,
+                        trace.dual_shadow[n],
+                        trace.b_dual_shadow[n],
                         ga.normal,
                         gb.normal,
                     )

@@ -149,7 +149,7 @@ def test_sweet_principle_parallel_lines_shifted():
     tr = iterate(inst.problem, max_iters=64, step_tol=0.0)
     shifted = shifted_governing(tr, inst.v)
     E = SetSample([np.array([tr.problem.x0[0], 1.0])], "shadow target")
-    rep = sweet_principle_check(shifted, [r.shadow for r in tr.records], E, tol=1e-9)
+    rep = sweet_principle_check(shifted, tr.shadow, E, tol=1e-9)
     assert rep.verdict
 
 

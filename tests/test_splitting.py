@@ -89,9 +89,9 @@ def test_iterate_constant_on_fixed_ray():
 def test_iterate_parallel_lines_closed_form():
     A, B = _parallel_lines_ops()
     tr = iterate(DRProblem(A, B, np.array([3.0, 5.0])), max_iters=30, step_tol=0.0)
-    for r in tr.records:
-        assert np.allclose(r.governing, [3.0, 5.0 - 2.0 * r.n], atol=0)
-        assert np.allclose(r.shadow, [3.0, 1.0], atol=0)
+    for n in range(len(tr)):
+        assert np.allclose(tr.governing[n], [3.0, 5.0 - 2.0 * n], atol=0)
+        assert np.allclose(tr.shadow[n], [3.0, 1.0], atol=0)
 
 
 def test_record_identities_across_library(rng):
@@ -101,11 +101,13 @@ def test_record_identities_across_library(rng):
             max_iters=40,
             step_tol=0.0,
         )
-        assert [r.n for r in tr.records] == list(range(len(tr)))
-        for r in tr.records:
-            assert np.linalg.norm(r.step - (r.shadow - r.b_shadow)) <= 1e-10
-            assert np.linalg.norm(r.step - (r.dual_shadow + r.b_dual_shadow)) <= 1e-10
-            assert np.linalg.norm(r.shadow + r.dual_shadow - r.governing) <= 1e-12
+        arrays = (tr.governing, tr.shadow, tr.dual_shadow, tr.b_shadow, tr.b_dual_shadow, tr.steps)
+        assert all(a.shape == (len(tr), entry.dim) for a in arrays)
+        for n in range(len(tr)):
+            step = tr.steps[n]
+            assert np.linalg.norm(step - (tr.shadow[n] - tr.b_shadow[n])) <= 1e-10
+            assert np.linalg.norm(step - (tr.dual_shadow[n] + tr.b_dual_shadow[n])) <= 1e-10
+            assert np.linalg.norm(tr.shadow[n] + tr.dual_shadow[n] - tr.governing[n]) <= 1e-12
         norms = tr.step_norms
         assert np.all(np.diff(norms) <= 1e-12 * (1 + norms[:-1]))
 
@@ -172,15 +174,15 @@ def test_shifted_governing_identity_shift():
     inst = build_scenario("points-1d")
     tr = iterate(inst.problem, max_iters=10, step_tol=0.0)
     same = shifted_governing(tr, [0.0])
-    assert np.allclose(np.stack(same), tr.governing, atol=0)
-    cancelled = np.stack(shifted_governing(tr, [-2.0]))
+    assert np.allclose(same, tr.governing, atol=0)
+    cancelled = shifted_governing(tr, [-2.0])
     assert np.allclose(cancelled, 0.0, atol=0)
 
 
 def test_shifted_governing_parallel_lines_constant():
     A, B = _parallel_lines_ops()
     tr = iterate(DRProblem(A, B, np.array([3.0, 5.0])), max_iters=12, step_tol=0.0)
-    seq = np.stack(shifted_governing(tr, [0.0, 2.0]))
+    seq = shifted_governing(tr, [0.0, 2.0])
     assert np.allclose(seq, [3.0, 5.0], atol=0)
 
 
