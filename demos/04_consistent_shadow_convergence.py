@@ -14,28 +14,31 @@ from drsplit import (
     DRProblem,
     SetSample,
     build_scenario,
-    diameter,
     fejer_check,
     iterate,
     summability_report,
     sweet_principle_check,
-    trailing_quarter,
 )
 
 inst = build_scenario("random-affine", seed=12)
 trace = iterate(inst.problem, max_iters=10_000, step_tol=0.0)
 
-window = trailing_quarter(len(trace))
 print(f"dimension {inst.problem.dim}, {len(trace)} iterations")
 print(f"shadow limit: {np.round(trace.shadow[-1], 8)}")
-print(f"trailing-quarter shadow diameter: {diameter(trace.shadow[window]):.3e}")
+print(f"trailing-quarter shadow diameter: {trace.trailing_shadow_diameter:.3e}")
 
 pairs = SetSample([np.concatenate([z, k]) for z, k in inst.solutions.s_pairs])
 coupled = np.hstack([trace.shadow, trace.dual_shadow])
 res = fejer_check(coupled, pairs, slack=1e-10)
 print(f"coupled Fejer monotonicity vs solution pairs: {res.passed}")
 
-report = sweet_principle_check(trace.governing, trace.shadow, inst.solutions.primal, tol=1e-6)
+report = sweet_principle_check(
+    trace.governing,
+    trace.shadow,
+    inst.solutions.primal,
+    tol=1e-6,
+    cauchy=trace.trailing_shadow_diameter,
+)
 print(
     "sequential principle evidence: "
     f"driver Fejer={report.fejer.passed}, pairing max {report.pairing_max:.2e}, "

@@ -75,14 +75,12 @@ from .solutions import (
     SummabilityReport,
     SweetPrincipleReport,
     decoupled_1d_fejer_check,
-    diameter,
     fejer_check,
     find_fixed_point,
     paramonotone_cross_product,
     primal_dual_from_fix,
     summability_report,
     sweet_principle_check,
-    trailing_quarter,
 )
 from .space import (
     AffineSubspace,
@@ -92,6 +90,7 @@ from .space import (
     Singleton,
     as_point,
     as_points,
+    diameter,
     inner,
     line,
     norm,
@@ -107,6 +106,7 @@ from .splitting import (
     iterate,
     normal_problem,
     shifted_governing,
+    trailing_quarter,
 )
 
 __version__ = "0.1.0"

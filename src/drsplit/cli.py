@@ -1,7 +1,11 @@
 """Command-line entry point.
 
-Exit codes: 0 on success, 1 when any declared check or residual fails,
-2 on configuration errors (unknown scenario, bad values, unwritable paths).
+Exit codes:
+  0  success
+  1  a declared check or residual fails
+  2  configuration error (unknown scenario, bad values, unwritable paths,
+     an operator whose resolvent returns the wrong shape)
+  4  numerical breakdown (the iteration produced non-finite coordinates)
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteIterateError
 from .runner import check_identities, make_config, parse_config_file, run
 from .scenarios import list_scenarios
 
@@ -105,6 +109,9 @@ def main(argv=None) -> int:
         # ValueError covers dimension mismatches and bad scenario parameters
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except NonFiniteIterateError as exc:
+        print(f"numerical breakdown: {exc}", file=sys.stderr)
+        return 4
 
     print(f"scenario {summary.scenario}: {summary.iterations} iterations")
     print(f"  final step norm  {summary.final_step_norm:.6e}")

@@ -41,8 +41,9 @@ class MonotoneOperator:
     constructor and combinator below. It takes one point of shape (dim,) or a
     stack of row points of shape (m, dim) and returns an array of the same
     shape, and row i of a stack's image must be bitwise equal to the image of
-    row i alone. The map is called unchecked inside ``iterate``; ``resolvent``
-    and ``dr_apply`` check the shape of its output.
+    row i alone. ``resolvent`` and ``dr_apply`` check the shape of its output;
+    ``iterate`` checks it at the start point only and calls the map unchecked
+    after that.
     """
 
     resolvent_map: Callable[[np.ndarray], np.ndarray]

@@ -27,13 +27,11 @@ from .solutions import (
     SetSample,
     SolutionSets,
     decoupled_1d_fejer_check,
-    diameter,
     fejer_check,
     find_fixed_point,
     primal_dual_from_fix,
     summability_report,
     sweet_principle_check,
-    trailing_quarter,
 )
 from .space import AffineSubspace, Ball, NonnegativeOrthant, Singleton, as_point
 from .splitting import DRProblem, DRTrace, dr_apply, iterate, normal_problem, shifted_governing
@@ -132,8 +130,7 @@ def _pair_fejer_check(pairs) -> CheckFn:
 
 
 def _shadow_diameter_check(trace: DRTrace, tol: float = 1e-6) -> CheckResult:
-    window = trailing_quarter(len(trace))
-    diam = diameter(trace.shadow[window])
+    diam = trace.trailing_shadow_diameter
     return CheckResult(verdict=bool(diam <= tol), worst_value=diam)
 
 
@@ -370,7 +367,13 @@ def _consistent_checks(seed: int, sets: SolutionSets) -> list[tuple[str, CheckFn
         return CheckResult(final <= 1e-10, final)
 
     def check_sweet(trace):
-        rep = sweet_principle_check(trace.governing, trace.shadow, sets.primal, tol=1e-6)
+        rep = sweet_principle_check(
+            trace.governing,
+            trace.shadow,
+            sets.primal,
+            tol=1e-6,
+            cauchy=trace.trailing_shadow_diameter,
+        )
         worst = max(rep.pairing_max, rep.cauchy)
         return CheckResult(rep.verdict, worst)
 

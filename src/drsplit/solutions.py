@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, OperatorFamilyError, PossiblyInconsistentError
 from .operators import MonotoneOperator
-from .space import as_point
-from .splitting import DRProblem, DRTrace, StopReason, dr_apply, iterate
+from .space import as_point, diameter
+from .splitting import DRProblem, DRTrace, StopReason, dr_apply, iterate, trailing_quarter
 
 
 @dataclass(eq=False)
@@ -191,7 +191,7 @@ def fejer_check(seq, E: SetSample | Sequence, slack: float = 0.0) -> FejerResult
         return FejerResult(True, None, 0.0, 0.0, None)
     diffs = dists[1:] - dists[:-1]  # (n-1, m)
     sq_diffs = dists[1:] ** 2 - dists[:-1] ** 2
-    violations = diffs > slack
+    violations = ~(diffs <= slack)  # a NaN difference is a violation, never a pass
     passed = not bool(np.any(violations))
     first = int(np.argwhere(np.any(violations, axis=1))[0, 0]) if not passed else None
     max_sq = float(np.max(sq_diffs))
@@ -203,23 +203,6 @@ def fejer_check(seq, E: SetSample | Sequence, slack: float = 0.0) -> FejerResult
         max_sq_increase=max_sq,
         witness_index=witness,
     )
-
-
-def trailing_quarter(length: int) -> slice:
-    """Index window covering the last quarter of a trace (never empty)."""
-    start = min(length - 1, (3 * length) // 4)
-    return slice(start, length)
-
-
-def diameter(points: np.ndarray) -> float:
-    """Max pairwise distance via the centered Gram matrix (one matmul)."""
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[0] < 2:
-        return 0.0
-    centered = pts - pts.mean(axis=0)  # centering keeps the squares cancellation-free
-    sq = np.einsum("nd,nd->n", centered, centered)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (centered @ centered.T)
-    return float(np.sqrt(max(0.0, float(d2.max()))))
 
 
 @dataclass(eq=False)
@@ -247,11 +230,14 @@ def sweet_principle_check(
     E: SetSample,
     tol: float,
     fejer_slack: float = 1e-10,
+    cauchy: Optional[float] = None,
 ) -> SweetPrincipleReport:
     """Check the three hypotheses/conclusions of the coupled Fejer principle.
 
     ``x_seq`` is the Fejer-monotone driver, ``u_seq`` the bounded companion
-    whose limit is claimed to land in the set sampled by ``E``.
+    whose limit is claimed to land in the set sampled by ``E``. ``cauchy`` is
+    the trailing-quarter diameter of ``u_seq`` when the caller already has it
+    (a trace caches its shadow's); otherwise it is computed here.
     """
     x = _as_matrix(x_seq)
     u = _as_matrix(u_seq)
@@ -266,7 +252,8 @@ def sweet_principle_check(
     ux_win = (u - x)[window]
     pairings = np.einsum("nmd,nd->nm", u_win[:, None, :] - e[None, :, :], ux_win)
     pairing_max = float(np.max(np.abs(pairings)))
-    cauchy = diameter(u[window])
+    if cauchy is None:
+        cauchy = diameter(u[window])
     verdict = bool(fejer.passed and pairing_max <= tol and cauchy <= tol)
     return SweetPrincipleReport(
         fejer=fejer,

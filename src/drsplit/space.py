@@ -55,6 +55,24 @@ def norm(x) -> float:
     return float(np.linalg.norm(as_point(x)))
 
 
+def diameter(points: np.ndarray) -> float:
+    """Max pairwise distance via the centered Gram matrix (one matmul).
+
+    NaN when the Gram entries overflow: such a set has no measured diameter.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[0] < 2:
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = pts - pts.mean(axis=0)  # centering keeps the squares cancellation-free
+        sq = np.einsum("nd,nd->n", centered, centered)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (centered @ centered.T)
+    top = float(d2.max())
+    if not np.isfinite(top):
+        return float("nan")
+    return float(np.sqrt(max(0.0, top)))
+
+
 def orthonormalize(basis: Sequence) -> list[np.ndarray]:
     """Modified Gram-Schmidt with a rank check.
 

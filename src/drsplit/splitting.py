@@ -19,12 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteIterateError
 from .operators import MonotoneOperator, inner_shift, outer_shift
-from .space import as_point, as_points
+from .space import as_point, as_points, diameter
 
 DEFAULT_MAX_ITERS = 100_000
 DEFAULT_STEP_TOL = 1e-12
@@ -60,7 +61,9 @@ class DRTrace:
 
     ``iterate`` fills ``governing``, ``shadow`` and ``b_shadow``; the other
     sequences are derived from them with the loop's own expressions, so every
-    row is bitwise what the loop computed.
+    row is bitwise what the loop computed. ``stationary_at`` is the first n
+    with T^(n+1) x bitwise equal to T^n x (``None`` if there is none): every
+    row from n on is then the same.
     """
 
     problem: DRProblem
@@ -68,6 +71,7 @@ class DRTrace:
     shadow: np.ndarray
     b_shadow: np.ndarray
     stop_reason: StopReason
+    stationary_at: Optional[int]
 
     def __len__(self) -> int:
         return self.governing.shape[0]
@@ -98,9 +102,23 @@ class DRTrace:
     def step_norms(self) -> np.ndarray:
         return _norms(self.steps)
 
+    @cached_property
+    def trailing_shadow_diameter(self) -> float:
+        """Diameter of the shadow over the trailing quarter of the trace."""
+        window = trailing_quarter(len(self))
+        if self.stationary_at is not None and self.stationary_at <= window.start:
+            return 0.0  # every row of the window is the same point
+        return diameter(self.shadow[window])
+
     @property
     def v_estimate(self) -> np.ndarray:
         return self.steps[-1]
+
+
+def trailing_quarter(length: int) -> slice:
+    """Index window covering the last quarter of a trace (never empty)."""
+    start = min(length - 1, (3 * length) // 4)
+    return slice(start, length)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -126,18 +144,21 @@ def iterate(
     """Run the iteration from ``problem.x0`` and record every tracked sequence.
 
     Stops once the step norm drops below ``step_tol`` or after ``max_iters``
-    records. Divergence is not an error; non-finite coordinates are, and so is
-    a ``max_iters`` whose trace arrays cannot be allocated. The trace's
-    ``v_estimate`` is the last step vector: step norms are nonincreasing (T is
-    firmly nonexpansive), so it is the best estimate of the minimal
-    displacement vector the run offers.
+    records. Once T^(n+1) x is bitwise equal to T^n x, every later record is
+    the same (resolvents are deterministic), so the rest of the trace is filled
+    without iterating and ``stationary_at`` is set to n. Divergence is not an
+    error; non-finite coordinates are, and so are resolvent images of the wrong
+    shape and a ``max_iters`` whose trace arrays cannot be allocated. The
+    trace's ``v_estimate`` is the last step vector: step norms are
+    nonincreasing (T is firmly nonexpansive), so it is the best estimate of the
+    minimal displacement vector the run offers.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if not step_tol >= 0:  # also rejects NaN
         raise ValueError(f"step_tol must be >= 0, got {step_tol}")
     A, B = problem.A, problem.B
-    ja_map, jb_map = A.resolvent_map, B.resolvent_map
+    unchecked_maps = (A.resolvent_map, B.resolvent_map)
     try:
         governing, shadow, b_shadow = (np.empty((max_iters, problem.dim)) for _ in range(3))
     except (MemoryError, ValueError) as exc:
@@ -147,6 +168,9 @@ def iterate(
         ) from exc
     x = problem.x0.copy()
     stop = StopReason.MAX_ITERS
+    stationary_at = None
+    # the images at n = 0 go through the shape check; later ones are trusted
+    ja_map, jb_map = A._checked_map, B._checked_map
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(max_iters):
             ja = ja_map(x)
@@ -155,14 +179,21 @@ def iterate(
             if not np.all(np.isfinite(x_next)):
                 raise NonFiniteIterateError(n)
             governing[n], shadow[n], b_shadow[n] = x, ja, jb
-            if _norms(x - x_next) < step_tol:
+            step_norm = _norms(x - x_next)
+            if step_norm < step_tol:
                 stop = StopReason.STEP_CONVERGED
                 governing, shadow, b_shadow = (
                     a[: n + 1].copy() for a in (governing, shadow, b_shadow)
                 )
                 break
+            # bytes, not ==: a -0.0 that turns into 0.0 can change later rows
+            if step_norm == 0.0 and x_next.tobytes() == x.tobytes():
+                governing[n + 1 :], shadow[n + 1 :], b_shadow[n + 1 :] = x, ja, jb
+                stationary_at = n
+                break
             x = x_next
-    return DRTrace(problem, governing, shadow, b_shadow, stop)
+            ja_map, jb_map = unchecked_maps
+    return DRTrace(problem, governing, shadow, b_shadow, stop, stationary_at)
 
 
 def normal_problem(

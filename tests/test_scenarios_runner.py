@@ -226,6 +226,30 @@ def test_cli_failed_check_exits_one(capsys):
     assert "FAIL" in out
 
 
+def test_cli_numerical_breakdown_exits_four(capsys):
+    code = cli_main(["--scenario", "shifted-subspace", "--x0=1.7e308,1.0", "--iters", "10"])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "numerical breakdown: non-finite values encountered at iteration 0"
+    ]
+
+
+def test_overflowing_run_passes_no_check_on_nan():
+    # the orbit stays finite, but its distances overflow to NaN: every check
+    # that reads them must fail, not pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        summary, _ = run(
+            make_config(scenario="random-affine", dim=2, x0="1e200,-1e200", iters=200)
+        )
+    checks = summary.checks
+    for name in ("shadow_trailing_diameter", "pair_fejer_wrt_solution_pairs"):
+        assert np.isnan(checks[name].worst_value)
+        assert checks[name].verdict is False
+    assert not summary.all_passed
+
+
 def test_cli_x0_override(tmp_path):
     code = cli_main(
         [

@@ -10,6 +10,7 @@ from drsplit import (
     SolutionSets,
     build_scenario,
     decoupled_1d_fejer_check,
+    diameter,
     fejer_check,
     find_fixed_point,
     iterate,
@@ -119,6 +120,19 @@ def test_fejer_check_constant_sequence():
     seq = [np.array([1.0, 2.0])] * 5
     res = fejer_check(seq, SetSample([np.zeros(2), np.ones(2)]), slack=0.0)
     assert res.passed and res.first_violation is None
+
+
+def test_fejer_check_counts_nan_as_violation():
+    res = fejer_check(np.array([[0.0, 0.0], [np.nan, 1.0]]), [[0.0, 0.0]])
+    assert not res.passed
+    assert res.first_violation == 0
+
+
+def test_diameter_is_nan_when_the_gram_overflows():
+    assert np.isnan(diameter(np.array([[1e200, -1e200], [-1e200, 1e200]])))
+    # finite results keep their bits: a nonpositive Gram max gives +0.0
+    assert np.float64(diameter(np.array([[0.1, 0.2], [0.1, 0.2]]))).tobytes() == bytes(8)
+    assert diameter(np.array([[0.0, 3.0], [4.0, 0.0]])) == 5.0
 
 
 def test_fejer_check_governing_of_consistent_scenario():

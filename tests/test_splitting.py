@@ -3,6 +3,7 @@ import pytest
 
 from drsplit import (
     AffineSubspace,
+    DimensionMismatchError,
     DRProblem,
     MonotoneOperator,
     NonFiniteIterateError,
@@ -214,6 +215,16 @@ def test_iterate_flags_nonfinite_with_index():
     with pytest.raises(NonFiniteIterateError) as err:
         iterate(DRProblem(ok, bad, np.array([1.0])), max_iters=10_000, step_tol=0.0)
     assert err.value.iteration > 0
+
+
+@pytest.mark.parametrize("bad_is_a", [True, False])
+def test_iterate_rejects_wrong_image_shape_at_the_start(bad_is_a):
+    # a (1,) image broadcasts silently against a 2-d point; iterate checks
+    # both images once, at n = 0, and names the operator
+    bad = MonotoneOperator(resolvent_map=lambda x: np.zeros(1), dim=2, label="scalar-map")
+    A, B = (bad, rotator()) if bad_is_a else (rotator(), bad)
+    with pytest.raises(DimensionMismatchError, match=r"scalar-map.*\(1,\).*\(2,\)"):
+        iterate(DRProblem(A, B, np.array([1.0, 2.0])), max_iters=10, step_tol=0.0)
 
 
 def test_iterate_rejects_bad_arguments():

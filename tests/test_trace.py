@@ -3,19 +3,27 @@
 ``_reference_iterate`` and ``_reference_csv`` are the record-by-record
 iteration and CSV writer that ``iterate`` and ``write_trace_csv`` used before
 the trace became ``(n, d)`` arrays; every array, the displacement estimate,
-the stop reason and the CSV bytes must match them bitwise.
+the stop reason and the CSV bytes must match them bitwise. The reference loop
+never stops at a stationary point, so it also pins the rows ``iterate`` fills
+without iterating once the orbit is bitwise stationary.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import drsplit.splitting
 from drsplit import (
     DRProblem,
     StopReason,
     build_scenario,
+    diameter,
     iterate,
     list_scenarios,
     operator_pair_library,
+    sweet_principle_check,
+    trailing_quarter,
 )
 from drsplit.cli import main as cli_main
 from drsplit.runner import format_float, write_trace_csv
@@ -28,6 +36,7 @@ def _reference_iterate(problem, max_iters, step_tol):
     x = problem.x0.copy()
     records = []
     stop = StopReason.MAX_ITERS
+    stationary_at = None
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(max_iters):
             ja = A.resolvent_map(x)
@@ -50,8 +59,10 @@ def _reference_iterate(problem, max_iters, step_tol):
             if float(np.linalg.norm(step)) < step_tol:
                 stop = StopReason.STEP_CONVERGED
                 break
+            if stationary_at is None and x_next.tobytes() == x.tobytes():
+                stationary_at = n
             x = x_next
-    return records, stop
+    return records, stop, stationary_at
 
 
 def _reference_csv(records, d):
@@ -78,9 +89,10 @@ def _reference_csv(records, d):
 def _assert_matches_reference(problem, max_iters, step_tol, path):
     """Compare one run with the reference loop; returns the trace."""
     tr = iterate(problem, max_iters=max_iters, step_tol=step_tol)
-    records, stop = _reference_iterate(problem, max_iters, step_tol)
+    records, stop, stationary_at = _reference_iterate(problem, max_iters, step_tol)
     assert len(tr) == len(records)
     assert tr.stop_reason is stop
+    assert tr.stationary_at == stationary_at
     for name in FIELDS:
         got = getattr(tr, name)
         assert got.shape == (len(records), problem.dim), name
@@ -107,6 +119,89 @@ def test_trace_equals_reference_loop_on_scenarios(name, seed, tmp_path):
     inst = build_scenario(name, seed=seed)
     max_iters = min(inst.default_iters, 150)
     _assert_matches_reference(inst.problem, max_iters, inst.default_step_tol, tmp_path / "t.csv")
+
+
+@pytest.mark.parametrize(
+    "name, kwargs, stationary_at",
+    [
+        ("random-affine", {"dim": 5, "seed": 3}, 170),
+        ("random-1d", {"seed": 2}, 86),
+        ("random-affine", {"dim": 2, "seed": 518788}, 1164),
+        # enters an exact period-6 cycle at n = 2147: never stationary
+        ("affine-consistent", {"seed": 0}, None),
+    ],
+)
+def test_full_default_runs_equal_reference_loop(name, kwargs, stationary_at, tmp_path):
+    inst = build_scenario(name, **kwargs)
+    tr = _assert_matches_reference(
+        inst.problem, inst.default_iters, inst.default_step_tol, tmp_path / "t.csv"
+    )
+    assert len(tr) == inst.default_iters == 10_000
+    assert tr.stop_reason is StopReason.MAX_ITERS
+    assert tr.stationary_at == stationary_at
+
+
+def test_positive_step_tol_stops_before_the_stationary_fill(tmp_path):
+    # even the smallest positive tolerance sees the zero step first
+    inst = build_scenario("random-affine", dim=5, seed=3)
+    tr = _assert_matches_reference(inst.problem, 10_000, 5e-324, tmp_path / "t.csv")
+    assert tr.stop_reason is StopReason.STEP_CONVERGED
+    assert len(tr) == 171
+    assert tr.stationary_at is None
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 50).flatmap(
+        lambda d: st.lists(
+            st.one_of(_FINITE, st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6)),
+            min_size=d,
+            max_size=d,
+        )
+    ),
+    st.integers(2, 2500),  # 2,500 rows: the window of a 10^4-record run
+)
+def test_gram_diameter_of_identical_rows_is_exactly_zero(row, n):
+    # this is what lets a trace return 0.0 for a window that starts after the
+    # orbit became stationary without forming the Gram matrix
+    rows = np.tile(np.array(row), (n, 1))
+    got = diameter(rows)
+    if np.max(np.abs(rows)) <= 1e150:
+        assert np.float64(got).tobytes() == np.float64(0.0).tobytes()
+    else:  # the centred squares may overflow: no measured diameter, never a false one
+        assert got == 0.0 or np.isnan(got)
+
+
+@pytest.mark.parametrize(
+    "name, kwargs, gram_calls",
+    [
+        ("random-affine", {"dim": 5, "seed": 3}, 0),  # stationary at n = 170
+        ("affine-consistent", {"seed": 0}, 1),  # never stationary
+    ],
+)
+def test_window_diameter_evaluated_once_per_trace(name, kwargs, gram_calls, monkeypatch):
+    inst = build_scenario(name, **kwargs)
+    tr = iterate(inst.problem, inst.default_iters, inst.default_step_tol)
+    window = trailing_quarter(len(tr))
+    expected = diameter(tr.shadow[window])
+    sweet = sweet_principle_check(tr.governing, tr.shadow, inst.solutions.primal, tol=1e-6)
+    calls = []
+
+    def counting_diameter(points):
+        calls.append(len(points))
+        return diameter(points)
+
+    monkeypatch.setattr(drsplit.splitting, "diameter", counting_diameter)
+    checks = inst.run_checks(tr)
+    assert calls == [len(tr) - window.start] * gram_calls
+    got = tr.trailing_shadow_diameter
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+    assert np.float64(got).tobytes() == np.float64(sweet.cauchy).tobytes()
+    assert checks["shadow_trailing_diameter"].worst_value == got
+    assert checks["sequential_principle_evidence"].verdict is sweet.verdict
 
 
 def test_trace_trimmed_when_run_stops_early(tmp_path):
