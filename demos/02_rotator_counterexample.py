@@ -42,7 +42,7 @@ trace = iterate(inst.problem, max_iters=50, step_tol=1e-14)
 bad = fejer_check(trace.shadow, SetSample([z]), slack=1e-10)
 print(f"shadow-only check vs z: passed={bad.passed}, first violation at n={bad.first_violation}")
 
-pairs = SetSample([np.concatenate([pz, pk]) for pz, pk in inst.solutions.s_pairs])
+pairs = inst.solutions.pairs
 good = fejer_check(np.hstack([trace.shadow, trace.dual_shadow]), pairs, slack=1e-10)
 print(f"coupled check vs certified pairs: passed={good.passed}")
 print("\nmoral: track (shadow, dual shadow) against coupled pairs, not components")

@@ -12,7 +12,6 @@ import numpy as np
 
 from drsplit import (
     DRProblem,
-    SetSample,
     build_scenario,
     fejer_check,
     iterate,
@@ -27,7 +26,7 @@ print(f"dimension {inst.problem.dim}, {len(trace)} iterations")
 print(f"shadow limit: {np.round(trace.shadow[-1], 8)}")
 print(f"trailing-quarter shadow diameter: {trace.trailing_shadow_diameter:.3e}")
 
-pairs = SetSample([np.concatenate([z, k]) for z, k in inst.solutions.s_pairs])
+pairs = inst.solutions.pairs
 coupled = np.hstack([trace.shadow, trace.dual_shadow])
 res = fejer_check(coupled, pairs, slack=1e-10)
 print(f"coupled Fejer monotonicity vs solution pairs: {res.passed}")

@@ -32,7 +32,6 @@ from .operators import (
     GraphPoint,
     MonotoneOperator,
     dual_flip,
-    identity_operator,
     inner_shift,
     inverse,
     minty_forward,
@@ -45,7 +44,6 @@ from .operators import (
     reflected,
     rotator,
     scaled_id_plus_normal_cone,
-    zero_operator,
 )
 from .runner import (
     IdentitySweep,
@@ -77,7 +75,6 @@ from .solutions import (
     decoupled_1d_fejer_check,
     fejer_check,
     find_fixed_point,
-    paramonotone_cross_product,
     primal_dual_from_fix,
     summability_report,
     sweet_principle_check,
@@ -91,12 +88,9 @@ from .space import (
     as_point,
     as_points,
     diameter,
-    inner,
     line,
-    norm,
     orthonormalize,
     project,
-    whole_space,
 )
 from .splitting import (
     DRProblem,

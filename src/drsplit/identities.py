@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, OperatorFamilyError
 from .operators import MonotoneOperator, normal_cone
-from .space import ConvexSet, as_points, is_affine
+from .space import ConvexSet, as_points, is_affine, row_norms
 from .splitting import dr_apply
 
 
@@ -31,13 +31,15 @@ from .splitting import dr_apply
 _dot = np.vecdot
 
 
-def _norm(v: np.ndarray):
-    """Row-wise norm; on one point bitwise equal to np.linalg.norm."""
-    return np.sqrt(_dot(v, v))
-
-
 def _scaled(raw, lhs_size, rhs_size):
     return raw / (1.0 + np.maximum(lhs_size, rhs_size))
+
+
+def vector_residual(lhs: np.ndarray, rhs: np.ndarray):
+    """(scaled, raw): ||lhs - rhs|| / (1 + max(||lhs||, ||rhs||)) and ||lhs - rhs||,
+    one value per row for stacks."""
+    raw = row_norms(lhs - rhs)
+    return _scaled(raw, row_norms(lhs), row_norms(rhs)), raw
 
 
 def _value(v):
@@ -69,8 +71,7 @@ class ResidualReport:
         self._record(name, _scaled(raw, np.abs(lhs), np.abs(rhs)), raw)
 
     def add_vector_equality(self, name: str, lhs: np.ndarray, rhs: np.ndarray) -> None:
-        raw = _norm(lhs - rhs)
-        self._record(name, _scaled(raw, _norm(lhs), _norm(rhs)), raw)
+        self._record(name, *vector_residual(lhs, rhs))
 
     def add_slack(self, name: str, lhs, rhs) -> None:
         """Record lhs - rhs for an inequality lhs >= rhs, sign preserved."""
@@ -215,7 +216,7 @@ def linear_relation_residual(A: MonotoneOperator, B: MonotoneOperator, x):
     ja = A.resolvent_map(xv)
     step = xv - dr_apply(A, B, xv)
     explicit = ja - 2.0 * B.resolvent_map(ja) + B.resolvent_map(xv)
-    return _value(_scaled(_norm(step - explicit), _norm(step), _norm(explicit)))
+    return _value(vector_residual(step, explicit)[0])
 
 
 def _linear_forward(A: MonotoneOperator, x: np.ndarray) -> np.ndarray:
@@ -229,7 +230,8 @@ def _require_quarter_turn_family(A: MonotoneOperator, name: str) -> None:
     s = np.random.default_rng(12345).standard_normal((4, 2))
     j = A.resolvent_map(s)
     not_skew = np.abs(_dot(j, s - j)) > 1e-10 * (1.0 + _dot(s, s))
-    not_square = _norm(_linear_forward(A, _linear_forward(A, s)) + s) > 1e-10 * (1.0 + _norm(s))
+    squared = _linear_forward(A, _linear_forward(A, s))
+    not_square = row_norms(squared + s) > 1e-10 * (1.0 + row_norms(s))
     failed = np.flatnonzero(not_skew | not_square)
     if failed.size:
         reason = "is not skew" if not_skew[failed[0]] else "does not square to -Id"

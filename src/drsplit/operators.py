@@ -328,24 +328,3 @@ def product(A: MonotoneOperator, B: MonotoneOperator) -> MonotoneOperator:
         label=f"product({A.label}, {B.label})",
     )
 
-
-def zero_operator(dim: int) -> MonotoneOperator:
-    """The zero map (resolvent = Id); the neutral element for sums."""
-    return MonotoneOperator(
-        resolvent_map=lambda x: x.copy(),
-        dim=dim,
-        is_linear_relation=True,
-        is_paramonotone=True,
-        label="zero",
-    )
-
-
-def identity_operator(dim: int) -> MonotoneOperator:
-    """The identity map (resolvent = Id/2)."""
-    return MonotoneOperator(
-        resolvent_map=lambda x: 0.5 * x,
-        dim=dim,
-        is_linear_relation=True,
-        is_paramonotone=True,
-        label="identity",
-    )

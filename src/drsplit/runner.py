@@ -27,6 +27,7 @@ from .identities import (
     linear_relation_residual,
     skew_residuals,
     three_point_residuals,
+    vector_residual,
 )
 from .operators import (
     MonotoneOperator,
@@ -196,7 +197,7 @@ class RunSummary:
     def all_passed(self) -> bool:
         return all(c.verdict for c in self.checks.values())
 
-    def to_json_text(self, include_wall: bool = False) -> str:
+    def to_json_text(self) -> str:
         check_parts = []
         for name, c in self.checks.items():
             witness = "null" if c.witness_index is None else str(int(c.witness_index))
@@ -205,7 +206,6 @@ class RunSummary:
                 f'"worst_value": {_json_number(c.worst_value)}, '
                 f'"witness_index": {witness}}}'
             )
-        wall = _json_number(self.wall_ms) if include_wall else "null"
         return (
             "{\n"
             f'  "scenario": {json.dumps(self.scenario)},\n'
@@ -214,14 +214,14 @@ class RunSummary:
             f'  "final_step_norm": {_json_number(self.final_step_norm)},\n'
             f'  "shadow_limit": {_json_vector(self.shadow_limit)},\n'
             '  "checks": {' + ", ".join(check_parts) + "},\n"
-            f'  "wall_ms": {wall}\n'
+            '  "wall_ms": null\n'
             "}\n"
         )
 
 
 def write_summary_json(summary: RunSummary, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(summary.to_json_text(include_wall=False))
+        fh.write(summary.to_json_text())
 
 
 # ---------------------------------------------------------------------------
@@ -427,15 +427,6 @@ def _absorb(
             _absorb_value(worst, name, values, pair, first)
 
 
-def _scaled_vec_residual(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Row-wise ||lhs - rhs|| / (1 + max(||lhs||, ||rhs||)), bitwise as with np.linalg.norm."""
-
-    def norm(v):
-        return np.sqrt(np.vecdot(v, v))
-
-    return norm(lhs - rhs) / (1.0 + np.maximum(norm(lhs), norm(rhs)))
-
-
 def check_identities(
     seed: int = 7,
     samples: int = 200,
@@ -478,8 +469,8 @@ def check_identities(
                 worst,
                 "inverse_resolvent_sum",
                 np.maximum(
-                    _scaled_vec_residual(A.resolvent_map(x) + a_inv.resolvent_map(x), x),
-                    _scaled_vec_residual(B.resolvent_map(x) + b_inv.resolvent_map(x), x),
+                    vector_residual(A.resolvent_map(x) + a_inv.resolvent_map(x), x)[0],
+                    vector_residual(B.resolvent_map(x) + b_inv.resolvent_map(x), x)[0],
                 ),
                 label,
                 first,
@@ -487,17 +478,17 @@ def check_identities(
             _absorb_value(
                 worst,
                 "self_duality",
-                _scaled_vec_residual(dr_apply(A, B, x), dr_apply(a_inv, dual_b, x)),
+                vector_residual(dr_apply(A, B, x), dr_apply(a_inv, dual_b, x))[0],
                 label,
                 first,
             )
             _absorb_value(
                 worst,
                 "product_resolvent",
-                _scaled_vec_residual(
+                vector_residual(
                     prod.resolvent_map(xy.reshape(n, -1)),
                     np.concatenate([A.resolvent_map(x), B.resolvent_map(y)], axis=1),
-                ),
+                )[0],
                 label,
                 first,
             )

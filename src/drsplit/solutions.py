@@ -17,59 +17,47 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, OperatorFamilyError, PossiblyInconsistentError
+from .errors import DimensionMismatchError, PossiblyInconsistentError
 from .operators import MonotoneOperator
-from .space import as_point, diameter
+from .space import as_point, as_points, diameter, row_norms
 from .splitting import DRProblem, DRTrace, StopReason, dr_apply, iterate, trailing_quarter
 
 
 @dataclass(eq=False)
 class SetSample:
-    """A finite stand-in for a (possibly infinite) solution set."""
+    """A finite stand-in for a (possibly infinite) solution set: one sampled
+    point per row of ``points``, an (m, d) array."""
 
-    points: list[np.ndarray]
+    points: np.ndarray
     description: str = ""
 
     def __post_init__(self):
-        self.points = [as_point(p) for p in self.points]
+        points = as_points(self.points)
+        if points.ndim != 2:
+            raise ValueError(f"expected an (m, d) stack of sample points, got shape {points.shape}")
+        self.points = points
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    def stacked(self) -> np.ndarray:
-        return np.stack(self.points)
+        return self.points.shape[0]
 
 
 @dataclass(eq=False)
 class SolutionSets:
     """Samples of every solution object attached to one problem instance.
 
-    ``s_pairs`` are (z, k) pairs certified through the fixed points: z + k
-    must reproduce a sampled fixed point and J_A(z + k) must return z.
+    Row i of ``primal`` and ``dual`` is (J_A y, y - J_A y) for row y of
+    ``fix_t``; together they form the i-th solution pair (z, k), a point of
+    the extended solution set.
     """
 
     fix_t: SetSample
     primal: SetSample  # zeros of A + B
     dual: SetSample  # zeros of the dual pair
-    s_pairs: list[tuple[np.ndarray, np.ndarray]]
 
-    def validate(self, A: MonotoneOperator, tol: float = 1e-10) -> None:
-        for y in self.fix_t.points:
-            z = A.resolvent(y)
-            k = y - z
-            if not any(
-                np.linalg.norm(z - pz) <= tol and np.linalg.norm(k - pk) <= tol
-                for pz, pk in self.s_pairs
-            ):
-                raise ValueError("a sampled fixed point is missing from the solution pairs")
-        for z, k in self.s_pairs:
-            y = z + k
-            if np.linalg.norm(A.resolvent(y) - z) > tol:
-                raise ValueError("a sampled pair is not resolvent-consistent with its sum")
-            if self.fix_t.points and min(
-                float(np.linalg.norm(y - f)) for f in self.fix_t.points
-            ) > tol:
-                raise ValueError("a sampled pair does not sum to a sampled fixed point")
+    @property
+    def pairs(self) -> SetSample:
+        """The solution pairs as points (z, k) of the product space."""
+        return SetSample(np.hstack([self.primal.points, self.dual.points]), "solution pairs")
 
 
 # ---------------------------------------------------------------------------
@@ -95,58 +83,26 @@ def primal_dual_from_fix(
     B: MonotoneOperator,
     fix_points: SetSample,
     tol: float = 1e-8,
-) -> tuple[SetSample, SetSample, list[tuple[np.ndarray, np.ndarray]]]:
-    """Split fixed points into primal/dual solution samples through J_A.
+) -> SolutionSets:
+    """Split certified fixed points into primal/dual solution samples through J_A.
 
     Each fixed point y yields z = J_A y and k = y - z; the pair (z, k) then
-    solves the primal and dual problems simultaneously.
+    solves the primal and dual problems simultaneously. A point whose step
+    norm ||y - Ty|| exceeds ``tol`` is not certified and raises ``ValueError``.
     """
-    primal, dual, pairs = [], [], []
-    for i, y in enumerate(fix_points.points):
-        step = np.linalg.norm(y - dr_apply(A, B, y))
-        if step > tol:
-            raise ValueError(f"point {i} is not fixed: step norm {step:.3e} exceeds {tol:.1e}")
-        z = A.resolvent(y)
-        k = y - z
-        primal.append(z)
-        dual.append(k)
-        pairs.append((z, k))
-    return (
-        SetSample(primal, f"J_A[{fix_points.description or 'fixed points'}]"),
-        SetSample(dual, f"(Id-J_A)[{fix_points.description or 'fixed points'}]"),
-        pairs,
+    y = fix_points.points
+    steps = row_norms(y - dr_apply(A, B, y))
+    moving = np.flatnonzero(~(steps <= tol))  # a NaN step certifies nothing
+    if moving.size:
+        i = int(moving[0])
+        raise ValueError(f"point {i} is not fixed: step norm {steps[i]:.3e} exceeds {tol:.1e}")
+    z = A.resolvent(y)
+    described = fix_points.description or "fixed points"
+    return SolutionSets(
+        fix_t=fix_points,
+        primal=SetSample(z, f"J_A[{described}]"),
+        dual=SetSample(y - z, f"(Id-J_A)[{described}]"),
     )
-
-
-def paramonotone_cross_product(
-    A: MonotoneOperator,
-    B: MonotoneOperator,
-    primal: SetSample,
-    dual: SetSample,
-    tol: float = 1e-8,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """All pairs (z, k) from primal x dual, valid only for paramonotone pairs.
-
-    For paramonotone A and B the solution pairs decouple into a full cross
-    product; each returned pair is certified by checking that z + k is a
-    fixed point of the splitting map. Refuses non-paramonotone inputs (the
-    planar quarter-turn operator is the standard counterexample).
-    """
-    if not (A.is_paramonotone and B.is_paramonotone):
-        raise OperatorFamilyError(
-            "cross product of solution sets requires both operators paramonotone"
-        )
-    pairs = []
-    for z in primal.points:
-        for k in dual.points:
-            y = z + k
-            step = np.linalg.norm(y - dr_apply(A, B, y))
-            if step > tol:
-                raise ValueError(
-                    f"pair sum is not a fixed point (step norm {step:.3e}); sample inconsistent"
-                )
-            pairs.append((z, k))
-    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -175,22 +131,23 @@ def fejer_check(seq, E: SetSample | Sequence, slack: float = 0.0) -> FejerResult
     every n; reports the first violating step and the largest increase of the
     squared distance (the quantity that is exactly zero-summable in theory).
     """
-    pts = E.points if isinstance(E, SetSample) else [as_point(p) for p in E]
-    if not pts:
+    e = (E if isinstance(E, SetSample) else SetSample(E)).points
+    if not len(e):
         raise ValueError("reference sample must be nonempty")
     x = _as_matrix(seq)
     if x.shape[0] < 1:
         raise ValueError("sequence must be nonempty")
-    e = np.stack(pts)
     if e.shape[1] != x.shape[1]:
         raise DimensionMismatchError(
             f"sequence dimension {x.shape[1]} differs from sample dimension {e.shape[1]}"
         )
-    dists = np.linalg.norm(x[:, None, :] - e[None, :, :], axis=2)  # (n, m)
     if x.shape[0] == 1:
         return FejerResult(True, None, 0.0, 0.0, None)
-    diffs = dists[1:] - dists[:-1]  # (n-1, m)
-    sq_diffs = dists[1:] ** 2 - dists[:-1] ** 2
+    # an overflowing orbit gives inf or NaN distances, which fail below
+    with np.errstate(over="ignore", invalid="ignore"):
+        dists = np.linalg.norm(x[:, None, :] - e[None, :, :], axis=2)  # (n, m)
+        diffs = dists[1:] - dists[:-1]  # (n-1, m)
+        sq_diffs = dists[1:] ** 2 - dists[:-1] ** 2
     violations = ~(diffs <= slack)  # a NaN difference is a violation, never a pass
     passed = not bool(np.any(violations))
     first = int(np.argwhere(np.any(violations, axis=1))[0, 0]) if not passed else None
@@ -247,7 +204,7 @@ def sweet_principle_check(
         raise ValueError("need at least two entries per sequence")
     fejer = fejer_check(x, E, slack=fejer_slack)
     window = trailing_quarter(x.shape[0])
-    e = E.stacked()
+    e = E.points
     u_win = u[window]
     ux_win = (u - x)[window]
     pairings = np.einsum("nmd,nd->nm", u_win[:, None, :] - e[None, :, :], ux_win)

@@ -42,17 +42,12 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return p
 
 
-def inner(x, y) -> float:
-    """Euclidean inner product; rejects dimension mismatch."""
-    xv = as_point(x)
-    yv = as_point(y)
-    if xv.shape[0] != yv.shape[0]:
-        raise DimensionMismatchError(f"dimensions {xv.shape[0]} and {yv.shape[0]} differ")
-    return float(np.dot(xv, yv))
+def row_norms(x: np.ndarray):
+    """Euclidean norm of one point, or of each row of a stack: the one norm rule.
 
-
-def norm(x) -> float:
-    return float(np.linalg.norm(as_point(x)))
+    On one point it is bitwise equal to ``np.linalg.norm``.
+    """
+    return np.sqrt(np.vecdot(x, x))
 
 
 def diameter(points: np.ndarray) -> float:
@@ -219,7 +214,7 @@ class Ball:
             if dist <= self.radius:
                 return x.astype(float, copy=True)
             return self.center + (self.radius / dist) * rel
-        dist = np.sqrt(np.vecdot(rel, rel))[:, None]
+        dist = row_norms(rel)[:, None]
         outside = self.center + (self.radius / np.maximum(dist, self.radius)) * rel
         return np.where(dist <= self.radius, x, outside)
 
@@ -253,10 +248,6 @@ def project(S: ConvexSet, x) -> np.ndarray:
 def line(offset, direction) -> AffineSubspace:
     """One-dimensional affine subspace through ``offset`` along ``direction``."""
     return AffineSubspace.from_span(offset, [direction])
-
-
-def whole_space(dim: int) -> AffineSubspace:
-    return AffineSubspace(np.zeros(dim), np.eye(dim))
 
 
 def is_affine(S: ConvexSet) -> bool:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteIterateError
 from .operators import MonotoneOperator, inner_shift, outer_shift
-from .space import as_point, as_points, diameter
+from .space import as_point, as_points, diameter, row_norms
 
 DEFAULT_MAX_ITERS = 100_000
 DEFAULT_STEP_TOL = 1e-12
@@ -100,7 +100,8 @@ class DRTrace:
 
     @cached_property
     def step_norms(self) -> np.ndarray:
-        return _norms(self.steps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return row_norms(self.steps)
 
     @cached_property
     def trailing_shadow_diameter(self) -> float:
@@ -119,11 +120,6 @@ def trailing_quarter(length: int) -> slice:
     """Index window covering the last quarter of a trace (never empty)."""
     start = min(length - 1, (3 * length) // 4)
     return slice(start, length)
-
-
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of a point or of each row: the one step-norm rule."""
-    return np.sqrt(np.vecdot(x, x))
 
 
 def dr_apply(A: MonotoneOperator, B: MonotoneOperator, x) -> np.ndarray:
@@ -179,7 +175,7 @@ def iterate(
             if not np.all(np.isfinite(x_next)):
                 raise NonFiniteIterateError(n)
             governing[n], shadow[n], b_shadow[n] = x, ja, jb
-            step_norm = _norms(x - x_next)
+            step_norm = row_norms(x - x_next)
             if step_norm < step_tol:
                 stop = StopReason.STEP_CONVERGED
                 governing, shadow, b_shadow = (

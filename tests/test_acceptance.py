@@ -47,10 +47,6 @@ def _pair_sequence(trace):
     return np.hstack([trace.shadow, trace.dual_shadow])
 
 
-def _pair_sample(pairs):
-    return SetSample([np.concatenate([z, k]) for z, k in pairs])
-
-
 def test_criterion_1_rotator_counterexample():
     inst = build_scenario("rotator-cone", a=1.0)
     A, B = inst.problem.A, inst.problem.B
@@ -232,7 +228,7 @@ def test_criterion_7_consistent_convergence():
         trace = iterate(inst.problem, max_iters=10_000, step_tol=0.0)
         window = trailing_quarter(len(trace))
         worst_diam = max(worst_diam, diameter(trace.shadow[window]))
-        res = fejer_check(_pair_sequence(trace), _pair_sample(inst.solutions.s_pairs), slack=1e-10)
+        res = fejer_check(_pair_sequence(trace), inst.solutions.pairs, slack=1e-10)
         all_fejer = all_fejer and res.passed
     ok = worst_diam <= 1e-6 and all_fejer
     _report(

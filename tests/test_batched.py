@@ -25,7 +25,6 @@ from drsplit import (
     dual_flip,
     eight_point_residual,
     fixed_point_step_residuals,
-    identity_operator,
     inner_shift,
     inverse,
     linear_relation_residual,
@@ -40,10 +39,20 @@ from drsplit import (
     scaled_id_plus_normal_cone,
     skew_residuals,
     three_point_residuals,
-    zero_operator,
 )
 from drsplit import runner
 from drsplit.identities import affine_gap_residuals
+
+
+# the zero map (resolvent Id) and the identity map (resolvent Id/2), built
+# directly from their resolvents
+def zero_operator(dim: int) -> MonotoneOperator:
+    return MonotoneOperator(lambda x: x.copy(), dim, is_linear_relation=True, is_paramonotone=True, label="zero")
+
+
+def identity_operator(dim: int) -> MonotoneOperator:
+    return MonotoneOperator(lambda x: 0.5 * x, dim, is_linear_relation=True, is_paramonotone=True, label="identity")
+
 
 # small exact values, so that rows land on knots, bounds and sphere points
 SPECIALS = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.0]

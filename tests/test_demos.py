@@ -15,7 +15,7 @@ def test_demo_directory_is_populated():
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_clean(script):
     proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", str(script)], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip(), "demos should narrate something"

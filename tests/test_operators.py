@@ -7,11 +7,11 @@ from drsplit import (
     AffineSubspace,
     Ball,
     Box,
+    MonotoneOperator,
     MonotonicityError,
     NonnegativeOrthant,
     Singleton,
     dual_flip,
-    identity_operator,
     inner_shift,
     inverse,
     minty_forward,
@@ -25,10 +25,19 @@ from drsplit import (
     reflected,
     rotator,
     scaled_id_plus_normal_cone,
-    zero_operator,
 )
 
 X_AXIS = AffineSubspace(np.zeros(2), np.array([[1.0, 0.0]]))
+
+
+# the zero map (resolvent Id) and the identity map (resolvent Id/2), built
+# directly from their resolvents
+def zero_operator(dim: int) -> MonotoneOperator:
+    return MonotoneOperator(lambda x: x.copy(), dim, is_linear_relation=True, is_paramonotone=True, label="zero")
+
+
+def identity_operator(dim: int) -> MonotoneOperator:
+    return MonotoneOperator(lambda x: 0.5 * x, dim, is_linear_relation=True, is_paramonotone=True, label="identity")
 
 
 # ---------------------------------------------------------------------------

@@ -238,16 +238,23 @@ def test_cli_numerical_breakdown_exits_four(capsys):
 
 def test_overflowing_run_passes_no_check_on_nan():
     # the orbit stays finite, but its distances overflow to NaN: every check
-    # that reads them must fail, not pass
-    with np.errstate(over="ignore", invalid="ignore"):
-        summary, _ = run(
-            make_config(scenario="random-affine", dim=2, x0="1e200,-1e200", iters=200)
-        )
+    # that reads them must fail, not pass; under filterwarnings = error the
+    # run also proves that the library emits no RuntimeWarning
+    summary, _ = run(make_config(scenario="random-affine", dim=2, x0="1e200,-1e200", iters=200))
     checks = summary.checks
     for name in ("shadow_trailing_diameter", "pair_fejer_wrt_solution_pairs"):
         assert np.isnan(checks[name].worst_value)
         assert checks[name].verdict is False
     assert not summary.all_passed
+
+
+def test_summability_fails_when_the_second_start_equals_the_first():
+    # x0 + uniform(-1, 1) rounds back to a start of size 1e200: the two orbits
+    # coincide, every series vanishes, and that certifies nothing
+    summary, _ = run(make_config(scenario="random-affine", dim=2, x0="1e200,-1e200", iters=200))
+    check = summary.checks["summability"]
+    assert check.verdict is False
+    assert np.isnan(check.worst_value)
 
 
 def test_cli_x0_override(tmp_path):

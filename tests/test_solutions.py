@@ -4,18 +4,16 @@ import pytest
 from drsplit import (
     Box,
     DRProblem,
-    OperatorFamilyError,
     PossiblyInconsistentError,
     SetSample,
-    SolutionSets,
     build_scenario,
     decoupled_1d_fejer_check,
     diameter,
+    dr_apply,
     fejer_check,
     find_fixed_point,
     iterate,
     normal_cone,
-    paramonotone_cross_product,
     primal_dual_from_fix,
     random_pw1d_pair,
     shifted_governing,
@@ -49,27 +47,29 @@ def test_find_fixed_point_inconsistent_raises_with_estimate():
 def test_primal_dual_from_fix_rotator_ray():
     inst = build_scenario("rotator-cone")
     fixes = SetSample([t * np.array([1.0, -1.0]) for t in (0.25, 1.0, 3.0)], "ray")
-    z, k, pairs = primal_dual_from_fix(inst.problem.A, inst.problem.B, fixes)
-    for t, (zp, kp) in zip((0.25, 1.0, 3.0), pairs):
+    sets = primal_dual_from_fix(inst.problem.A, inst.problem.B, fixes)
+    for t, zp, kp in zip((0.25, 1.0, 3.0), sets.primal.points, sets.dual.points):
         assert np.allclose(zp, [t, 0.0], atol=0)
         assert np.allclose(kp, [0.0, -t], atol=0)
-    assert len(z) == len(k) == 3
+    assert len(sets.primal) == len(sets.dual) == len(sets.pairs) == 3
+    assert sets.fix_t is fixes
 
 
 def test_primal_dual_from_fix_common_point_gives_zero_dual():
     inst = build_scenario("affine-consistent")
-    z, k, pairs = primal_dual_from_fix(
+    sets = primal_dual_from_fix(
         inst.problem.A, inst.problem.B, SetSample([np.zeros(2)], "intersection")
     )
-    assert np.allclose(pairs[0][0], 0.0, atol=0)
-    assert np.allclose(pairs[0][1], 0.0, atol=0)
+    assert np.allclose(sets.primal.points[0], 0.0, atol=0)
+    assert np.allclose(sets.dual.points[0], 0.0, atol=0)
 
 
 def test_primal_dual_from_fix_1d_intervals():
     A = normal_cone(Box([0.0], [2.0]))
     B = normal_cone(Box([1.0], [3.0]))
-    z, k, pairs = primal_dual_from_fix(A, B, SetSample([np.array([1.5])], "interior"))
-    assert pairs[0][0][0] == 1.5 and pairs[0][1][0] == 0.0
+    sets = primal_dual_from_fix(A, B, SetSample([np.array([1.5])], "interior"))
+    assert sets.primal.points[0][0] == 1.5 and sets.dual.points[0][0] == 0.0
+    assert sets.pairs.points.tolist() == [[1.5, 0.0]]
 
 
 def test_primal_dual_from_fix_rejects_moving_point():
@@ -80,40 +80,86 @@ def test_primal_dual_from_fix_rejects_moving_point():
         )
 
 
-def test_cross_product_affine_pairs():
+def test_primal_dual_from_fix_names_the_first_moving_row():
     inst = build_scenario("affine-consistent")
-    pairs = paramonotone_cross_product(
-        inst.problem.A,
-        inst.problem.B,
-        SetSample([np.zeros(2)], "intersection"),
-        SetSample([np.zeros(2)], "trivial dual"),
-    )
-    assert len(pairs) == 1
+    fixes = SetSample([np.zeros(2), np.array([0.0, 1.0]), np.array([0.0, 2.0])])
+    with pytest.raises(ValueError, match="point 1 is not fixed"):
+        primal_dual_from_fix(inst.problem.A, inst.problem.B, fixes)
 
 
-def test_cross_product_1d_interval():
-    A = normal_cone(Box([0.0], [2.0]))
-    B = normal_cone(Box([1.0], [3.0]))
-    pairs = paramonotone_cross_product(
-        A,
-        B,
-        SetSample([np.array([1.0]), np.array([1.5]), np.array([2.0])], "overlap"),
-        SetSample([np.array([0.0])], "zero dual"),
-    )
-    assert len(pairs) == 3
-    for z, k in pairs:
-        assert k[0] == 0.0
+def _reference_fix_points(inst, seed):
+    """The fixed points each scenario samples, drawn as the scenarios do."""
+    if inst.name == "rotator-cone":
+        return [t * np.array([1.0, -1.0]) for t in (0.0, 0.5, 1.0, 2.0)]
+    problem = inst.problem
+    rng = np.random.default_rng(seed + 104729)
+    starts = [problem.x0] + [problem.x0 + rng.uniform(-1, 1, problem.dim) for _ in range(2)]
+    return [find_fixed_point(DRProblem(problem.A, problem.B, x), tol=1e-13) for x in starts]
 
 
-def test_cross_product_refuses_rotator():
-    inst = build_scenario("rotator-cone")
-    with pytest.raises(OperatorFamilyError):
-        paramonotone_cross_product(
-            inst.problem.A,
-            inst.problem.B,
-            inst.solutions.primal,
-            inst.solutions.dual,
-        )
+def _reference_primal_dual(A, B, fix_points, tol):
+    """The per-point loop the batched split must reproduce bit for bit."""
+    primal, dual = [], []
+    for i, y in enumerate(fix_points):
+        step = np.linalg.norm(y - dr_apply(A, B, y))
+        assert step <= tol, f"point {i} is not fixed"
+        z = A.resolvent(y)
+        primal.append(z)
+        dual.append(y - z)
+    return primal, dual
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize(
+    "name, dim",
+    [
+        ("rotator-cone", None),
+        ("affine-consistent", None),
+        ("random-affine", 2),
+        ("random-affine", 5),
+        ("random-affine", 50),
+        ("random-1d", None),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 3])
+def test_primal_dual_from_fix_rows_match_per_point_loop(name, dim, seed):
+    inst = build_scenario(name, dim=dim, seed=seed)
+    A, B = inst.problem.A, inst.problem.B
+    sets = inst.solutions
+    fix_rows = _reference_fix_points(inst, seed)
+    primal, dual = _reference_primal_dual(A, B, fix_rows, tol=1e-9)
+    assert len(sets.fix_t) == len(sets.primal) == len(sets.dual) == len(sets.pairs) == len(fix_rows)
+    for i, (y, z, k) in enumerate(zip(fix_rows, primal, dual)):
+        assert _bits(sets.fix_t.points[i]) == _bits(y)
+        assert _bits(sets.primal.points[i]) == _bits(z)
+        assert _bits(sets.dual.points[i]) == _bits(k)
+        assert _bits(sets.pairs.points[i]) == _bits(np.concatenate([z, k]))
+
+
+def test_rotator_pairs_are_the_closed_form_rays():
+    # the ray t(1, -1) splits into (t, 0) and (0, -t), signed zeros included
+    sets = build_scenario("rotator-cone").solutions
+    expected = [[t, 0.0, 0.0, -t] for t in (0.0, 0.5, 1.0, 2.0)]
+    assert _bits(sets.pairs.points) == _bits(expected)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [np.array([1.0, 2.0]), np.zeros((2, 2, 2)), np.array([[0.0, np.nan]])],
+    ids=["1-d", "3-d", "nan"],
+)
+def test_set_sample_rejects_non_stack_and_nan(points):
+    with pytest.raises(ValueError):
+        SetSample(points)
+
+
+def test_set_sample_stacks_rows():
+    sample = SetSample([np.zeros(2), [1.0, 2.0]], "two points")
+    assert sample.points.shape == (2, 2) and sample.points.dtype == np.float64
+    assert len(sample) == 2
 
 
 def test_fejer_check_constant_sequence():
@@ -268,20 +314,6 @@ def test_decoupled_check_rejects_higher_dimension():
 
     with pytest.raises(DimensionMismatchError):
         decoupled_1d_fejer_check(inst.problem, [0.0], [0.0], tr)
-
-
-def test_solution_sets_validation_catches_corruption():
-    inst = build_scenario("affine-consistent")
-    sets = inst.solutions
-    sets.validate(inst.problem.A)  # the genuine sets pass
-    corrupted = SolutionSets(
-        fix_t=sets.fix_t,
-        primal=sets.primal,
-        dual=sets.dual,
-        s_pairs=[(p[0] + 0.5, p[1]) for p in sets.s_pairs],
-    )
-    with pytest.raises(ValueError):
-        corrupted.validate(inst.problem.A)
 
 
 @pytest.mark.parametrize("name", ["shifted-subspace", "parallel-lines", "points-1d", "disjoint-balls"])

@@ -5,38 +5,13 @@ from drsplit import (
     AffineSubspace,
     Ball,
     Box,
-    DimensionMismatchError,
     NonnegativeOrthant,
     RankDeficiencyError,
     Singleton,
-    inner,
     line,
     orthonormalize,
     project,
-    whole_space,
 )
-
-
-def test_inner_orthogonal():
-    assert inner([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-
-def test_inner_arithmetic():
-    assert inner([1.0, 2.0], [3.0, 4.0]) == 11.0
-
-
-def test_inner_norm_squared_case():
-    assert inner([1.0, 0.0], [1.0, 0.0]) == 1.0
-
-
-def test_inner_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        inner([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
-def test_inner_rejects_nan():
-    with pytest.raises(ValueError):
-        inner([np.nan, 0.0], [1.0, 0.0])
 
 
 def test_project_orthant_clamps():
@@ -150,7 +125,7 @@ def test_ball_rejects_zero_radius():
 
 
 def test_whole_space_projects_identically(rng):
-    S = whole_space(3)
+    S = AffineSubspace(np.zeros(3), np.eye(3))
     x = rng.standard_normal(3)
     assert np.allclose(project(S, x), x, atol=1e-15)
 
