@@ -38,7 +38,6 @@ print(f"  reflected resolvent 2J - Id: {reflected(A, x)}")
 print("\n= the quarter-turn rotation as a monotone operator =")
 B = rotator()
 print(f"  J_B(1, 0) = {B.resolvent([1.0, 0.0])}   (no projection interpretation)")
-print(f"  paramonotone flag: {B.is_paramonotone} -- this matters later")
 
 print("\n= inverse resolvent sum: J_A + J_(A^-1) = Id =")
 A_inv = inverse(A)

@@ -88,7 +88,6 @@ from .space import (
     as_point,
     as_points,
     diameter,
-    line,
     orthonormalize,
     project,
 )

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, NonFiniteIterateError
-from .runner import check_identities, make_config, parse_config_file, run
+from .runner import REL_TOL, SLACK_TOL, check_identities, make_config, parse_config_file, run
 from .scenarios import list_scenarios
 
 
@@ -60,10 +60,10 @@ def _print_scenarios() -> None:
 def _print_sweep(sweep) -> None:
     print(f"identity sweep: seed={sweep.seed} samples={sweep.samples}")
     for name, rec in sorted(sweep.worst.items()):
-        status = "ok" if rec.value <= sweep.rel_tol else "FAIL"
+        status = "ok" if rec.value <= REL_TOL else "FAIL"
         print(f"  {status:4s} {name:28s} worst {rec.value:.3e}  ({rec.pair}, sample {rec.sample})")
     for name, rec in sorted(sweep.slack_worst.items()):
-        status = "ok" if rec.value >= -sweep.slack_tol else "FAIL"
+        status = "ok" if rec.value >= -SLACK_TOL else "FAIL"
         print(f"  {status:4s} {name:28s} min slack {rec.value:.3e}  ({rec.pair}, sample {rec.sample})")
     print("PASS" if sweep.passed else "FAIL")
 
@@ -84,7 +84,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         _print_sweep(sweep)
-        return sweep.exit_code
+        return 0 if sweep.passed else 1
 
     if not args.scenario and not args.config:
         parser.print_usage(sys.stderr)

@@ -5,7 +5,7 @@ points and reports the discrepancies as named residuals. Equalities are
 reported as |lhs - rhs| scaled by 1/(1 + max magnitude of either side), so a
 single tolerance works across quadratic and bilinear terms; inequalities are
 reported as signed slacks (never clamped -- a negative slack beyond tolerance
-is a bug signal). Raw unscaled discrepancies are kept in the report context.
+is a bug signal). Raw unscaled discrepancies are kept beside them.
 
 Every function takes one point of shape (d,) per argument, giving float
 residuals, or stacks of row points of shape (m, d), giving one residual per
@@ -31,6 +31,10 @@ from .splitting import dr_apply
 _dot = np.vecdot
 
 
+def _nsq(v: np.ndarray):
+    return _dot(v, v)
+
+
 def _scaled(raw, lhs_size, rhs_size):
     return raw / (1.0 + np.maximum(lhs_size, rhs_size))
 
@@ -49,22 +53,19 @@ def _value(v):
 
 @dataclass(eq=False)
 class ResidualReport:
-    """Named residuals plus the evaluation context that produced them.
+    """Named residuals, scaled and raw.
 
     ``entries`` holds scale-free values: absolute scaled residuals for
     equalities, signed scaled slacks for inequalities (suffix ``_slack``).
-    ``context['raw']`` holds the corresponding unscaled values.
+    ``raw`` holds the corresponding unscaled values under the same names.
     """
 
     entries: dict[str, float] = field(default_factory=dict)
-    context: dict = field(default_factory=dict)
-
-    def _raw(self) -> dict[str, float]:
-        return self.context.setdefault("raw", {})
+    raw: dict[str, float] = field(default_factory=dict)
 
     def _record(self, name: str, value, raw) -> None:
         self.entries[name] = _value(value)
-        self._raw()[name] = _value(raw)
+        self.raw[name] = _value(raw)
 
     def add_equality(self, name: str, lhs, rhs) -> None:
         raw = np.abs(lhs - rhs)
@@ -99,7 +100,7 @@ def three_point_residuals(a, b, z) -> ResidualReport:
     av, bv, zv = as_points(a), as_points(b), as_points(z)
     _same_shape(av, bv, zv)
     cross = _dot(av, zv - av) + _dot(bv, 2.0 * av - zv - bv)
-    rep = ResidualReport(context={"a": av, "b": bv, "z": zv})
+    rep = ResidualReport()
     rep.add_equality("three_point_1", _dot(zv, zv - av + bv), _dot(zv - av + bv, zv - av + bv) + cross)
     rep.add_equality("three_point_2", _dot(zv, av - bv), _dot(av - bv, av - bv) + cross)
     rep.add_equality(
@@ -169,19 +170,16 @@ def dr_decomposition_residuals(A: MonotoneOperator, B: MonotoneOperator, x, y) -
     daty = ty - jaty
     pair_a_after = _dot(jatx - jaty, datx - daty)
 
-    def nsq(v: np.ndarray):
-        return _dot(v, v)
-
-    rep = ResidualReport(context={"x": xv, "y": yv})
-    rep.add_equality("decomposition_1", _dot(tx - ty, xv - yv), nsq(tx - ty) + pair_a + pair_b)
-    rep.add_equality("decomposition_2", _dot(dt, xv - yv), nsq(dt) + pair_a + pair_b)
+    rep = ResidualReport()
+    rep.add_equality("decomposition_1", _dot(tx - ty, xv - yv), _nsq(tx - ty) + pair_a + pair_b)
+    rep.add_equality("decomposition_2", _dot(dt, xv - yv), _nsq(dt) + pair_a + pair_b)
     rep.add_equality(
-        "decomposition_3", nsq(xv - yv), nsq(tx - ty) + nsq(dt) + 2.0 * pair_a + 2.0 * pair_b
+        "decomposition_3", _nsq(xv - yv), _nsq(tx - ty) + _nsq(dt) + 2.0 * pair_a + 2.0 * pair_b
     )
-    energy_before = nsq(jax - jay) + nsq(dax - day)
-    energy_after = nsq(jatx - jaty) + nsq(datx - daty)
+    energy_before = _nsq(jax - jay) + _nsq(dax - day)
+    energy_after = _nsq(jatx - jaty) + _nsq(datx - daty)
     rep.add_equality(
-        "decomposition_4", energy_before - energy_after, nsq(dt) + 2.0 * pair_a_after + 2.0 * pair_b
+        "decomposition_4", energy_before - energy_after, _nsq(dt) + 2.0 * pair_a_after + 2.0 * pair_b
     )
     rep.add_slack("resolvent_energy_slack", energy_before, energy_after)
     return rep
@@ -200,7 +198,7 @@ def fixed_point_step_residuals(A: MonotoneOperator, B: MonotoneOperator, x) -> R
     xv = as_points(x, A.dim)
     ja, da, jb, db, tx = _splitting_data(A, B, xv)
     step = xv - tx
-    rep = ResidualReport(context={"x": xv})
+    rep = ResidualReport()
     rep.add_vector_equality("step_shadow_gap", step, ja - jb)
     rep.add_vector_equality("step_dual_sum", step, da + db)
     rep.add_vector_equality("graph_roundtrip_a", A.resolvent_map(ja + da), ja)
@@ -258,19 +256,16 @@ def skew_residuals(A: MonotoneOperator, B: MonotoneOperator, x, y) -> ResidualRe
     datx, daty = tx - jatx, ty - jaty
     dt = (xv - tx) - (yv - ty)
 
-    def nsq(v: np.ndarray):
-        return _dot(v, v)
-
-    rep = ResidualReport(context={"x": xv, "y": yv})
-    rep.add_equality("skew_1", _dot(tx - ty, xv - yv), nsq(tx - ty))
-    rep.add_equality("skew_2", _dot(dt, xv - yv), nsq(dt))
-    rep.add_equality("skew_3", nsq(xv - yv), nsq(tx - ty) + nsq(dt))
+    rep = ResidualReport()
+    rep.add_equality("skew_1", _dot(tx - ty, xv - yv), _nsq(tx - ty))
+    rep.add_equality("skew_2", _dot(dt, xv - yv), _nsq(dt))
+    rep.add_equality("skew_3", _nsq(xv - yv), _nsq(tx - ty) + _nsq(dt))
     rep.add_equality(
         "skew_4",
-        (nsq(jax - jay) + nsq(dax - day)) - (nsq(jatx - jaty) + nsq(datx - daty)),
-        nsq(dt),
+        (_nsq(jax - jay) + _nsq(dax - day)) - (_nsq(jatx - jaty) + _nsq(datx - daty)),
+        _nsq(dt),
     )
-    rep.add_equality("skew_energy", nsq(xv), nsq(tx) + nsq(xv - tx))
+    rep.add_equality("skew_energy", _nsq(xv), _nsq(tx) + _nsq(xv - tx))
     rep.add_equality("skew_orthogonality", _dot(tx, xv - tx), 0.0)
     composed = _linear_forward(B, _linear_forward(A, xv))
     rep.add_vector_equality("skew_half_composition", xv - tx, 0.5 * (xv - composed))
@@ -312,13 +307,10 @@ def affine_gap_residuals(U: ConvexSet, V: ConvexSet, x) -> ResidualReport:
     pu_x, pv_x = U.project(xv), V.project(xv)
     pu_tx = U.project(tx)
 
-    def nsq(v: np.ndarray):
-        return _dot(v, v)
-
-    rep = ResidualReport(context={"x": xv, "fixed_point": y, "z": z, "k": k})
-    rep.add_equality("gap_identity", nsq(xv - tx), nsq(pu_x - pv_x))
-    rep.add_equality("distance_drop", nsq(xv - y) - nsq(tx - y), nsq(xv - tx))
-    pair_before = nsq(pu_x - z) + nsq((xv - pu_x) - k)
-    pair_after = nsq(pu_tx - z) + nsq((tx - pu_tx) - k)
-    rep.add_equality("pair_distance_drop", pair_before - pair_after, nsq(xv - tx))
+    rep = ResidualReport()
+    rep.add_equality("gap_identity", _nsq(xv - tx), _nsq(pu_x - pv_x))
+    rep.add_equality("distance_drop", _nsq(xv - y) - _nsq(tx - y), _nsq(xv - tx))
+    pair_before = _nsq(pu_x - z) + _nsq((xv - pu_x) - k)
+    pair_after = _nsq(pu_tx - z) + _nsq((tx - pu_tx) - k)
+    rep.add_equality("pair_distance_drop", pair_before - pair_after, _nsq(xv - tx))
     return rep

@@ -6,10 +6,9 @@ quantities tracked elsewhere (the splitting operator, shadows, solution pairs,
 displacement vectors) are resolvent-expressible, so the multivalued map itself
 is never materialized. A resolvent map takes one point of shape (d,) or a
 stack of row points of shape (m, d) and returns the same shape, so a batch of
-independent points costs one call. Structural facts that cannot be certified
-cheaply at run time (paramonotonicity, having a linear graph) travel as
-metadata flags declared at construction; combinators propagate them
-conservatively.
+independent points costs one call. Having a linear graph cannot be certified
+cheaply at run time, so it travels as a flag declared at construction;
+combinators propagate it conservatively.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ class MonotoneOperator:
     resolvent_map: Callable[[np.ndarray], np.ndarray]
     dim: int
     is_linear_relation: bool = False
-    is_paramonotone: bool = False
     label: str = ""
 
     def resolvent(self, x) -> np.ndarray:
@@ -112,7 +110,6 @@ def normal_cone(S: ConvexSet, label: str = "") -> MonotoneOperator:
         resolvent_map=S.project,
         dim=S.dim,
         is_linear_relation=is_linear_subspace(S),
-        is_paramonotone=True,
         label=label or f"normal_cone({type(S).__name__})",
     )
 
@@ -137,7 +134,6 @@ def scaled_id_plus_normal_cone(lam: float, C: ConvexSet, label: str = "") -> Mon
         resolvent_map=res,
         dim=C.dim,
         is_linear_relation=is_linear_subspace(C),
-        is_paramonotone=True,
         label=label or f"{lam}*id+normal_cone",
     )
 
@@ -162,7 +158,6 @@ def rotator(label: str = "rotator") -> MonotoneOperator:
         resolvent_map=res,
         dim=2,
         is_linear_relation=True,
-        is_paramonotone=False,
         label=label,
     )
 
@@ -182,7 +177,6 @@ def projector_operator(U: AffineSubspace, label: str = "") -> MonotoneOperator:
         resolvent_map=res,
         dim=U.dim,
         is_linear_relation=True,
-        is_paramonotone=True,
         label=label or "projector_operator",
     )
 
@@ -254,7 +248,6 @@ def piecewise_linear_1d(
         resolvent_map=res,
         dim=1,
         is_linear_relation=linear,
-        is_paramonotone=True,
         label=label or "piecewise_linear_1d",
     )
 
@@ -269,7 +262,6 @@ def inverse(A: MonotoneOperator) -> MonotoneOperator:
         resolvent_map=lambda x: x - A.resolvent_map(x),
         dim=A.dim,
         is_linear_relation=A.is_linear_relation,
-        is_paramonotone=A.is_paramonotone,
         label=f"inverse({A.label})",
     )
 
@@ -280,7 +272,6 @@ def dual_flip(B: MonotoneOperator) -> MonotoneOperator:
         resolvent_map=lambda x: -B.resolvent_map(-x),
         dim=B.dim,
         is_linear_relation=B.is_linear_relation,
-        is_paramonotone=B.is_paramonotone,
         label=f"dual_flip({B.label})",
     )
 
@@ -293,7 +284,6 @@ def outer_shift(A: MonotoneOperator, w) -> MonotoneOperator:
         resolvent_map=lambda x: A.resolvent_map(x + wv),
         dim=A.dim,
         is_linear_relation=shifted_is_linear,
-        is_paramonotone=A.is_paramonotone,
         label=f"outer_shift({A.label})",
     )
 
@@ -306,7 +296,6 @@ def inner_shift(A: MonotoneOperator, w) -> MonotoneOperator:
         resolvent_map=lambda x: wv + A.resolvent_map(x - wv),
         dim=A.dim,
         is_linear_relation=shifted_is_linear,
-        is_paramonotone=A.is_paramonotone,
         label=f"inner_shift({A.label})",
     )
 
@@ -324,7 +313,6 @@ def product(A: MonotoneOperator, B: MonotoneOperator) -> MonotoneOperator:
         resolvent_map=res,
         dim=A.dim + B.dim,
         is_linear_relation=A.is_linear_relation and B.is_linear_relation,
-        is_paramonotone=A.is_paramonotone and B.is_paramonotone,
         label=f"product({A.label}, {B.label})",
     )
 

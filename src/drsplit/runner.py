@@ -239,7 +239,7 @@ def run(config: ScenarioConfig) -> tuple[RunSummary, DRTrace]:
     checks = inst.run_checks(trace)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     summary = RunSummary(
-        scenario=inst.name,
+        scenario=config.scenario,
         iterations=len(trace),
         v_estimate=trace.v_estimate,
         final_step_norm=float(trace.step_norms[-1]),
@@ -266,9 +266,12 @@ class PairEntry:
     label: str
     A: MonotoneOperator
     B: MonotoneOperator
-    dim: int
     skew_family: bool = False
     affine_sets: Optional[tuple] = None
+
+    @property
+    def dim(self) -> int:
+        return self.A.dim
 
 
 def operator_pair_library() -> list[PairEntry]:
@@ -279,7 +282,6 @@ def operator_pair_library() -> list[PairEntry]:
             "points-1d",
             normal_cone(Singleton(np.array([0.0]))),
             normal_cone(Singleton(np.array([2.0]))),
-            1,
         )
     )
     entries.append(
@@ -287,16 +289,15 @@ def operator_pair_library() -> list[PairEntry]:
             "intervals-1d",
             piecewise_linear_1d([(0.0, math.inf, 0.0), (1.0, 0.0, math.inf)]),
             normal_cone(Box(np.array([0.5]), np.array([2.0]))),
-            1,
         )
     )
     a1, b1, _ = random_pw1d_pair(np.random.default_rng(2024))
-    entries.append(PairEntry("kinked-1d", a1, b1, 1))
+    entries.append(PairEntry("kinked-1d", a1, b1))
 
     orthant = NonnegativeOrthant(2)
-    entries.append(PairEntry("rotator-cone", normal_cone(orthant), rotator(), 2))
-    entries.append(PairEntry("rotator-rotator", rotator(), rotator(), 2, skew_family=True))
-    entries.append(PairEntry("rotator-inverse", rotator(), inverse(rotator()), 2))
+    entries.append(PairEntry("rotator-cone", normal_cone(orthant), rotator()))
+    entries.append(PairEntry("rotator-rotator", rotator(), rotator(), skew_family=True))
+    entries.append(PairEntry("rotator-inverse", rotator(), inverse(rotator())))
 
     axis = AffineSubspace(np.zeros(2), np.array([[1.0, 0.0]]))
     entries.append(
@@ -304,32 +305,22 @@ def operator_pair_library() -> list[PairEntry]:
             "shifted-subspace",
             normal_cone(axis),
             scaled_id_plus_normal_cone(1.0, AffineSubspace(np.array([0.0, -1.0]), axis.basis)),
-            2,
         )
     )
     upper = AffineSubspace(np.array([0.0, 1.0]), np.array([[1.0, 0.0]]))
     lower = AffineSubspace(np.array([0.0, -1.0]), np.array([[1.0, 0.0]]))
-    entries.append(PairEntry("parallel-lines", normal_cone(upper), normal_cone(lower), 2))
+    entries.append(PairEntry("parallel-lines", normal_cone(upper), normal_cone(lower)))
 
     diag = AffineSubspace.from_span(np.zeros(2), [np.array([1.0, 1.0])])
+    entries.append(PairEntry("projectors", projector_operator(axis), projector_operator(diag)))
     entries.append(
-        PairEntry("projectors", projector_operator(axis), projector_operator(diag), 2)
-    )
-    entries.append(
-        PairEntry(
-            "affine-consistent",
-            normal_cone(axis),
-            normal_cone(diag),
-            2,
-            affine_sets=(axis, diag),
-        )
+        PairEntry("affine-consistent", normal_cone(axis), normal_cone(diag), affine_sets=(axis, diag))
     )
     entries.append(
         PairEntry(
             "disjoint-balls",
             normal_cone(Ball(np.array([0.0, 0.0]), 1.0)),
             normal_cone(Ball(np.array([4.0, 0.0]), 1.0)),
-            2,
         )
     )
     entries.append(
@@ -337,7 +328,6 @@ def operator_pair_library() -> list[PairEntry]:
             "product-3d",
             product(normal_cone(orthant), normal_cone(Singleton(np.array([0.0])))),
             product(rotator(), normal_cone(Singleton(np.array([2.0])))),
-            3,
         )
     )
     entries.append(
@@ -345,16 +335,15 @@ def operator_pair_library() -> list[PairEntry]:
             "ball-box-4d",
             normal_cone(Ball(0.5 * np.ones(4), 1.2)),
             normal_cone(Box(-np.ones(4), np.ones(4))),
-            4,
         )
     )
     rng5 = np.random.default_rng(55)
     U5, V5, _ = random_affine_pair(5, rng5)
     a5, b5 = normal_cone(U5), normal_cone(V5)
-    entries.append(PairEntry("random-affine-5d", a5, b5, 5, affine_sets=(U5, V5)))
+    entries.append(PairEntry("random-affine-5d", a5, b5, affine_sets=(U5, V5)))
     w5 = rng5.uniform(-1.0, 1.0, 5)
-    entries.append(PairEntry("shifted-5d", outer_shift(a5, w5), inner_shift(b5, w5), 5))
-    entries.append(PairEntry("inverse-dual-5d", inverse(a5), dual_flip(b5), 5))
+    entries.append(PairEntry("shifted-5d", outer_shift(a5, w5), inner_shift(b5, w5)))
+    entries.append(PairEntry("inverse-dual-5d", inverse(a5), dual_flip(b5)))
     return entries
 
 
@@ -365,6 +354,12 @@ class WorstRecord:
     sample: int
 
 
+# The sweep passes when every scaled equality residual is at most REL_TOL and
+# every scaled inequality slack is at least -SLACK_TOL.
+REL_TOL = 1e-9
+SLACK_TOL = 1e-10
+
+
 @dataclass(eq=False)
 class IdentitySweep:
     """Worst residual per identity over every pair and sample, plus verdicts."""
@@ -373,18 +368,12 @@ class IdentitySweep:
     samples: int
     worst: dict[str, WorstRecord]
     slack_worst: dict[str, WorstRecord]
-    rel_tol: float
-    slack_tol: float
 
     @property
     def passed(self) -> bool:
-        ok = all(rec.value <= self.rel_tol for rec in self.worst.values())
-        ok_slack = all(rec.value >= -self.slack_tol for rec in self.slack_worst.values())
+        ok = all(rec.value <= REL_TOL for rec in self.worst.values())
+        ok_slack = all(rec.value >= -SLACK_TOL for rec in self.slack_worst.values())
         return ok and ok_slack
-
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.passed else 1
 
 
 # Samples are drawn and evaluated in blocks of at most this many rows, one
@@ -431,8 +420,6 @@ def check_identities(
     seed: int = 7,
     samples: int = 200,
     pairs: Optional[list[PairEntry]] = None,
-    rel_tol: float = 1e-9,
-    slack_tol: float = 1e-10,
 ) -> IdentitySweep:
     """Evaluate every identity over every registered pair at seeded random points.
 
@@ -499,11 +486,4 @@ def check_identities(
             if entry.affine_sets is not None:
                 U, V = entry.affine_sets
                 _absorb(worst, slack_worst, affine_gap_residuals(U, V, x), label, first)
-    return IdentitySweep(
-        seed=seed,
-        samples=samples,
-        worst=worst,
-        slack_worst=slack_worst,
-        rel_tol=rel_tol,
-        slack_tol=slack_tol,
-    )
+    return IdentitySweep(seed=seed, samples=samples, worst=worst, slack_worst=slack_worst)

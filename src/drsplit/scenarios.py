@@ -58,7 +58,6 @@ class ScenarioInstance:
     the zeros of the v-shifted (normal) problem of a zero-free one.
     """
 
-    name: str
     problem: DRProblem
     default_iters: int
     default_step_tol: float
@@ -76,7 +75,6 @@ class ScenarioInstance:
 
 @dataclass(eq=False)
 class ScenarioSpec:
-    name: str
     description: str
     anchor: str  # one-line statement of the mathematical situation exercised
     build: Callable[..., ScenarioInstance] = field(repr=False, default=None)
@@ -122,20 +120,25 @@ def _pair_fejer_check(sets: SolutionSets) -> CheckFn:
     return check
 
 
-def _shadow_diameter_check(trace: DRTrace, tol: float = 1e-6) -> CheckResult:
+def _shadow_diameter_check(trace: DRTrace) -> CheckResult:
     diam = trace.trailing_shadow_diameter
-    return CheckResult(verdict=bool(diam <= tol), worst_value=diam)
+    return CheckResult(verdict=bool(diam <= 1e-6), worst_value=diam)
+
+
+def _perturbed_start(x0: np.ndarray, rng: np.random.Generator) -> Optional[np.ndarray]:
+    """x0 moved by a uniform draw from [-1, 1)^d, or None when the move rounds
+    away (a start far out) and the new start equals x0."""
+    start = x0 + rng.uniform(-1.0, 1.0, x0.shape[0])
+    return None if np.array_equal(start, x0) else start
 
 
 def _summability_check(seed: int) -> CheckFn:
     """The telescoping series along the trace and a second seeded start."""
 
     def check(trace: DRTrace) -> CheckResult:
-        rng = np.random.default_rng(seed + 7919)
-        alt_start = trace.problem.x0 + rng.uniform(-1.0, 1.0, trace.problem.dim)
-        if np.array_equal(alt_start, trace.problem.x0):
-            # the perturbation rounded away (a start far out): two equal orbits
-            # would make every series vanish and certify nothing
+        alt_start = _perturbed_start(trace.problem.x0, np.random.default_rng(seed + 7919))
+        if alt_start is None:
+            # two equal orbits would make every series vanish and certify nothing
             return CheckResult(False, float("nan"))
         alt = iterate(
             DRProblem(trace.problem.A, trace.problem.B, alt_start),
@@ -167,10 +170,7 @@ def _build_rotator_cone(dim=None, x0=None, seed=0, a=1.0) -> ScenarioInstance:
     k = np.array([0.0, -a])
     # J_A maps the fixed ray t(1, -1) onto the primal ray (t, 0) and the dual
     # ray (0, -t)
-    fix_sample = SetSample(
-        [t * np.array([1.0, -1.0]) for t in (0.0, 0.5 * a, a, 2.0 * a)],
-        "ray through (1,-1)",
-    )
+    fix_sample = SetSample([t * np.array([1.0, -1.0]) for t in (0.0, 0.5 * a, a, 2.0 * a)])
     sets = primal_dual_from_fix(A, B, fix_sample)
     # the counterexample values are pinned to the canonical start (a, 0),
     # not to the configured orbit
@@ -208,7 +208,6 @@ def _build_rotator_cone(dim=None, x0=None, seed=0, a=1.0) -> ScenarioInstance:
         return CheckResult(off_ray <= 1e-10, off_ray)
 
     return ScenarioInstance(
-        name="rotator-cone",
         problem=problem,
         default_iters=100,
         default_step_tol=1e-14,
@@ -270,7 +269,6 @@ def _build_shifted_subspace(dim=None, x0=None, seed=0) -> ScenarioInstance:
         return CheckResult(final <= 1e-8, final)
 
     return ScenarioInstance(
-        name="shifted-subspace",
         problem=problem,
         default_iters=256,
         default_step_tol=0.0,
@@ -283,7 +281,7 @@ def _build_shifted_subspace(dim=None, x0=None, seed=0) -> ScenarioInstance:
         ],
         seed=seed,
         v=v,
-        shifted_primal=SetSample([np.zeros(2)], "origin"),
+        shifted_primal=SetSample([np.zeros(2)]),
     )
 
 
@@ -298,7 +296,7 @@ def _build_parallel_lines(dim=None, x0=None, seed=0, gap=2.0) -> ScenarioInstanc
     start = as_point(x0, 2) if x0 is not None else np.array([3.0, 5.0])
     problem = DRProblem(A, B, start)
     v = np.array([0.0, float(gap)])
-    shifted_primal = SetSample([np.array([t, half]) for t in (start[0], 0.0, 5.0)], "upper line")
+    shifted_primal = SetSample([np.array([t, half]) for t in (start[0], 0.0, 5.0)])
 
     def check_shadow_constant(trace):
         target = np.array([trace.problem.x0[0], half])
@@ -306,7 +304,6 @@ def _build_parallel_lines(dim=None, x0=None, seed=0, gap=2.0) -> ScenarioInstanc
         return CheckResult(worst <= 1e-10, worst)
 
     return ScenarioInstance(
-        name="parallel-lines",
         problem=problem,
         default_iters=128,
         default_step_tol=0.0,
@@ -332,13 +329,12 @@ def _build_disjoint_balls(dim=None, x0=None, seed=0) -> ScenarioInstance:
     problem = DRProblem(A, B, start)
     v = np.array([-2.0, 0.0])
     shadow_limit = np.array([1.0, 0.0])
-    shifted_primal = SetSample([np.array([1.0, 0.0])], "contact point")
+    shifted_primal = SetSample([np.array([1.0, 0.0])])
 
     def check_shadow_limit(trace):
         return _vector_close_check(trace.shadow[-1], shadow_limit, 1e-6)
 
     return ScenarioInstance(
-        name="disjoint-balls",
         problem=problem,
         default_iters=5000,
         default_step_tol=0.0,
@@ -379,7 +375,6 @@ def _consistent_checks(seed: int, sets: SolutionSets) -> list[tuple[str, CheckFn
 
 
 def _finish_consistent_instance(
-    name: str,
     problem: DRProblem,
     seed: int,
     iters: int,
@@ -387,18 +382,22 @@ def _finish_consistent_instance(
     z: Optional[np.ndarray] = None,
     k: Optional[np.ndarray] = None,
 ) -> ScenarioInstance:
-    """Attach solution samples (computed from converged runs) and checkers."""
-    fix_candidates = []
+    """Attach solution samples (computed from converged runs) and checkers.
+
+    The fixed points come from the start and two perturbed starts; a
+    perturbation that rounds away adds no row.
+    """
     rng = np.random.default_rng(seed + 104729)
-    for i in range(3):
-        start = problem.x0 if i == 0 else problem.x0 + rng.uniform(-1, 1, problem.dim)
-        fix_candidates.append(
+    starts = [problem.x0] + [_perturbed_start(problem.x0, rng) for _ in range(2)]
+    fix_sample = SetSample(
+        [
             find_fixed_point(DRProblem(problem.A, problem.B, start), tol=1e-13)
-        )
-    fix_sample = SetSample(fix_candidates, "converged fixed points")
+            for start in starts
+            if start is not None
+        ]
+    )
     sets = primal_dual_from_fix(problem.A, problem.B, fix_sample, tol=1e-9)
     return ScenarioInstance(
-        name=name,
         problem=problem,
         default_iters=iters,
         default_step_tol=0.0,
@@ -420,7 +419,7 @@ def _build_affine_consistent(dim=None, x0=None, seed=0) -> ScenarioInstance:
     B = normal_cone(V, label="normal_cone(diagonal line)")
     start = as_point(x0, 2) if x0 is not None else np.array([0.0, 1.0])
     problem = DRProblem(A, B, start)
-    return _finish_consistent_instance("affine-consistent", problem, seed, iters=10_000)
+    return _finish_consistent_instance(problem, seed, iters=10_000)
 
 
 def _build_points_1d(dim=None, x0=None, seed=0) -> ScenarioInstance:
@@ -447,7 +446,6 @@ def _build_points_1d(dim=None, x0=None, seed=0) -> ScenarioInstance:
         return CheckResult(worst <= 1e-12, worst)
 
     return ScenarioInstance(
-        name="points-1d",
         problem=problem,
         default_iters=64,
         default_step_tol=0.0,
@@ -503,11 +501,10 @@ def _build_random_affine(dim=None, x0=None, seed=0) -> ScenarioInstance:
         # probe must stay at unit scale regardless of the configured start
         probe = np.random.default_rng(seed + 31).uniform(-2.0, 2.0, U.dim)
         rep = affine_gap_residuals(U, V, probe)
-        worst = rep.context["raw"]["gap_identity"]
+        worst = rep.raw["gap_identity"]
         return CheckResult(worst <= 1e-10, worst)
 
     return _finish_consistent_instance(
-        "random-affine",
         problem,
         seed,
         iters=10_000,
@@ -572,7 +569,6 @@ def _build_random_1d(dim=None, x0=None, seed=0) -> ScenarioInstance:
         return CheckResult(ok, 0.0 if ok else 1.0)
 
     return _finish_consistent_instance(
-        "random-1d",
         problem,
         seed,
         iters=10_000,
@@ -589,7 +585,7 @@ _REGISTRY: dict[str, ScenarioSpec] = {}
 
 
 def _register(name, description, anchor, build):
-    _REGISTRY[name] = ScenarioSpec(name=name, description=description, anchor=anchor, build=build)
+    _REGISTRY[name] = ScenarioSpec(description=description, anchor=anchor, build=build)
 
 
 _register(
@@ -652,7 +648,7 @@ _register(
 
 def list_scenarios() -> list[tuple[str, str, str]]:
     """(name, description, anchor) rows of the scenario registry."""
-    return [(s.name, s.description, s.anchor) for s in _REGISTRY.values()]
+    return [(name, s.description, s.anchor) for name, s in _REGISTRY.items()]
 
 
 def get_scenario(name: str) -> ScenarioSpec:

@@ -1,13 +1,13 @@
 """Solution sets of the sum problem and Fejer-monotonicity diagnostics.
 
-Solution sets are handled as finite samples plus a text description;
-membership is always certified through resolvent identities (a pair (z, k)
-belongs to the extended solution set iff z + k is a fixed point of the
-splitting map with J_A(z + k) = z), because that is exactly what is
-computable. The checkers here verify monotone-distance (Fejer) behaviour of
-recorded sequences against such samples, the pairing/Cauchy evidence for the
-sequential convergence principle, and the summability of the coupled series
-along two runs of the same problem.
+Solution sets are handled as finite samples; membership is always certified
+through resolvent identities (a pair (z, k) belongs to the extended solution
+set iff z + k is a fixed point of the splitting map with J_A(z + k) = z),
+because that is exactly what is computable. The checkers here verify
+monotone-distance (Fejer) behaviour of recorded sequences against such
+samples, the pairing/Cauchy evidence for the sequential convergence
+principle, and the summability of the coupled series along two runs of the
+same problem.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ class SetSample:
     point per row of ``points``, an (m, d) array."""
 
     points: np.ndarray
-    description: str = ""
 
     def __post_init__(self):
         points = as_points(self.points)
@@ -57,7 +56,7 @@ class SolutionSets:
     @property
     def pairs(self) -> SetSample:
         """The solution pairs as points (z, k) of the product space."""
-        return SetSample(np.hstack([self.primal.points, self.dual.points]), "solution pairs")
+        return SetSample(np.hstack([self.primal.points, self.dual.points]))
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +96,7 @@ def primal_dual_from_fix(
         i = int(moving[0])
         raise ValueError(f"point {i} is not fixed: step norm {steps[i]:.3e} exceeds {tol:.1e}")
     z = A.resolvent(y)
-    described = fix_points.description or "fixed points"
-    return SolutionSets(
-        fix_t=fix_points,
-        primal=SetSample(z, f"J_A[{described}]"),
-        dual=SetSample(y - z, f"(Id-J_A)[{described}]"),
-    )
+    return SolutionSets(fix_t=fix_points, primal=SetSample(z), dual=SetSample(y - z))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +171,6 @@ class SweetPrincipleReport:
     fejer: FejerResult
     pairing_max: float
     cauchy: float
-    window_start: int
     verdict: bool
 
 
@@ -186,7 +179,6 @@ def sweet_principle_check(
     u_seq,
     E: SetSample,
     tol: float,
-    fejer_slack: float = 1e-10,
     cauchy: Optional[float] = None,
 ) -> SweetPrincipleReport:
     """Check the three hypotheses/conclusions of the coupled Fejer principle.
@@ -202,7 +194,7 @@ def sweet_principle_check(
         raise ValueError(f"sequence shapes differ: {x.shape} vs {u.shape}")
     if x.shape[0] < 2:
         raise ValueError("need at least two entries per sequence")
-    fejer = fejer_check(x, E, slack=fejer_slack)
+    fejer = fejer_check(x, E, slack=1e-10)
     window = trailing_quarter(x.shape[0])
     e = E.points
     u_win = u[window]
@@ -216,7 +208,6 @@ def sweet_principle_check(
         fejer=fejer,
         pairing_max=pairing_max,
         cauchy=cauchy,
-        window_start=window.start,
         verdict=verdict,
     )
 
@@ -233,7 +224,6 @@ class SummabilityReport:
     pairing_b_last: float
     pairing_a_min: float
     pairing_b_min: float
-    n_terms: int
     pairings_nonnegative: bool
     final_terms_small: bool
 
@@ -275,7 +265,6 @@ def summability_report(
         pairing_b_last=float(pb[-1]),
         pairing_a_min=float(pa.min()),
         pairing_b_min=float(pb.min()),
-        n_terms=n,
         pairings_nonnegative=bool(pa.min() >= -nonneg_tol and pb.min() >= -nonneg_tol),
         final_terms_small=bool(
             step_diff[-1] <= term_tol and pa[-1] <= term_tol and pb[-1] <= term_tol
@@ -283,12 +272,10 @@ def summability_report(
     )
 
 
-def decoupled_1d_fejer_check(
-    problem: DRProblem, z, k, trace: DRTrace, slack: float = 1e-12
-) -> bool:
+def decoupled_1d_fejer_check(problem: DRProblem, z, k, trace: DRTrace) -> bool:
     """On the line, shadows and dual shadows are separately Fejer monotone.
 
-    Checks |shadow[n+1] - z| <= |shadow[n] - z| + slack and the analogous
+    Checks |shadow[n+1] - z| <= |shadow[n] - z| + 1e-12 and the analogous
     inequality of the dual shadows against k. Only valid in dimension 1; in
     the plane the coupled check is the best possible (see the quarter-turn
     counterexample).
@@ -297,6 +284,6 @@ def decoupled_1d_fejer_check(
         raise DimensionMismatchError("decoupled Fejer monotonicity is a 1-d statement")
     zv = as_point(z, 1)
     kv = as_point(k, 1)
-    shadow_ok = fejer_check(trace.shadow, SetSample([zv]), slack=slack).passed
-    dual_ok = fejer_check(trace.dual_shadow, SetSample([kv]), slack=slack).passed
+    shadow_ok = fejer_check(trace.shadow, SetSample([zv]), slack=1e-12).passed
+    dual_ok = fejer_check(trace.dual_shadow, SetSample([kv]), slack=1e-12).passed
     return bool(shadow_ok and dual_ok)

@@ -245,11 +245,6 @@ def project(S: ConvexSet, x) -> np.ndarray:
     return S.project(xv)
 
 
-def line(offset, direction) -> AffineSubspace:
-    """One-dimensional affine subspace through ``offset`` along ``direction``."""
-    return AffineSubspace.from_span(offset, [direction])
-
-
 def is_affine(S: ConvexSet) -> bool:
     """Affine-subspace predicate (singletons count as 0-dimensional affine sets)."""
     return isinstance(S, (AffineSubspace, Singleton))

@@ -52,7 +52,7 @@ def test_three_point_random_triples(rng):
         )
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + float(z @ z))
         rep = three_point_residuals(a, b, z)
-        assert rep.context["raw"]["three_point_3"] <= 1e-10 * (1.0 + float(z @ z))
+        assert rep.raw["three_point_3"] <= 1e-10 * (1.0 + float(z @ z))
         assert rep.max_equality_residual() <= 1e-12
 
 
@@ -244,7 +244,7 @@ def test_skew_rejects_wrong_family():
 
 def test_affine_gap_inside_intersection():
     rep = affine_gap_residuals(X_AXIS, DIAGONAL, [0.0, 0.0])
-    raw = rep.context["raw"]
+    raw = rep.raw
     assert raw["gap_identity"] == 0.0
     assert rep.max_equality_residual() <= 1e-15
 
@@ -258,7 +258,7 @@ def test_affine_gap_hand_computed_point():
     tx = dr_apply(normal_cone(X_AXIS), normal_cone(DIAGONAL), [0.0, 1.0])
     assert np.allclose(tx, [-0.5, 0.5], atol=0)
     rep = affine_gap_residuals(X_AXIS, DIAGONAL, [0.0, 1.0])
-    assert rep.context["raw"]["gap_identity"] <= 1e-12
+    assert rep.raw["gap_identity"] <= 1e-12
     assert rep.max_equality_residual() <= 1e-12
 
 
@@ -268,7 +268,7 @@ def test_affine_gap_random_pairs_r5():
         U, V, _ = random_affine_pair(5, rng)
         x = 3 * rng.standard_normal(5)
         rep = affine_gap_residuals(U, V, x)
-        assert rep.context["raw"]["gap_identity"] <= 1e-10
+        assert rep.raw["gap_identity"] <= 1e-10
         assert rep.max_equality_residual() <= 1e-10
 
 

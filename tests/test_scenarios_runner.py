@@ -17,7 +17,8 @@ from drsplit import (
     run,
 )
 from drsplit.cli import main as cli_main
-from drsplit.runner import PairEntry
+from drsplit.runner import REL_TOL, SLACK_TOL, PairEntry
+from drsplit.scenarios import _perturbed_start
 from drsplit.space import NonnegativeOrthant
 
 REQUIRED = {
@@ -170,17 +171,35 @@ def test_identity_sweep_deterministic():
     assert a.passed
 
 
-def test_identity_sweep_fault_injection():
+def _corrupted_sweep():
     # negating a resolvent must flip the monotone slack and fail the sweep
     good = normal_cone(NonnegativeOrthant(2))
     corrupted = MonotoneOperator(
         resolvent_map=lambda x: -good.resolvent_map(x), dim=2, label="negated"
     )
-    sweep = check_identities(
-        seed=7, samples=50, pairs=[PairEntry("corrupted", corrupted, rotator(), 2)]
-    )
-    assert not sweep.passed
-    assert sweep.exit_code == 1
+    return check_identities(seed=7, samples=50, pairs=[PairEntry("corrupted", corrupted, rotator())])
+
+
+def test_identity_sweep_fault_injection():
+    assert not _corrupted_sweep().passed
+
+
+def test_cli_check_identities_exits_one_when_the_sweep_fails(monkeypatch, capsys):
+    sweep = _corrupted_sweep()
+    monkeypatch.setattr("drsplit.cli.check_identities", lambda **kwargs: sweep)
+    assert cli_main(["--check-identities"]) == 1
+    out = capsys.readouterr().out
+    assert out.rstrip().endswith("FAIL") and "FAIL resolvent_energy_slack" in out
+
+
+def test_identity_sweep_tolerances_are_criterion_2_thresholds():
+    assert REL_TOL == 1e-9
+    assert SLACK_TOL == 1e-10
+
+
+def test_pair_entry_dim_is_the_operators_dim():
+    for entry in operator_pair_library():
+        assert entry.dim == entry.A.dim == entry.B.dim, entry.label
 
 
 def test_cli_list_exits_zero(capsys):
@@ -255,6 +274,17 @@ def test_summability_fails_when_the_second_start_equals_the_first():
     check = summary.checks["summability"]
     assert check.verdict is False
     assert np.isnan(check.worst_value)
+
+
+def test_perturbed_start_that_rounds_away_is_dropped():
+    x0 = np.array([1e200, -1e200])
+    assert _perturbed_start(x0, np.random.default_rng(0)) is None
+    moved = _perturbed_start(np.array([1.0, -1.0]), np.random.default_rng(0))
+    assert moved is not None and not np.array_equal(moved, [1.0, -1.0])
+    # the fixed-point sample keeps only the orbit from x0 itself, instead of
+    # three copies of one row
+    fix_t = build_scenario("random-affine", dim=2, x0=tuple(x0)).solutions.fix_t
+    assert len(fix_t) == 1
 
 
 def test_cli_x0_override(tmp_path):

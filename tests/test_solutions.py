@@ -46,7 +46,7 @@ def test_find_fixed_point_inconsistent_raises_with_estimate():
 
 def test_primal_dual_from_fix_rotator_ray():
     inst = build_scenario("rotator-cone")
-    fixes = SetSample([t * np.array([1.0, -1.0]) for t in (0.25, 1.0, 3.0)], "ray")
+    fixes = SetSample([t * np.array([1.0, -1.0]) for t in (0.25, 1.0, 3.0)])
     sets = primal_dual_from_fix(inst.problem.A, inst.problem.B, fixes)
     for t, zp, kp in zip((0.25, 1.0, 3.0), sets.primal.points, sets.dual.points):
         assert np.allclose(zp, [t, 0.0], atol=0)
@@ -57,9 +57,7 @@ def test_primal_dual_from_fix_rotator_ray():
 
 def test_primal_dual_from_fix_common_point_gives_zero_dual():
     inst = build_scenario("affine-consistent")
-    sets = primal_dual_from_fix(
-        inst.problem.A, inst.problem.B, SetSample([np.zeros(2)], "intersection")
-    )
+    sets = primal_dual_from_fix(inst.problem.A, inst.problem.B, SetSample([np.zeros(2)]))
     assert np.allclose(sets.primal.points[0], 0.0, atol=0)
     assert np.allclose(sets.dual.points[0], 0.0, atol=0)
 
@@ -67,7 +65,7 @@ def test_primal_dual_from_fix_common_point_gives_zero_dual():
 def test_primal_dual_from_fix_1d_intervals():
     A = normal_cone(Box([0.0], [2.0]))
     B = normal_cone(Box([1.0], [3.0]))
-    sets = primal_dual_from_fix(A, B, SetSample([np.array([1.5])], "interior"))
+    sets = primal_dual_from_fix(A, B, SetSample([np.array([1.5])]))
     assert sets.primal.points[0][0] == 1.5 and sets.dual.points[0][0] == 0.0
     assert sets.pairs.points.tolist() == [[1.5, 0.0]]
 
@@ -75,9 +73,7 @@ def test_primal_dual_from_fix_1d_intervals():
 def test_primal_dual_from_fix_rejects_moving_point():
     inst = build_scenario("parallel-lines")
     with pytest.raises(ValueError, match="step norm"):
-        primal_dual_from_fix(
-            inst.problem.A, inst.problem.B, SetSample([np.array([0.0, 0.0])], "not fixed")
-        )
+        primal_dual_from_fix(inst.problem.A, inst.problem.B, SetSample([np.array([0.0, 0.0])]))
 
 
 def test_primal_dual_from_fix_names_the_first_moving_row():
@@ -87,9 +83,9 @@ def test_primal_dual_from_fix_names_the_first_moving_row():
         primal_dual_from_fix(inst.problem.A, inst.problem.B, fixes)
 
 
-def _reference_fix_points(inst, seed):
+def _reference_fix_points(name, inst, seed):
     """The fixed points each scenario samples, drawn as the scenarios do."""
-    if inst.name == "rotator-cone":
+    if name == "rotator-cone":
         return [t * np.array([1.0, -1.0]) for t in (0.0, 0.5, 1.0, 2.0)]
     problem = inst.problem
     rng = np.random.default_rng(seed + 104729)
@@ -129,7 +125,7 @@ def test_primal_dual_from_fix_rows_match_per_point_loop(name, dim, seed):
     inst = build_scenario(name, dim=dim, seed=seed)
     A, B = inst.problem.A, inst.problem.B
     sets = inst.solutions
-    fix_rows = _reference_fix_points(inst, seed)
+    fix_rows = _reference_fix_points(name, inst, seed)
     primal, dual = _reference_primal_dual(A, B, fix_rows, tol=1e-9)
     assert len(sets.fix_t) == len(sets.primal) == len(sets.dual) == len(sets.pairs) == len(fix_rows)
     for i, (y, z, k) in enumerate(zip(fix_rows, primal, dual)):
@@ -157,7 +153,7 @@ def test_set_sample_rejects_non_stack_and_nan(points):
 
 
 def test_set_sample_stacks_rows():
-    sample = SetSample([np.zeros(2), [1.0, 2.0]], "two points")
+    sample = SetSample([np.zeros(2), [1.0, 2.0]])
     assert sample.points.shape == (2, 2) and sample.points.dtype == np.float64
     assert len(sample) == 2
 
@@ -208,7 +204,7 @@ def test_sweet_principle_parallel_lines_shifted():
     inst = build_scenario("parallel-lines")
     tr = iterate(inst.problem, max_iters=64, step_tol=0.0)
     shifted = shifted_governing(tr, inst.v)
-    E = SetSample([np.array([tr.problem.x0[0], 1.0])], "shadow target")
+    E = SetSample([np.array([tr.problem.x0[0], 1.0])])
     rep = sweet_principle_check(shifted, tr.shadow, E, tol=1e-9)
     assert rep.verdict
 

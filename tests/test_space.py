@@ -8,7 +8,6 @@ from drsplit import (
     NonnegativeOrthant,
     RankDeficiencyError,
     Singleton,
-    line,
     orthonormalize,
     project,
 )
@@ -20,7 +19,7 @@ def test_project_orthant_clamps():
 
 
 def test_project_horizontal_line():
-    S = line([0.0, 1.0], [1.0, 0.0])  # the line y = 1
+    S = AffineSubspace.from_span([0.0, 1.0], [[1.0, 0.0]])  # the line y = 1
     assert np.allclose(project(S, [3.0, 5.0]), [3.0, 1.0], atol=0)
 
 
@@ -73,7 +72,7 @@ def test_projection_monotone_pairing(rng):
 
 def test_affine_projection_beats_grid():
     # brute-force optimality oracle: no point of a dense grid in S is closer
-    S = line([0.0, 1.0, -1.0], [2.0, 1.0, 0.0])
+    S = AffineSubspace.from_span([0.0, 1.0, -1.0], [[2.0, 1.0, 0.0]])
     x = np.array([0.7, -1.3, 2.1])
     p = project(S, x)
     best = np.inf
