@@ -166,9 +166,10 @@ def write_trace_csv(trace: DRTrace, path: str) -> None:
             trace.steps,
         ]
     )
+    # one format per row; "%.17g" % c equals format_float(c) for every float
+    row_format = "%d," + ",".join(["%.17g"] * table.shape[1])
     lines = [",".join(header)]
-    for n, row in enumerate(table.tolist()):
-        lines.append(",".join([str(n)] + [format_float(c) for c in row]))
+    lines.extend(row_format % (n, *row) for n, row in enumerate(table.tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -132,24 +132,15 @@ def _perturbed_start(x0: np.ndarray, rng: np.random.Generator) -> Optional[np.nd
     return None if np.array_equal(start, x0) else start
 
 
-def _summability_check(seed: int) -> CheckFn:
-    """The telescoping series along the trace and a second seeded start."""
-
-    def check(trace: DRTrace) -> CheckResult:
-        alt_start = _perturbed_start(trace.problem.x0, np.random.default_rng(seed + 7919))
-        if alt_start is None:
-            # two equal orbits would make every series vanish and certify nothing
-            return CheckResult(False, float("nan"))
-        alt = iterate(
-            DRProblem(trace.problem.A, trace.problem.B, alt_start),
-            max_iters=len(trace),
-            step_tol=0.0,
-        )
-        rep = summability_report(trace, alt, term_tol=1e-8, nonneg_tol=1e-10)
-        worst = min(rep.pairing_a_min, rep.pairing_b_min)
-        return CheckResult(rep.pairings_nonnegative and rep.final_terms_small, worst)
-
-    return check
+def _summability_check(trace: DRTrace) -> CheckResult:
+    """The telescoping series along the trace and its companion orbit."""
+    if trace.companion is None:
+        # without a second start (or with one that rounded back to x0, so two
+        # equal orbits would make every series vanish) nothing is certified
+        return CheckResult(False, float("nan"))
+    rep = summability_report(trace, trace.companion, term_tol=1e-8, nonneg_tol=1e-10)
+    worst = min(rep.pairing_a_min, rep.pairing_b_min)
+    return CheckResult(rep.pairings_nonnegative and rep.final_terms_small, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +340,7 @@ def _build_disjoint_balls(dim=None, x0=None, seed=0) -> ScenarioInstance:
     )
 
 
-def _consistent_checks(seed: int, sets: SolutionSets) -> list[tuple[str, CheckFn]]:
+def _consistent_checks(sets: SolutionSets) -> list[tuple[str, CheckFn]]:
     def check_converged(trace):
         final = float(trace.step_norms[-1])
         return CheckResult(final <= 1e-10, final)
@@ -370,7 +361,7 @@ def _consistent_checks(seed: int, sets: SolutionSets) -> list[tuple[str, CheckFn
         ("shadow_trailing_diameter", _shadow_diameter_check),
         ("pair_fejer_wrt_solution_pairs", _pair_fejer_check(sets)),
         ("sequential_principle_evidence", check_sweet),
-        ("summability", _summability_check(seed)),
+        ("summability", _summability_check),
     ]
 
 
@@ -382,11 +373,15 @@ def _finish_consistent_instance(
     z: Optional[np.ndarray] = None,
     k: Optional[np.ndarray] = None,
 ) -> ScenarioInstance:
-    """Attach solution samples (computed from converged runs) and checkers.
+    """Attach a companion start, solution samples (computed from converged
+    runs) and checkers.
 
-    The fixed points come from the start and two perturbed starts; a
-    perturbation that rounds away adds no row.
+    The companion is a seeded perturbation of the start (none if it rounds
+    away). The fixed points come from the start and two more perturbed
+    starts; a perturbation that rounds away adds no row.
     """
+    companion = _perturbed_start(problem.x0, np.random.default_rng(seed + 7919))
+    problem = DRProblem(problem.A, problem.B, problem.x0, companion)
     rng = np.random.default_rng(seed + 104729)
     starts = [problem.x0] + [_perturbed_start(problem.x0, rng) for _ in range(2)]
     fix_sample = SetSample(
@@ -401,7 +396,7 @@ def _finish_consistent_instance(
         problem=problem,
         default_iters=iters,
         default_step_tol=0.0,
-        checks=_consistent_checks(seed, sets) + (extra_checks or []),
+        checks=_consistent_checks(sets) + (extra_checks or []),
         seed=seed,
         v=np.zeros(problem.dim),
         z=z,

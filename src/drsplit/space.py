@@ -50,19 +50,34 @@ def row_norms(x: np.ndarray):
     return np.sqrt(np.vecdot(x, x))
 
 
+# rows of the squared-distance matrix formed at a time: keeps the temporaries
+# of a 2,500-point window at 256 x 2,500 instead of 2,500 x 2,500
+DIAMETER_BLOCK = 256
+
+
 def diameter(points: np.ndarray) -> float:
     """Max pairwise distance via the centered Gram matrix (one matmul).
 
-    NaN when the Gram entries overflow: such a set has no measured diameter.
+    Exactly 0.0 when every row equals the first; NaN when the Gram entries
+    overflow: such a set has no measured diameter.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape[0] < 2:
         return 0.0
+    # the rounded squares and Gram entries of equal rows need not cancel
+    if np.all(np.isfinite(pts[0])) and np.all(pts == pts[0]):
+        return 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         centered = pts - pts.mean(axis=0)  # centering keeps the squares cancellation-free
         sq = np.einsum("nd,nd->n", centered, centered)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (centered @ centered.T)
-    top = float(d2.max())
+        gram = centered @ centered.T
+        gram *= 2.0
+        # (sq_i + sq_j) - 2 g_ij, the same expression row block by row block
+        block_tops = [
+            np.max((sq[i : i + DIAMETER_BLOCK, None] + sq[None, :]) - gram[i : i + DIAMETER_BLOCK])
+            for i in range(0, len(sq), DIAMETER_BLOCK)
+        ]
+    top = float(np.max(block_tops))  # np.max keeps a NaN, where max() need not
     if not np.isfinite(top):
         return float("nan")
     return float(np.sqrt(max(0.0, top)))
@@ -255,5 +270,5 @@ def is_linear_subspace(S: ConvexSet) -> bool:
     if isinstance(S, AffineSubspace):
         return S.is_linear
     if isinstance(S, Singleton):
-        return float(np.linalg.norm(S.point)) == 0.0
+        return not np.any(S.point)  # no squares: they overflow or underflow
     return False

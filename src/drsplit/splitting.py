@@ -16,6 +16,7 @@ zeros.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -23,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteIterateError
+from .errors import ConfigError, DimensionMismatchError, NonFiniteIterateError
 from .operators import MonotoneOperator, inner_shift, outer_shift
 from .space import as_point, as_points, diameter, row_norms
 
@@ -38,17 +39,27 @@ class StopReason(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class DRProblem:
+    """The pair (A, B) and a start x0; ``companion``, if given, is a second
+    start whose orbit ``iterate`` runs alongside the first (the two-orbit
+    results compare T^n x0 with T^n companion)."""
+
     A: MonotoneOperator
     B: MonotoneOperator
     x0: np.ndarray
+    companion: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        x0 = as_point(self.x0)
-        if not (self.A.dim == self.B.dim == x0.shape[0]):
-            raise DimensionMismatchError(
-                f"operator/start dimensions differ: {self.A.dim}, {self.B.dim}, {x0.shape[0]}"
-            )
-        object.__setattr__(self, "x0", x0)
+        starts = [as_point(self.x0)]
+        if self.companion is not None:
+            starts.append(as_point(self.companion))
+        for start in starts:
+            if not (self.A.dim == self.B.dim == start.shape[0]):
+                raise DimensionMismatchError(
+                    f"operator/start dimensions differ: {self.A.dim}, {self.B.dim}, {start.shape[0]}"
+                )
+        object.__setattr__(self, "x0", starts[0])
+        if self.companion is not None:
+            object.__setattr__(self, "companion", starts[1])
 
     @property
     def dim(self) -> int:
@@ -63,7 +74,9 @@ class DRTrace:
     sequences are derived from them with the loop's own expressions, so every
     row is bitwise what the loop computed. ``stationary_at`` is the first n
     with T^(n+1) x bitwise equal to T^n x (``None`` if there is none): every
-    row from n on is then the same.
+    row from n on is then the same. ``companion`` is the trace of the
+    problem's companion start, as many records long, bitwise equal to
+    ``iterate(DRProblem(A, B, companion), len(trace), step_tol=0.0)``.
     """
 
     problem: DRProblem
@@ -72,6 +85,7 @@ class DRTrace:
     b_shadow: np.ndarray
     stop_reason: StopReason
     stationary_at: Optional[int]
+    companion: Optional["DRTrace"] = None
 
     def __len__(self) -> int:
         return self.governing.shape[0]
@@ -132,6 +146,18 @@ def dr_apply(A: MonotoneOperator, B: MonotoneOperator, x) -> np.ndarray:
     return xv - ja + B._checked_map(2.0 * ja - xv)
 
 
+def _physical_memory_bytes() -> Optional[int]:
+    """Physical memory of the host, or ``None`` where ``os.sysconf`` cannot tell."""
+    try:
+        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return page * pages if page > 0 and pages > 0 else None
+
+
+_MAX_FLOAT = float(np.finfo(float).max)
+
+
 def iterate(
     problem: DRProblem,
     max_iters: int = DEFAULT_MAX_ITERS,
@@ -144,27 +170,47 @@ def iterate(
     the same (resolvents are deterministic), so the rest of the trace is filled
     without iterating and ``stationary_at`` is set to n. Divergence is not an
     error; non-finite coordinates are, and so are resolvent images of the wrong
-    shape and a ``max_iters`` whose trace arrays cannot be allocated. The
-    trace's ``v_estimate`` is the last step vector: step norms are
-    nonincreasing (T is firmly nonexpansive), so it is the best estimate of the
-    minimal displacement vector the run offers.
+    shape and a ``max_iters`` whose trace arrays exceed physical memory
+    (``ConfigError``) or cannot be allocated. The trace's ``v_estimate`` is the
+    last step vector: step norms are nonincreasing (T is firmly nonexpansive),
+    so it is the best estimate of the minimal displacement vector the run
+    offers.
+
+    A companion start is iterated in the same loop, both orbits as the rows
+    of one (2, d) state (each row of a stacked resolvent call is bitwise its
+    solo image), until one of them turns stationary and leaves the state. The
+    lead orbit alone decides when the run stops; the companion is recorded
+    as if run alone with ``step_tol=0`` for as many records.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if not step_tol >= 0:  # also rejects NaN
         raise ValueError(f"step_tol must be >= 0, got {step_tol}")
-    A, B = problem.A, problem.B
-    unchecked_maps = (A.resolvent_map, B.resolvent_map)
+    A, B, d = problem.A, problem.B, problem.dim
+    starts = [problem.x0] if problem.companion is None else [problem.x0, problem.companion]
+    orbits = len(starts)
+    needed, budget = 3 * orbits * max_iters * d * 8, _physical_memory_bytes()
+    if budget is not None and needed > budget:
+        raise ConfigError(
+            f"a trace of max_iters={max_iters} records in dimension {d} needs "
+            f"{needed} B ({orbits} orbit(s)), more than the {budget} B of physical memory"
+        )
     try:
-        governing, shadow, b_shadow = (np.empty((max_iters, problem.dim)) for _ in range(3))
+        governing, shadow, b_shadow = (np.empty((orbits, max_iters, d)) for _ in range(3))
     except (MemoryError, ValueError) as exc:
         raise ValueError(
-            f"a trace of max_iters={max_iters} records in dimension {problem.dim} "
+            f"a trace of max_iters={max_iters} records in dimension {d} "
             "does not fit in memory"
         ) from exc
-    x = problem.x0.copy()
+    length = max_iters
     stop = StopReason.MAX_ITERS
-    stationary_at = None
+    stationary_at: list[Optional[int]] = [None] * orbits
+    live = list(range(orbits))  # the orbits in the state, in row order; 0 leads
+    paired = orbits == 2
+    at = slice(None) if paired else 0  # where the state's rows are recorded
+    x = np.stack(starts) if paired else starts[0].copy()
+    floor = step_tol  # a lone orbit's finite step norm above it needs no bookkeeping
+    unchecked_maps = (A.resolvent_map, B.resolvent_map)
     # the images at n = 0 go through the shape check; later ones are trusted
     ja_map, jb_map = A._checked_map, B._checked_map
     with np.errstate(over="ignore", invalid="ignore"):
@@ -172,24 +218,64 @@ def iterate(
             ja = ja_map(x)
             jb = jb_map(2.0 * ja - x)
             x_next = x - ja + jb
-            if not np.all(np.isfinite(x_next)):
-                raise NonFiniteIterateError(n)
-            governing[n], shadow[n], b_shadow[n] = x, ja, jb
-            step_norm = row_norms(x - x_next)
-            if step_norm < step_tol:
-                stop = StopReason.STEP_CONVERGED
-                governing, shadow, b_shadow = (
-                    a[: n + 1].copy() for a in (governing, shadow, b_shadow)
-                )
-                break
-            # bytes, not ==: a -0.0 that turns into 0.0 can change later rows
-            if step_norm == 0.0 and x_next.tobytes() == x.tobytes():
-                governing[n + 1 :], shadow[n + 1 :], b_shadow[n + 1 :] = x, ja, jb
-                stationary_at = n
-                break
-            x = x_next
+            governing[at, n], shadow[at, n], b_shadow[at, n] = x, ja, jb
+            norms = row_norms(x - x_next)
             ja_map, jb_map = unchecked_maps
-    return DRTrace(problem, governing, shadow, b_shadow, stop, stationary_at)
+            if paired:
+                lead_norm, comp_norm = norms
+                if step_tol < lead_norm <= _MAX_FLOAT and 0.0 < comp_norm <= _MAX_FLOAT:
+                    x = x_next
+                    continue
+                norms = (lead_norm, comp_norm)
+            elif floor < norms <= _MAX_FLOAT:
+                x = x_next
+                continue
+            else:
+                norms = (norms,)
+            # x is finite, so x_next can only be non-finite when a step norm is
+            if not all(norm <= _MAX_FLOAT for norm in norms) and not np.all(np.isfinite(x_next)):
+                raise NonFiniteIterateError(n)
+            converged = live[0] == 0 and norms[0] < step_tol
+            if converged:  # the lead stops every orbit
+                stop, length = StopReason.STEP_CONVERGED, n + 1
+            going_on = []  # (orbit, state row) of the orbits that are not stationary
+            for p, orbit in enumerate(live):
+                xi, xi_next = (x[p], x_next[p]) if paired else (x, x_next)
+                # bytes, not ==: a -0.0 that turns into 0.0 can change later rows
+                if (
+                    norms[p] == 0.0
+                    and not (orbit == 0 and converged)
+                    and xi_next.tobytes() == xi.tobytes()
+                ):
+                    rest = slice(n + 1, length)
+                    governing[orbit, rest] = xi
+                    shadow[orbit, rest], b_shadow[orbit, rest] = (ja[p], jb[p]) if paired else (ja, jb)
+                    stationary_at[orbit] = n
+                else:
+                    going_on.append((orbit, xi_next))
+            if converged or not going_on:
+                break
+            if len(going_on) < len(live):  # one orbit of two left: go on with the other alone
+                [(orbit, xi_next)] = going_on
+                live, paired, at, x = [orbit], False, orbit, xi_next.copy()
+                floor = step_tol if orbit == 0 else 0.0
+            else:
+                x = x_next
+
+    def orbit_arrays(orbit: int) -> list[np.ndarray]:
+        # each orbit's rows are one contiguous block of the buffers
+        arrays = [a[orbit] for a in (governing, shadow, b_shadow)]
+        return arrays if length == max_iters else [a[:length].copy() for a in arrays]
+
+    companion = None
+    if orbits == 2:
+        companion = DRTrace(
+            DRProblem(A, B, problem.companion),
+            *orbit_arrays(1),
+            StopReason.MAX_ITERS,
+            stationary_at[1],
+        )
+    return DRTrace(problem, *orbit_arrays(0), stop, stationary_at[0], companion)
 
 
 def normal_problem(

@@ -8,9 +8,11 @@ from drsplit import (
     NonnegativeOrthant,
     RankDeficiencyError,
     Singleton,
+    normal_cone,
     orthonormalize,
     project,
 )
+from drsplit.space import is_linear_subspace
 
 
 def test_project_orthant_clamps():
@@ -136,3 +138,19 @@ def test_orthogonal_complement_basis_is_orthonormal_complement(k, d, rng):
     assert C.shape == (d - k, d)
     assert np.allclose(C @ C.T, np.eye(d - k), atol=1e-12)
     assert np.allclose(U.basis @ C.T, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "point, linear",
+    [
+        ([0.0], True),
+        ([-0.0, 0.0], True),
+        ([1e-200], False),  # its squared norm underflows to 0
+        ([5e-324, 0.0], False),
+        ([1e200], False),  # its squared norm overflows, which is an error under -W error
+        ([-1.7e308, 1.7e308], False),
+    ],
+)
+def test_singleton_is_linear_exactly_when_it_is_the_origin(point, linear):
+    assert is_linear_subspace(Singleton(point)) is linear
+    assert normal_cone(Singleton(point)).is_linear_relation is linear

@@ -175,6 +175,23 @@ def test_gram_diameter_of_identical_rows_is_exactly_zero(row, n):
         assert got == 0.0 or np.isnan(got)
 
 
+def test_gram_diameter_of_identical_rows_regression():
+    # every rounded Gram entry of this row is ...002p+61 while its rounded
+    # square is ...003p+61: the Gram matrix alone read 32.0
+    row = np.zeros(40)
+    row[0], row[37], row[39] = 1.0020231605415087e23, 328189889408340.0, 2293418063315761.0
+    assert np.float64(diameter(np.tile(row, (1411, 1)))).tobytes() == np.float64(0.0).tobytes()
+    # rows equal up to the sign of a zero are one point
+    assert diameter(np.array([[0.0, 1.0], [-0.0, 1.0]])) == 0.0
+
+
+def test_percent_format_equals_format_float():
+    # write_trace_csv formats a whole row with "%.17g"; _reference_csv uses format_float
+    values = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308, 1.0 / 3.0, 1e300]
+    for x in values:
+        assert "%.17g" % x == format_float(x)
+
+
 @pytest.mark.parametrize(
     "name, kwargs, gram_calls",
     [
@@ -224,9 +241,11 @@ def test_step_norms_equal_per_row_norm_bitwise(dim, seed):
     assert tr.step_norms.tobytes() == per_row.tobytes()
 
 
-def test_trace_too_large_for_memory_is_a_value_error(capsys):
+def test_trace_too_large_for_memory_is_a_value_error(capsys, monkeypatch):
     # 10**15 rows is beyond any user address space: the allocation is refused
-    # without touching memory; numpy rejects 10**19 rows by shape alone
+    # without touching memory; numpy rejects 10**19 rows by shape alone. With
+    # the physical-memory budget unknown, that allocation is the only guard.
+    monkeypatch.setattr(drsplit.splitting, "_physical_memory_bytes", lambda: None)
     inst = build_scenario("points-1d")
     with pytest.raises(ValueError, match=r"max_iters=1000000000000000 .*dimension 1"):
         iterate(inst.problem, max_iters=10**15)
