@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, NonFiniteIterateError
+from .errors import DimensionMismatchError, NonFiniteIterateError
 from .operators import MonotoneOperator, inner_shift, outer_shift
 from .space import as_point, as_points, diameter, row_norms
 
@@ -170,17 +170,18 @@ def iterate(
     the same (resolvents are deterministic), so the rest of the trace is filled
     without iterating and ``stationary_at`` is set to n. Divergence is not an
     error; non-finite coordinates are, and so are resolvent images of the wrong
-    shape and a ``max_iters`` whose trace arrays exceed physical memory
-    (``ConfigError``) or cannot be allocated. The trace's ``v_estimate`` is the
-    last step vector: step norms are nonincreasing (T is firmly nonexpansive),
-    so it is the best estimate of the minimal displacement vector the run
-    offers.
+    shape and a ``max_iters`` whose trace arrays exceed the host's physical
+    memory or cannot be allocated (``ValueError``). The trace's ``v_estimate``
+    is the last step vector: step norms are nonincreasing (T is firmly
+    nonexpansive), so it is the best estimate of the minimal displacement
+    vector the run offers.
 
     A companion start is iterated in the same loop, both orbits as the rows
     of one (2, d) state (each row of a stacked resolvent call is bitwise its
-    solo image), until one of them turns stationary and leaves the state. The
-    lead orbit alone decides when the run stops; the companion is recorded
-    as if run alone with ``step_tol=0`` for as many records.
+    solo image). An orbit that turns stationary leaves the state, and the
+    other goes on alone as a (d,) point. The lead orbit alone decides when
+    the run stops; the companion is recorded as if run alone with
+    ``step_tol=0`` for as many records.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -189,13 +190,10 @@ def iterate(
     A, B, d = problem.A, problem.B, problem.dim
     starts = [problem.x0] if problem.companion is None else [problem.x0, problem.companion]
     orbits = len(starts)
-    needed, budget = 3 * orbits * max_iters * d * 8, _physical_memory_bytes()
-    if budget is not None and needed > budget:
-        raise ConfigError(
-            f"a trace of max_iters={max_iters} records in dimension {d} needs "
-            f"{needed} B ({orbits} orbit(s)), more than the {budget} B of physical memory"
-        )
     try:
+        budget = _physical_memory_bytes()
+        if budget is not None and 3 * orbits * max_iters * d * 8 > budget:
+            raise MemoryError  # numpy would reserve it, and the writes would fail
         governing, shadow, b_shadow = (np.empty((orbits, max_iters, d)) for _ in range(3))
     except (MemoryError, ValueError) as exc:
         raise ValueError(
@@ -205,11 +203,12 @@ def iterate(
     length = max_iters
     stop = StopReason.MAX_ITERS
     stationary_at: list[Optional[int]] = [None] * orbits
-    live = list(range(orbits))  # the orbits in the state, in row order; 0 leads
-    paired = orbits == 2
-    at = slice(None) if paired else 0  # where the state's rows are recorded
-    x = np.stack(starts) if paired else starts[0].copy()
-    floor = step_tol  # a lone orbit's finite step norm above it needs no bookkeeping
+    # ``live`` indexes the orbits in the state on the buffers' orbit axis: a
+    # slice while several run as the rows of one (k, d) state, the orbit's
+    # number once one runs alone as a (d,) point, so that it takes the
+    # resolvents' one-point paths, which are faster than their stacked ones
+    live = 0 if orbits == 1 else slice(0, orbits)
+    x = np.stack(starts)[live]
     unchecked_maps = (A.resolvent_map, B.resolvent_map)
     # the images at n = 0 go through the shape check; later ones are trusted
     ja_map, jb_map = A._checked_map, B._checked_map
@@ -218,49 +217,42 @@ def iterate(
             ja = ja_map(x)
             jb = jb_map(2.0 * ja - x)
             x_next = x - ja + jb
-            governing[at, n], shadow[at, n], b_shadow[at, n] = x, ja, jb
-            norms = row_norms(x - x_next)
+            governing[live, n], shadow[live, n], b_shadow[live, n] = x, ja, jb
+            norms = row_norms(x - x_next).reshape(-1).tolist()  # one per orbit, in row order
             ja_map, jb_map = unchecked_maps
-            if paired:
-                lead_norm, comp_norm = norms
-                if step_tol < lead_norm <= _MAX_FLOAT and 0.0 < comp_norm <= _MAX_FLOAT:
-                    x = x_next
-                    continue
-                norms = (lead_norm, comp_norm)
-            elif floor < norms <= _MAX_FLOAT:
+            # row 0 is the lead while it is live; it leaves only when step_tol
+            # is 0, so row 0 can be held to step_tol in every state
+            if step_tol < norms[0] and all(0.0 < norm <= _MAX_FLOAT for norm in norms):
                 x = x_next
                 continue
-            else:
-                norms = (norms,)
             # x is finite, so x_next can only be non-finite when a step norm is
             if not all(norm <= _MAX_FLOAT for norm in norms) and not np.all(np.isfinite(x_next)):
                 raise NonFiniteIterateError(n)
-            converged = live[0] == 0 and norms[0] < step_tol
-            if converged:  # the lead stops every orbit
+            converged = norms[0] < step_tol  # the lead stops every orbit
+            if converged:
                 stop, length = StopReason.STEP_CONVERGED, n + 1
-            going_on = []  # (orbit, state row) of the orbits that are not stationary
-            for p, orbit in enumerate(live):
-                xi, xi_next = (x[p], x_next[p]) if paired else (x, x_next)
+            orbit_ids = np.arange(orbits)[live].reshape(-1).tolist()
+            x_rows, next_rows, ja_rows, jb_rows = (a.reshape(-1, d) for a in (x, x_next, ja, jb))
+            moving = []  # the rows whose orbits are not stationary
+            for p, orbit in enumerate(orbit_ids):
                 # bytes, not ==: a -0.0 that turns into 0.0 can change later rows
                 if (
                     norms[p] == 0.0
-                    and not (orbit == 0 and converged)
-                    and xi_next.tobytes() == xi.tobytes()
+                    and not (p == 0 and converged)
+                    and next_rows[p].tobytes() == x_rows[p].tobytes()
                 ):
                     rest = slice(n + 1, length)
-                    governing[orbit, rest] = xi
-                    shadow[orbit, rest], b_shadow[orbit, rest] = (ja[p], jb[p]) if paired else (ja, jb)
+                    governing[orbit, rest], shadow[orbit, rest] = x_rows[p], ja_rows[p]
+                    b_shadow[orbit, rest] = jb_rows[p]
                     stationary_at[orbit] = n
                 else:
-                    going_on.append((orbit, xi_next))
-            if converged or not going_on:
+                    moving.append(p)
+            if converged or not moving:
                 break
-            if len(going_on) < len(live):  # one orbit of two left: go on with the other alone
-                [(orbit, xi_next)] = going_on
-                live, paired, at, x = [orbit], False, orbit, xi_next.copy()
-                floor = step_tol if orbit == 0 else 0.0
-            else:
-                x = x_next
+            if len(moving) < len(orbit_ids):  # with two orbits, one goes on alone
+                [p] = moving
+                live, x_next = orbit_ids[p], next_rows[p]
+            x = x_next
 
     def orbit_arrays(orbit: int) -> list[np.ndarray]:
         # each orbit's rows are one contiguous block of the buffers

@@ -12,7 +12,6 @@ import pytest
 
 import drsplit.splitting
 from drsplit import (
-    ConfigError,
     DimensionMismatchError,
     DRProblem,
     MonotoneOperator,
@@ -157,21 +156,23 @@ def test_trace_beyond_physical_memory_is_refused(monkeypatch, capsys):
     monkeypatch.setattr(drsplit.splitting, "_physical_memory_bytes", lambda: 3 * 100 * 2 * 8)
     A, B = inst.problem.A, inst.problem.B
     assert len(iterate(DRProblem(A, B, inst.problem.x0), max_iters=100, step_tol=0.0)) == 100
-    with pytest.raises(ConfigError, match=r"max_iters=101 .*dimension 2"):
+    with pytest.raises(ValueError, match=r"max_iters=101 .*dimension 2 does not fit in memory"):
         iterate(DRProblem(A, B, inst.problem.x0), max_iters=101, step_tol=0.0)
     # the companion doubles the figure
     assert len(iterate(inst.problem, max_iters=50, step_tol=0.0)) == 50
-    with pytest.raises(ConfigError, match=r"max_iters=51 .*2 orbit"):
+    with pytest.raises(ValueError, match=r"max_iters=51 .*dimension 2 does not fit in memory"):
         iterate(inst.problem, max_iters=51, step_tol=0.0)
     # 10 MB: the scenario's fixed-point runs (10^5 records, one orbit) fit, a
-    # run of 10^6 records with its companion does not
+    # run of 10^6 records with its companion (96 MB) does not
     monkeypatch.setattr(drsplit.splitting, "_physical_memory_bytes", lambda: 10**7)
     assert cli_main(["--scenario", "random-affine", "--dim", "2", "--iters", str(10**6)]) == 2
-    err = capsys.readouterr().err
-    assert "max_iters=1000000 records in dimension 2 needs 96000000 B (2 orbit(s))" in err
-    # where the budget is unknown nothing is refused before the allocation
+    assert "max_iters=1000000 records in dimension 2 does not fit in memory" in capsys.readouterr().err
+    # where the budget is unknown nothing is refused before the allocation,
+    # and an allocation numpy cannot make is still refused
     monkeypatch.setattr(drsplit.splitting, "_physical_memory_bytes", lambda: None)
     assert len(iterate(inst.problem, max_iters=51, step_tol=0.0)) == 51
+    with pytest.raises(ValueError, match=r"max_iters=1000000000000000 .*does not fit in memory"):
+        iterate(inst.problem, max_iters=10**15)
 
 
 def test_physical_memory_is_unknown_without_sysconf(monkeypatch):

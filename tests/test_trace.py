@@ -241,11 +241,9 @@ def test_step_norms_equal_per_row_norm_bitwise(dim, seed):
     assert tr.step_norms.tobytes() == per_row.tobytes()
 
 
-def test_trace_too_large_for_memory_is_a_value_error(capsys, monkeypatch):
+def test_trace_too_large_for_memory_is_a_value_error(capsys):
     # 10**15 rows is beyond any user address space: the allocation is refused
-    # without touching memory; numpy rejects 10**19 rows by shape alone. With
-    # the physical-memory budget unknown, that allocation is the only guard.
-    monkeypatch.setattr(drsplit.splitting, "_physical_memory_bytes", lambda: None)
+    # without touching memory; numpy rejects 10**19 rows by shape alone
     inst = build_scenario("points-1d")
     with pytest.raises(ValueError, match=r"max_iters=1000000000000000 .*dimension 1"):
         iterate(inst.problem, max_iters=10**15)
