@@ -5,7 +5,8 @@ Exit codes:
   1  a declared check or residual fails
   2  configuration error (unknown scenario, bad values, unwritable paths,
      an operator whose resolvent returns the wrong shape)
-  4  numerical breakdown (the iteration produced non-finite coordinates)
+  4  numerical breakdown (the iteration produced non-finite coordinates, or
+     the fixed-point search of a scenario's reference data stagnated)
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteIterateError
+from .errors import NonFiniteIterateError, PossiblyInconsistentError
 from .runner import REL_TOL, SLACK_TOL, check_identities, make_config, parse_config_file, run
 from .scenarios import list_scenarios
 
@@ -68,6 +69,35 @@ def _print_sweep(sweep) -> None:
     print("PASS" if sweep.passed else "FAIL")
 
 
+def _run_sweep(args) -> int:
+    sweep = check_identities(seed=args.seed if args.seed is not None else 7, samples=args.samples)
+    _print_sweep(sweep)
+    return 0 if sweep.passed else 1
+
+
+def _run_scenario(args) -> int:
+    file_values = parse_config_file(args.config) if args.config else None
+    config = make_config(
+        file_values,
+        scenario=args.scenario,
+        dim=args.dim,
+        x0=args.x0,
+        iters=args.iters,
+        tol=args.tol,
+        seed=args.seed,
+        out_trace=args.out_trace,
+        out_summary=args.out_summary,
+    )
+    summary, _ = run(config)
+    print(f"scenario {summary.scenario}: {summary.iterations} iterations")
+    print(f"  final step norm  {summary.final_step_norm:.6e}")
+    print(f"  v estimate       {np.array2string(summary.v_estimate, precision=9)}")
+    print(f"  shadow limit     {np.array2string(summary.shadow_limit, precision=9)}")
+    for name, c in summary.checks.items():
+        print(f"  {'ok' if c.verdict else 'FAIL':4s} {name:32s} worst {c.worst_value:.3e}")
+    return 0 if summary.all_passed else 1
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -76,50 +106,20 @@ def main(argv=None) -> int:
         _print_scenarios()
         return 0
 
-    if args.check_identities:
-        try:
-            sweep = check_identities(seed=args.seed if args.seed is not None else 7,
-                                     samples=args.samples)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        _print_sweep(sweep)
-        return 0 if sweep.passed else 1
-
-    if not args.scenario and not args.config:
+    if not (args.check_identities or args.scenario or args.config):
         parser.print_usage(sys.stderr)
         print("error: provide --scenario, --check-identities, or --list", file=sys.stderr)
         return 2
 
     try:
-        file_values = parse_config_file(args.config) if args.config else None
-        config = make_config(
-            file_values,
-            scenario=args.scenario,
-            dim=args.dim,
-            x0=args.x0,
-            iters=args.iters,
-            tol=args.tol,
-            seed=args.seed,
-            out_trace=args.out_trace,
-            out_summary=args.out_summary,
-        )
-        summary, _ = run(config)
-    except (ConfigError, ValueError) as exc:
-        # ValueError covers dimension mismatches and bad scenario parameters
+        return _run_sweep(args) if args.check_identities else _run_scenario(args)
+    except ValueError as exc:
+        # ConfigError and DimensionMismatchError are ValueErrors too
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except NonFiniteIterateError as exc:
+    except (NonFiniteIterateError, PossiblyInconsistentError) as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 4
-
-    print(f"scenario {summary.scenario}: {summary.iterations} iterations")
-    print(f"  final step norm  {summary.final_step_norm:.6e}")
-    print(f"  v estimate       {np.array2string(summary.v_estimate, precision=9)}")
-    print(f"  shadow limit     {np.array2string(summary.shadow_limit, precision=9)}")
-    for name, c in summary.checks.items():
-        print(f"  {'ok' if c.verdict else 'FAIL':4s} {name:32s} worst {c.worst_value:.3e}")
-    return 0 if summary.all_passed else 1
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from .solutions import (
     summability_report,
     sweet_principle_check,
 )
-from .space import AffineSubspace, Ball, NonnegativeOrthant, Singleton, as_point
+from .space import AffineSubspace, Ball, NonnegativeOrthant, Singleton, as_point, row_norms
 from .splitting import DRProblem, DRTrace, dr_apply, iterate, normal_problem, shifted_governing
 
 
@@ -164,31 +164,28 @@ def _build_rotator_cone(dim=None, x0=None, seed=0, a=1.0) -> ScenarioInstance:
     fix_sample = SetSample([t * np.array([1.0, -1.0]) for t in (0.0, 0.5 * a, a, 2.0 * a)])
     sets = primal_dual_from_fix(A, B, fix_sample)
     # the counterexample values are pinned to the canonical start (a, 0),
-    # not to the configured orbit
+    # not to the configured orbit: T x and the shadows of x and T x
     x = np.array([a, 0.0])
+    tx = dr_apply(A, B, x)
+    shadows = A.resolvent(np.stack([x, tx]))  # each row bitwise its one-point image
 
     def check_step_value(trace):
-        tx = dr_apply(A, B, x)
         return _vector_close_check(tx, np.array([0.5 * a, -0.5 * a]), 1e-15)
 
     def check_pair_growth(trace):
-        tx = dr_apply(A, B, x)
         e = np.concatenate([z, k])
-        u0 = np.concatenate([A.resolvent(x), x - A.resolvent(x)])
-        u1 = np.concatenate([A.resolvent(tx), tx - A.resolvent(tx)])
+        u0 = np.concatenate([shadows[0], x - shadows[0]])
+        u1 = np.concatenate([shadows[1], tx - shadows[1]])
         value = float(np.dot(u1 - e, u1 - e) - np.dot(u0 - e, u0 - e))
         return _bounded_value_check(value, 0.5 * a * a, 1e-12)
 
     def check_primal_growth(trace):
-        tx = dr_apply(A, B, x)
-        d1 = A.resolvent(tx) - z
-        d0 = A.resolvent(x) - z
+        d0, d1 = shadows - z
         value = float(np.dot(d1, d1) - np.dot(d0, d0))
         return _bounded_value_check(value, 1.25 * a * a, 1e-12)
 
     def check_primal_fejer_fails(trace):
-        # measure the one-step shadow pair from the canonical start
-        shadows = [A.resolvent(x), A.resolvent(dr_apply(A, B, x))]
+        # the one-step shadow pair from the canonical start
         res = fejer_check(shadows, SetSample([z]), slack=1e-10)
         ok = (not res.passed) and res.first_violation == 0
         return CheckResult(ok, res.max_sq_increase, res.first_violation)
@@ -230,12 +227,9 @@ def _build_shifted_subspace(dim=None, x0=None, seed=0) -> ScenarioInstance:
     v = b.copy()
 
     def check_shadow_halving(trace):
-        x1 = trace.problem.x0[0]
-        upto = min(len(trace), 41)
-        worst = 0.0
-        for n in range(upto):
-            expected = np.array([x1 * (0.5**n), 0.0])
-            worst = max(worst, float(np.linalg.norm(trace.shadow[n] - expected)))
+        n = np.arange(min(len(trace), 41))
+        expected = np.column_stack([trace.problem.x0[0] * 0.5**n, np.zeros(n.size)])
+        worst = float(np.max(row_norms(trace.shadow[: n.size] - expected)))
         return CheckResult(worst <= 1e-10, worst)
 
     def check_norm_growth(trace):

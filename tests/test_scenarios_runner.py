@@ -6,8 +6,10 @@ import pytest
 from drsplit import (
     ConfigError,
     MonotoneOperator,
+    PossiblyInconsistentError,
     check_identities,
     build_scenario,
+    iterate,
     list_scenarios,
     make_config,
     normal_cone,
@@ -86,6 +88,36 @@ def test_rotator_summary_reports_exact_growth_values():
     summary, _ = run(make_config(scenario="rotator-cone"))
     assert abs(summary.checks["counterexample_pair_growth"].worst_value - 0.5) <= 1e-12
     assert abs(summary.checks["counterexample_primal_growth"].worst_value - 1.25) <= 1e-12
+
+
+def test_rotator_counterexample_checks_reuse_the_images_of_the_build(monkeypatch):
+    # T x and the shadows of x and T x are computed once, when the scenario
+    # is built; every resolvent evaluation, alone or inside dr_apply, goes
+    # through _checked_map
+    calls = []
+    checked_map = MonotoneOperator._checked_map
+
+    def counting_map(self, x):
+        calls.append(x.shape)
+        return checked_map(self, x)
+
+    monkeypatch.setattr(MonotoneOperator, "_checked_map", counting_map)
+    inst = build_scenario("rotator-cone", a=2.0)
+    assert calls
+    trace = iterate(inst.problem, max_iters=10, step_tol=0.0)
+    checks = dict(inst.checks)
+    calls.clear()
+    names = (
+        "splitting_step_value",
+        "counterexample_pair_growth",
+        "counterexample_primal_growth",
+        "primal_only_fejer_fails",
+    )
+    results = [checks[name](trace) for name in names]
+    assert calls == []
+    assert all(result.verdict for result in results)
+    assert results[1].worst_value == pytest.approx(0.5 * 4.0, abs=1e-12)
+    assert results[2].worst_value == pytest.approx(1.25 * 4.0, abs=1e-12)
 
 
 def test_trace_csv_layout(tmp_path):
@@ -253,6 +285,40 @@ def test_cli_numerical_breakdown_exits_four(capsys):
     assert captured.err.strip().splitlines() == [
         "numerical breakdown: non-finite values encountered at iteration 0"
     ]
+
+
+def test_cli_stagnated_fixed_point_search_exits_four(monkeypatch, capsys):
+    # a start of 1e200 makes the build's fixed-point search stagnate after
+    # 10^5 steps; raising at once keeps the test fast
+    def stagnated(problem, tol=1e-12, max_iters=100_000):
+        raise PossiblyInconsistentError(step_norm=float("inf"), v_estimate=np.zeros(problem.dim))
+
+    monkeypatch.setattr("drsplit.scenarios.find_fixed_point", stagnated)
+    code = cli_main(["--scenario", "random-affine", "--dim", "3", "--x0=1e200,1e200,1e200"])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "numerical breakdown: no fixed point found: step norm stagnated at inf; "
+        "the problem is possibly inconsistent (see v_estimate)"
+    ]
+
+
+@pytest.mark.parametrize("name", ["random-affine", "random-1d", "affine-consistent"])
+def test_cli_one_record_run_gets_verdicts(name, tmp_path, capsys):
+    # one record is a valid run: every check gives a verdict on it
+    summary_path = tmp_path / "s.json"
+    code = cli_main(
+        ["--scenario", name, "--iters", "1", "--out-trace", str(tmp_path / "t.csv"),
+         "--out-summary", str(summary_path)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    checks = json.loads(summary_path.read_text())["checks"]
+    assert list(checks) == [check_name for check_name, _ in build_scenario(name).checks]
+    assert checks["step_converged"]["verdict"] is False
+    assert checks["summability"]["verdict"] is False
+    assert checks["shadow_trailing_diameter"] == {"verdict": True, "worst_value": 0.0, "witness_index": None}
 
 
 def test_overflowing_run_passes_no_check_on_nan():

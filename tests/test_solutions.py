@@ -159,13 +159,22 @@ def test_set_sample_stacks_rows():
 
 
 def test_fejer_check_constant_sequence():
-    seq = [np.array([1.0, 2.0])] * 5
+    seq = np.tile([1.0, 2.0], (5, 1))
     res = fejer_check(seq, SetSample([np.zeros(2), np.ones(2)]), slack=0.0)
     assert res.passed and res.first_violation is None
 
 
+@pytest.mark.parametrize(
+    "seq, dim", [(np.array([1.0, 2.0]), 1), ([np.array([1.0, 2.0])], 2), (np.zeros((0, 2)), 2)]
+)
+def test_fejer_check_takes_only_a_nonempty_2d_array(seq, dim):
+    # a 1-d array is not read as a sequence of one-dimensional points
+    with pytest.raises(ValueError):
+        fejer_check(seq, SetSample(np.zeros((1, dim))))
+
+
 def test_fejer_check_counts_nan_as_violation():
-    res = fejer_check(np.array([[0.0, 0.0], [np.nan, 1.0]]), [[0.0, 0.0]])
+    res = fejer_check(np.array([[0.0, 0.0], [np.nan, 1.0]]), SetSample([[0.0, 0.0]]))
     assert not res.passed
     assert res.first_violation == 0
 
@@ -210,18 +219,22 @@ def test_sweet_principle_parallel_lines_shifted():
 
 
 def test_sweet_principle_rejects_oscillation():
-    u = [np.array([(-1.0) ** n, 0.0]) for n in range(40)]
-    x = [np.zeros(2)] * 40
+    u = np.array([[(-1.0) ** n, 0.0] for n in range(40)])
+    x = np.zeros((40, 2))
     rep = sweet_principle_check(x, u, SetSample([np.zeros(2)]), tol=1e-6)
     assert not rep.verdict
     assert rep.cauchy >= 1.0
 
 
+def test_sweet_principle_on_one_record():
+    # one row is its own trailing window, of diameter 0
+    rep = sweet_principle_check(np.ones((1, 2)), np.zeros((1, 2)), SetSample([np.zeros(2)]), tol=1e-6)
+    assert rep.fejer.passed and rep.cauchy == 0.0 and rep.pairing_max == 0.0 and rep.verdict
+
+
 def test_sweet_principle_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        sweet_principle_check(
-            [np.zeros(2)] * 3, [np.zeros(2)] * 4, SetSample([np.zeros(2)]), tol=1e-6
-        )
+        sweet_principle_check(np.zeros((3, 2)), np.zeros((4, 2)), SetSample([np.zeros(2)]), tol=1e-6)
 
 
 def test_summability_same_start_all_zero():

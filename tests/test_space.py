@@ -30,6 +30,19 @@ def test_project_ball_radially():
     assert np.allclose(project(S, [0.0, 0.0]), [3.0, 0.0], atol=0)
 
 
+def test_project_ball_of_a_far_point():
+    # the squared norm of these points overflows; under filterwarnings =
+    # error an overflow warning would fail the test
+    S = Ball([0.0, 0.0], 1.0)
+    assert np.array_equal(project(S, [1e200, 0.0]), [1.0, 0.0])
+    stack = np.array([[1e200, 0.0], [0.0, -5e300], [-3e300, 4e300], [0.5, 0.1], [2.0, 0.0]])
+    images = project(S, stack)
+    assert np.array_equal(images[:2], [[1.0, 0.0], [0.0, -1.0]])
+    assert np.allclose(images[2], [-0.6, 0.8], rtol=1e-15, atol=0)
+    for row, image in zip(stack, images):
+        assert image.tobytes() == project(S, row).tobytes()
+
+
 def test_project_box_with_infinite_bounds():
     S = Box([0.0, -np.inf], [np.inf, 0.0])
     assert np.allclose(project(S, [-2.0, 3.0]), [0.0, 0.0], atol=0)
