@@ -14,6 +14,7 @@ from .errors import (
     DimensionMismatchError,
     MonotonicityError,
     NonFiniteIterateError,
+    OperatorContractError,
     OperatorFamilyError,
     PossiblyInconsistentError,
     RankDeficiencyError,

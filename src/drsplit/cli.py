@@ -3,8 +3,9 @@
 Exit codes:
   0  success
   1  a declared check or residual fails
-  2  configuration error (unknown scenario, bad values, unwritable paths,
-     an operator whose resolvent returns the wrong shape)
+  2  configuration error (unknown scenario, bad values, unwritable paths)
+  3  operator-contract violation (a resolvent returned an image of the
+     wrong shape)
   4  numerical breakdown (the iteration produced non-finite coordinates, or
      the fixed-point search of a scenario's reference data stagnated)
 """
@@ -16,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .errors import NonFiniteIterateError, PossiblyInconsistentError
+from .errors import NonFiniteIterateError, OperatorContractError, PossiblyInconsistentError
 from .runner import REL_TOL, SLACK_TOL, check_identities, make_config, parse_config_file, run
 from .scenarios import list_scenarios
 
@@ -113,6 +114,9 @@ def main(argv=None) -> int:
 
     try:
         return _run_sweep(args) if args.check_identities else _run_scenario(args)
+    except OperatorContractError as exc:
+        print(f"operator contract violated: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         # ConfigError and DimensionMismatchError are ValueErrors too
         print(f"configuration error: {exc}", file=sys.stderr)

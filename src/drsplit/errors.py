@@ -5,6 +5,11 @@ class DimensionMismatchError(ValueError):
     """Vectors or operators of incompatible dimensions were combined."""
 
 
+class OperatorContractError(ValueError):
+    """An operator broke its contract: its resolvent returned an image of the
+    wrong shape."""
+
+
 class RankDeficiencyError(ValueError):
     """A supposedly independent family of vectors is linearly dependent."""
 

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, MonotonicityError
+from .errors import MonotonicityError, OperatorContractError
 from .space import (
     AffineSubspace,
     ConvexSet,
@@ -58,7 +58,7 @@ class MonotoneOperator:
     def _checked_map(self, x: np.ndarray) -> np.ndarray:
         image = self.resolvent_map(x)
         if np.shape(image) != x.shape:
-            raise DimensionMismatchError(
+            raise OperatorContractError(
                 f"resolvent of {self.label or 'anonymous'} returned shape {np.shape(image)} "
                 f"for input of shape {x.shape}"
             )

@@ -131,9 +131,10 @@ def fejer_check(x: np.ndarray, E: SetSample, slack: float = 0.0) -> FejerResult:
         )
     if x.shape[0] == 1:
         return FejerResult(True, None, 0.0, 0.0, None)
-    # an overflowing orbit gives inf or NaN distances, which fail below
+    # np.linalg.norm, not row_norms (whose sums round differently); an
+    # overflowing orbit gives inf or NaN distances, which fail below
     with np.errstate(over="ignore", invalid="ignore"):
-        dists = np.linalg.norm(x[:, None, :] - e[None, :, :], axis=2)  # (n, m)
+        dists = np.stack([np.linalg.norm(x - p, axis=1) for p in e], axis=1)  # (n, m), by column
         diffs = dists[1:] - dists[:-1]  # (n-1, m)
         sq_diffs = dists[1:] ** 2 - dists[:-1] ** 2
     violations = ~(diffs <= slack)  # a NaN difference is a violation, never a pass
@@ -188,8 +189,8 @@ def sweet_principle_check(
     fejer = fejer_check(x_seq, E, slack=1e-10)
     window = trailing_quarter(x_seq.shape[0])
     u_win = u_seq[window]
-    e = E.points
-    pairings = np.einsum("nmd,nd->nm", u_win[:, None, :] - e[None, :, :], u_win - x_seq[window])
+    gap = u_win - x_seq[window]
+    pairings = np.stack([np.einsum("nd,nd->n", u_win - p, gap) for p in E.points], axis=1)
     pairing_max = float(np.max(np.abs(pairings)))
     if cauchy is None:
         cauchy = diameter(u_win)

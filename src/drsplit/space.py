@@ -50,13 +50,15 @@ def row_norms(x: np.ndarray):
     return np.sqrt(np.vecdot(x, x))
 
 
-# rows of the squared-distance matrix formed at a time: keeps the temporaries
-# of a 2,500-point window at 256 x 2,500 instead of 2,500 x 2,500
+# rows of the squared-distance matrix formed at a time: a window of N rows
+# never holds more than DIAMETER_BLOCK x N entries of it (Gram block included)
 DIAMETER_BLOCK = 256
 
 
 def diameter(points: np.ndarray) -> float:
-    """Max pairwise distance via the centered Gram matrix (one matmul).
+    """Max pairwise distance via the centered Gram matrix, formed one block of
+    ``DIAMETER_BLOCK`` rows of its upper triangle at a time: (sq_i + sq_j) -
+    2 g_ij is symmetric, so this is bitwise the full-matrix value.
 
     Exactly 0.0 when every row equals the first; NaN when the Gram entries
     overflow: such a set has no measured diameter.
@@ -70,13 +72,11 @@ def diameter(points: np.ndarray) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         centered = pts - pts.mean(axis=0)  # centering keeps the squares cancellation-free
         sq = np.einsum("nd,nd->n", centered, centered)
-        gram = centered @ centered.T
-        gram *= 2.0
-        # (sq_i + sq_j) - 2 g_ij, the same expression row block by row block
-        block_tops = [
-            np.max((sq[i : i + DIAMETER_BLOCK, None] + sq[None, :]) - gram[i : i + DIAMETER_BLOCK])
-            for i in range(0, len(sq), DIAMETER_BLOCK)
-        ]
+        block_tops = []
+        for i in range(0, len(sq), DIAMETER_BLOCK):
+            gram = centered[i : i + DIAMETER_BLOCK] @ centered[i:].T
+            gram *= 2.0
+            block_tops.append(np.max((sq[i : i + DIAMETER_BLOCK, None] + sq[None, i:]) - gram))
     top = float(np.max(block_tops))  # np.max keeps a NaN, where max() need not
     if not np.isfinite(top):
         return float("nan")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -143,13 +143,38 @@ def dr_apply(A: MonotoneOperator, B: MonotoneOperator, x) -> np.ndarray:
     return xv - ja + B._checked_map(2.0 * ja - xv)
 
 
+def _read_text(path: str) -> Optional[str]:
+    """The contents of a text file, or ``None`` where it cannot be read."""
+    try:
+        with open(path, encoding="ascii") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError):
+        return None
+
+
+@cache  # reading /proc/self/cgroup costs about 20 us; iterate asks on every call
+def _cgroup_memory_max() -> Optional[int]:
+    """The cgroup v2 ``memory.max`` of this process in bytes, read once;
+    ``None`` where there is none or it reads ``max`` (no limit)."""
+    # a cgroup v2 process names its group on the line "0::<path>"
+    membership = (_read_text("/proc/self/cgroup") or "").splitlines()
+    groups = [line[3:] for line in membership if line.startswith("0::")]
+    if not groups:
+        return None
+    limit = (_read_text(f"/sys/fs/cgroup{groups[0].rstrip('/')}/memory.max") or "").strip()
+    return int(limit) if limit.isdigit() else None
+
+
 def _physical_memory_bytes() -> Optional[int]:
-    """Physical memory of the host, or ``None`` where ``os.sysconf`` cannot tell."""
+    """Memory the process can have: the host's physical memory, or its cgroup
+    v2 ``memory.max`` where that is smaller; ``None`` where neither is known."""
     try:
         page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
-        return None
-    return page * pages if page > 0 and pages > 0 else None
+        page = pages = 0
+    host = page * pages if page > 0 and pages > 0 else None
+    known = [b for b in (host, _cgroup_memory_max()) if b is not None]
+    return min(known) if known else None
 
 
 _MAX_FLOAT = float(np.finfo(float).max)
@@ -167,11 +192,11 @@ def iterate(
     the same (resolvents are deterministic), so the rest of the trace is filled
     without iterating and ``stationary_at`` is set to n. Divergence is not an
     error; non-finite coordinates are, and so are resolvent images of the wrong
-    shape and a ``max_iters`` whose trace arrays exceed the host's physical
-    memory or cannot be allocated (``ValueError``). The trace's ``v_estimate``
-    is the last step vector: step norms are nonincreasing (T is firmly
-    nonexpansive), so it is the best estimate of the minimal displacement
-    vector the run offers.
+    shape (``OperatorContractError``) and a ``max_iters`` whose trace arrays
+    exceed the memory the process can have (host or cgroup) or cannot be
+    allocated (``ValueError``). The trace's ``v_estimate`` is the last step
+    vector: step norms are nonincreasing (T is firmly nonexpansive), so it is
+    the best estimate of the minimal displacement vector the run offers.
 
     A companion start is iterated in the same loop, both orbits as the rows
     of one (2, d) state (each row of a stacked resolvent call is bitwise its

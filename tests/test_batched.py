@@ -18,6 +18,7 @@ from drsplit import (
     DimensionMismatchError,
     MonotoneOperator,
     NonnegativeOrthant,
+    OperatorContractError,
     Singleton,
     as_points,
     check_identities,
@@ -239,16 +240,16 @@ def test_as_points_validates_stacks():
 
 def test_resolvent_and_dr_apply_reject_wrong_output_shape():
     bad = MonotoneOperator(resolvent_map=lambda x: np.zeros(3), dim=2, label="bad-map")
-    with pytest.raises(DimensionMismatchError, match=r"bad-map.*\(3,\).*\(2,\)"):
+    with pytest.raises(OperatorContractError, match=r"bad-map.*\(3,\).*\(2,\)"):
         bad.resolvent([1.0, 2.0])
-    with pytest.raises(DimensionMismatchError, match="bad-map"):
+    with pytest.raises(OperatorContractError, match="bad-map"):
         dr_apply(bad, rotator(), [1.0, 2.0])
-    with pytest.raises(DimensionMismatchError, match="bad-map"):
+    with pytest.raises(OperatorContractError, match="bad-map"):
         dr_apply(rotator(), bad, [1.0, 2.0])
     # a map that ignores the row axis would broadcast silently
     rowless = MonotoneOperator(resolvent_map=lambda x: np.zeros(2), dim=2, label="rowless")
     assert np.array_equal(rowless.resolvent([1.0, 2.0]), [0.0, 0.0])
-    with pytest.raises(DimensionMismatchError, match=r"rowless.*\(2,\).*\(3, 2\)"):
+    with pytest.raises(OperatorContractError, match=r"rowless.*\(2,\).*\(3, 2\)"):
         rowless.resolvent(np.ones((3, 2)))
 
 

@@ -7,6 +7,8 @@ equal a solo run from the companion start with ``step_tol=0`` for as many
 records: every array, the stop reason and ``stationary_at``, bitwise.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,7 @@ def test_trace_beyond_physical_memory_is_refused(monkeypatch, capsys):
 
 def test_physical_memory_is_unknown_without_sysconf(monkeypatch):
     assert drsplit.splitting._physical_memory_bytes() > 0
+    monkeypatch.setattr(drsplit.splitting, "_cgroup_memory_max", lambda: None)  # the host alone
     monkeypatch.delattr(drsplit.splitting.os, "sysconf")
     assert drsplit.splitting._physical_memory_bytes() is None
 
@@ -185,7 +188,52 @@ def test_physical_memory_is_unknown_when_sysconf_cannot_tell(monkeypatch):
     def unsupported(name):
         raise ValueError(f"unrecognized configuration name {name!r}")
 
+    monkeypatch.setattr(drsplit.splitting, "_cgroup_memory_max", lambda: None)  # the host alone
     monkeypatch.setattr(drsplit.splitting.os, "sysconf", unsupported)
     assert drsplit.splitting._physical_memory_bytes() is None
     monkeypatch.setattr(drsplit.splitting.os, "sysconf", lambda name: -1)
     assert drsplit.splitting._physical_memory_bytes() is None
+
+
+def _patch_memory_sources(monkeypatch, files, pages=1000):
+    # a host of ``pages`` 4 KiB pages and a file system of ``files``
+    monkeypatch.setattr(
+        drsplit.splitting.os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}[name]
+    )
+    monkeypatch.setattr(drsplit.splitting, "_read_text", files.get)
+    # a fresh cache, so neither the real limit nor the fake one leaks across tests
+    fresh = functools.cache(drsplit.splitting._cgroup_memory_max.__wrapped__)
+    monkeypatch.setattr(drsplit.splitting, "_cgroup_memory_max", fresh)
+
+
+@pytest.mark.parametrize(
+    "files, budget",
+    [
+        # the cgroup v2 limit of the own group is smaller than the host
+        ({"/proc/self/cgroup": "0::/app.slice/run.scope\n",
+          "/sys/fs/cgroup/app.slice/run.scope/memory.max": "1000000\n"}, 1_000_000),
+        # the root group's file sits at the top of the hierarchy
+        ({"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/memory.max": "2048\n"}, 2048),
+        # a limit above the host's memory, "max" (no limit), a missing file
+        ({"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/memory.max": "8192000\n"}, 4_096_000),
+        ({"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/memory.max": "max\n"}, 4_096_000),
+        ({"/proc/self/cgroup": "0::/\n"}, 4_096_000),
+        # cgroup v1 only (no "0::" line), or no membership file at all
+        ({"/proc/self/cgroup": "4:memory:/app\n1:cpu:/\n", "/sys/fs/cgroup/memory.max": "2048\n"}, 4_096_000),
+        ({}, 4_096_000),
+    ],
+)
+def test_memory_budget_is_the_smaller_of_host_and_cgroup(monkeypatch, files, budget):
+    _patch_memory_sources(monkeypatch, files)
+    assert drsplit.splitting._physical_memory_bytes() == budget
+
+
+def test_cgroup_limit_alone_sets_the_budget_and_refuses_a_trace(monkeypatch):
+    inst = build_scenario("random-affine", dim=2, seed=1)
+    problem = DRProblem(inst.problem.A, inst.problem.B, inst.problem.x0)
+    files = {"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/memory.max": str(3 * 100 * 2 * 8)}
+    _patch_memory_sources(monkeypatch, files, pages=-1)  # sysconf cannot tell
+    assert drsplit.splitting._physical_memory_bytes() == 4800
+    assert len(iterate(problem, max_iters=100, step_tol=0.0)) == 100
+    with pytest.raises(ValueError, match=r"max_iters=101 .*does not fit in memory"):
+        iterate(problem, max_iters=101, step_tol=0.0)

@@ -5,7 +5,9 @@ import pytest
 
 from drsplit import (
     ConfigError,
+    DimensionMismatchError,
     MonotoneOperator,
+    OperatorContractError,
     PossiblyInconsistentError,
     check_identities,
     build_scenario,
@@ -302,6 +304,23 @@ def test_cli_stagnated_fixed_point_search_exits_four(monkeypatch, capsys):
         "numerical breakdown: no fixed point found: step norm stagnated at inf; "
         "the problem is possibly inconsistent (see v_estimate)"
     ]
+
+
+def test_cli_misshapen_operator_exits_three(monkeypatch, capsys):
+    # a resolvent whose image has the wrong shape breaks the operator
+    # contract: exit 3, not a configuration error
+    def misshapen_cone(S, label=""):
+        return MonotoneOperator(resolvent_map=lambda x: np.zeros(2), dim=S.dim, label="misshapen")
+
+    monkeypatch.setattr("drsplit.scenarios.normal_cone", misshapen_cone)
+    code = cli_main(["--scenario", "points-1d", "--iters", "8"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "operator contract violated: resolvent of misshapen returned shape (2,) for input of shape (1,)"
+    ]
+    assert not issubclass(OperatorContractError, DimensionMismatchError)
 
 
 @pytest.mark.parametrize("name", ["random-affine", "random-1d", "affine-consistent"])

@@ -3,11 +3,11 @@ import pytest
 
 from drsplit import (
     AffineSubspace,
-    DimensionMismatchError,
     DRProblem,
     MonotoneOperator,
     NonFiniteIterateError,
     NonnegativeOrthant,
+    OperatorContractError,
     Singleton,
     StopReason,
     build_scenario,
@@ -223,7 +223,7 @@ def test_iterate_rejects_wrong_image_shape_at_the_start(bad_is_a):
     # both images once, at n = 0, and names the operator
     bad = MonotoneOperator(resolvent_map=lambda x: np.zeros(1), dim=2, label="scalar-map")
     A, B = (bad, rotator()) if bad_is_a else (rotator(), bad)
-    with pytest.raises(DimensionMismatchError, match=r"scalar-map.*\(1,\).*\(2,\)"):
+    with pytest.raises(OperatorContractError, match=r"scalar-map.*\(1,\).*\(2,\)"):
         iterate(DRProblem(A, B, np.array([1.0, 2.0])), max_iters=10, step_tol=0.0)
 
 
