@@ -16,6 +16,7 @@ zeros.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -240,13 +241,21 @@ def iterate(
             jb = jb_map(2.0 * ja - x)
             x_next = x - ja + jb
             governing[live, n], shadow[live, n], b_shadow[live, n] = x, ja, jb
-            norms = row_norms(x - x_next).reshape(-1).tolist()  # one per orbit, in row order
             ja_map, jb_map = unchecked_maps
-            # row 0 is the lead while it is live; it leaves only when step_tol
-            # is 0, so row 0 can be held to step_tol in every state
-            if step_tol < norms[0] and all(0.0 < norm <= _MAX_FLOAT for norm in norms):
-                x = x_next
-                continue
+            step = x - x_next  # its norms have row_norms' bits: dot and vecdot share a kernel
+            if x.ndim == 1:  # a lone orbit; step_tol >= 0, so this also needs norm > 0
+                norm = math.sqrt(step.dot(step))
+                if step_tol < norm <= _MAX_FLOAT:
+                    x = x_next
+                    continue
+                norms = [norm]
+            else:
+                norms = np.sqrt(np.vecdot(step, step)).tolist()  # one per orbit, in row order
+                # row 0 is the lead while it is live; it leaves only when
+                # step_tol is 0, so row 0 can be held to step_tol in every state
+                if step_tol < norms[0] and all(0.0 < norm <= _MAX_FLOAT for norm in norms):
+                    x = x_next
+                    continue
             # x is finite, so x_next can only be non-finite when a step norm is
             if not all(norm <= _MAX_FLOAT for norm in norms) and not np.all(np.isfinite(x_next)):
                 raise NonFiniteIterateError(n)
