@@ -13,9 +13,9 @@ class OperatorContractError(ValueError):
 class RankDeficiencyError(ValueError):
     """A supposedly independent family of vectors is linearly dependent."""
 
-    def __init__(self, index: int, message: str | None = None):
+    def __init__(self, index: int):
         self.index = index
-        super().__init__(message or f"vector at index {index} is linearly dependent on its predecessors")
+        super().__init__(f"vector at index {index} is linearly dependent on its predecessors")
 
 
 class MonotonicityError(ValueError):

@@ -148,11 +148,9 @@ def rotator(label: str = "rotator") -> MonotoneOperator:
     """
 
     def res(x: np.ndarray) -> np.ndarray:
-        if x.ndim == 1:
-            return np.array([0.5 * (x[0] + x[1]), 0.5 * (-x[0] + x[1])])
-        # (x2 + x1, x2 - x1) / 2 row by row; x @ [[1, -1], [1, 1]] would turn
-        # a sum of two negative zeros into +0.0
-        return 0.5 * (x[:, 1:] + x[:, :1] * _ROTATOR_SIGNS)
+        # (x2 + x1, x2 - x1) / 2 for a point or row by row; x @ [[1, -1], [1, 1]]
+        # would turn a sum of two negative zeros into +0.0
+        return 0.5 * (x[..., 1:] + x[..., :1] * _ROTATOR_SIGNS)
 
     return MonotoneOperator(
         resolvent_map=res,

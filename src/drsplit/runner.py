@@ -44,6 +44,7 @@ from .operators import (
 )
 from .scenarios import (
     CheckResult,
+    build_scenario,
     get_scenario,
     random_affine_pair,
     random_pw1d_pair,
@@ -139,10 +140,6 @@ def make_config(file_values: dict[str, str] | None = None, **overrides) -> Scena
 # persistence
 
 
-def format_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_trace_csv(trace: DRTrace, path: str) -> None:
     """Columns: n, governing, shadow, dual shadow, second shadow, step norm,
     running displacement estimate (the current step vector)."""
@@ -166,7 +163,7 @@ def write_trace_csv(trace: DRTrace, path: str) -> None:
             trace.steps,
         ]
     )
-    # one format per row; "%.17g" % c equals format_float(c) for every float
+    # one format per row, the 17-digit rule of _json_number
     row_format = "%d," + ",".join(["%.17g"] * table.shape[1])
     lines = [",".join(header)]
     lines.extend(row_format % (n, *row) for n, row in enumerate(table.tolist()))
@@ -177,7 +174,7 @@ def write_trace_csv(trace: DRTrace, path: str) -> None:
 def _json_number(x: float) -> str:
     if x is None or not math.isfinite(x):
         return "null"
-    return format_float(x)
+    return "%.17g" % x
 
 
 def _json_vector(v) -> str:
@@ -231,9 +228,8 @@ def write_summary_json(summary: RunSummary, path: str) -> None:
 
 def run(config: ScenarioConfig) -> tuple[RunSummary, DRTrace]:
     """Build the scenario, iterate, evaluate its checks, persist outputs."""
-    spec = get_scenario(config.scenario)
     t0 = time.perf_counter()
-    inst = spec.build(dim=config.dim, x0=config.x0, seed=config.seed, **config.params)
+    inst = build_scenario(config.scenario, dim=config.dim, x0=config.x0, seed=config.seed, **config.params)
     max_iters = config.max_iters if config.max_iters is not None else inst.default_iters
     step_tol = config.step_tol if config.step_tol is not None else inst.default_step_tol
     trace = iterate(inst.problem, max_iters=max_iters, step_tol=step_tol)

@@ -77,7 +77,8 @@ class ScenarioInstance:
 class ScenarioSpec:
     description: str
     anchor: str  # one-line statement of the mathematical situation exercised
-    build: Callable[..., ScenarioInstance] = field(repr=False, default=None)
+    dim: Optional[int]  # the one dimension the scenario lives in; None: any
+    build: Callable[..., ScenarioInstance] = field(repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -147,15 +148,13 @@ def _summability_check(trace: DRTrace) -> CheckResult:
 # scenario builders
 
 
-def _build_rotator_cone(dim=None, x0=None, seed=0, a=1.0) -> ScenarioInstance:
-    if dim not in (None, 2):
-        raise ConfigError("rotator-cone lives in dimension 2")
+def _build_rotator_cone(dim, x0=None, seed=0, a=1.0) -> ScenarioInstance:
     a = float(a)
     if a <= 0:
         raise ConfigError("parameter a must be positive")
     A = normal_cone(NonnegativeOrthant(2), label="normal_cone(orthant)")
     B = rotator()
-    start = as_point(x0, 2) if x0 is not None else np.array([a, 0.0])
+    start = as_point(x0, dim) if x0 is not None else np.array([a, 0.0])
     problem = DRProblem(A, B, start)
     z = np.array([2.0 * a, 0.0])
     k = np.array([0.0, -a])
@@ -215,14 +214,12 @@ def _build_rotator_cone(dim=None, x0=None, seed=0, a=1.0) -> ScenarioInstance:
     )
 
 
-def _build_shifted_subspace(dim=None, x0=None, seed=0) -> ScenarioInstance:
-    if dim not in (None, 2):
-        raise ConfigError("shifted-subspace lives in dimension 2")
+def _build_shifted_subspace(dim, x0=None, seed=0) -> ScenarioInstance:
     U = AffineSubspace(np.zeros(2), np.array([[1.0, 0.0]]))
     b = np.array([0.0, 1.0])
     A = normal_cone(U, label="normal_cone(horizontal axis)")
     B = scaled_id_plus_normal_cone(1.0, AffineSubspace(-b, U.basis), label="id+normal_cone(-b+U)")
-    start = as_point(x0, 2) if x0 is not None else np.array([1.0, 1.0])
+    start = as_point(x0, dim) if x0 is not None else np.array([1.0, 1.0])
     problem = DRProblem(A, B, start)
     v = b.copy()
 
@@ -270,15 +267,13 @@ def _build_shifted_subspace(dim=None, x0=None, seed=0) -> ScenarioInstance:
     )
 
 
-def _build_parallel_lines(dim=None, x0=None, seed=0, gap=2.0) -> ScenarioInstance:
-    if dim not in (None, 2):
-        raise ConfigError("parallel-lines lives in dimension 2")
+def _build_parallel_lines(dim, x0=None, seed=0, gap=2.0) -> ScenarioInstance:
     half = 0.5 * float(gap)
     U = AffineSubspace(np.array([0.0, half]), np.array([[1.0, 0.0]]))
     V = AffineSubspace(np.array([0.0, -half]), np.array([[1.0, 0.0]]))
     A = normal_cone(U, label="normal_cone(upper line)")
     B = normal_cone(V, label="normal_cone(lower line)")
-    start = as_point(x0, 2) if x0 is not None else np.array([3.0, 5.0])
+    start = as_point(x0, dim) if x0 is not None else np.array([3.0, 5.0])
     problem = DRProblem(A, B, start)
     v = np.array([0.0, float(gap)])
     shifted_primal = SetSample([np.array([t, half]) for t in (start[0], 0.0, 5.0)])
@@ -303,14 +298,12 @@ def _build_parallel_lines(dim=None, x0=None, seed=0, gap=2.0) -> ScenarioInstanc
     )
 
 
-def _build_disjoint_balls(dim=None, x0=None, seed=0) -> ScenarioInstance:
-    if dim not in (None, 2):
-        raise ConfigError("disjoint-balls lives in dimension 2")
+def _build_disjoint_balls(dim, x0=None, seed=0) -> ScenarioInstance:
     U = Ball(np.array([0.0, 0.0]), 1.0)
     V = Ball(np.array([4.0, 0.0]), 1.0)
     A = normal_cone(U, label="normal_cone(ball at origin)")
     B = normal_cone(V, label="normal_cone(ball at (4,0))")
-    start = as_point(x0, 2) if x0 is not None else np.array([0.0, 2.0])
+    start = as_point(x0, dim) if x0 is not None else np.array([0.0, 2.0])
     problem = DRProblem(A, B, start)
     v = np.array([-2.0, 0.0])
     shadow_limit = np.array([1.0, 0.0])
@@ -362,7 +355,6 @@ def _consistent_checks(sets: SolutionSets) -> list[tuple[str, CheckFn]]:
 def _finish_consistent_instance(
     problem: DRProblem,
     seed: int,
-    iters: int,
     extra_checks: list[tuple[str, CheckFn]] | None = None,
     z: Optional[np.ndarray] = None,
     k: Optional[np.ndarray] = None,
@@ -388,7 +380,7 @@ def _finish_consistent_instance(
     sets = primal_dual_from_fix(problem.A, problem.B, fix_sample, tol=1e-9)
     return ScenarioInstance(
         problem=problem,
-        default_iters=iters,
+        default_iters=10_000,
         default_step_tol=0.0,
         checks=_consistent_checks(sets) + (extra_checks or []),
         seed=seed,
@@ -399,24 +391,20 @@ def _finish_consistent_instance(
     )
 
 
-def _build_affine_consistent(dim=None, x0=None, seed=0) -> ScenarioInstance:
-    if dim not in (None, 2):
-        raise ConfigError("affine-consistent lives in dimension 2")
+def _build_affine_consistent(dim, x0=None, seed=0) -> ScenarioInstance:
     U = AffineSubspace.from_span(np.zeros(2), [np.array([1.0, 0.0])])
     V = AffineSubspace.from_span(np.zeros(2), [np.array([1.0, 1.0])])
     A = normal_cone(U, label="normal_cone(horizontal line)")
     B = normal_cone(V, label="normal_cone(diagonal line)")
-    start = as_point(x0, 2) if x0 is not None else np.array([0.0, 1.0])
+    start = as_point(x0, dim) if x0 is not None else np.array([0.0, 1.0])
     problem = DRProblem(A, B, start)
-    return _finish_consistent_instance(problem, seed, iters=10_000)
+    return _finish_consistent_instance(problem, seed)
 
 
-def _build_points_1d(dim=None, x0=None, seed=0) -> ScenarioInstance:
-    if dim not in (None, 1):
-        raise ConfigError("points-1d lives in dimension 1")
+def _build_points_1d(dim, x0=None, seed=0) -> ScenarioInstance:
     A = normal_cone(Singleton(np.array([0.0])), label="normal_cone({0})")
     B = normal_cone(Singleton(np.array([2.0])), label="normal_cone({2})")
-    start = as_point(x0, 1) if x0 is not None else np.array([0.0])
+    start = as_point(x0, dim) if x0 is not None else np.array([0.0])
     problem = DRProblem(A, B, start)
     v = np.array([-2.0])
 
@@ -475,8 +463,8 @@ def random_affine_pair(dim: int, rng: np.random.Generator):
     raise RuntimeError("failed to draw a well-conditioned affine pair")
 
 
-def _build_random_affine(dim=None, x0=None, seed=0) -> ScenarioInstance:
-    d = int(dim) if dim else 5
+def _build_random_affine(dim, x0=None, seed=0) -> ScenarioInstance:
+    d = 5 if dim is None else int(dim)
     seed = int(seed)
     rng = np.random.default_rng(seed)
     U, V, _ = random_affine_pair(d, rng)
@@ -493,12 +481,7 @@ def _build_random_affine(dim=None, x0=None, seed=0) -> ScenarioInstance:
         worst = rep.raw["gap_identity"]
         return CheckResult(worst <= 1e-10, worst)
 
-    return _finish_consistent_instance(
-        problem,
-        seed,
-        iters=10_000,
-        extra_checks=[("gap_identity", check_gap_identity)],
-    )
+    return _finish_consistent_instance(problem, seed, extra_checks=[("gap_identity", check_gap_identity)])
 
 
 def random_pw1d_pair(rng: np.random.Generator):
@@ -543,14 +526,12 @@ def random_pw1d_pair(rng: np.random.Generator):
     return A, B, np.array([x_star])
 
 
-def _build_random_1d(dim=None, x0=None, seed=0) -> ScenarioInstance:
-    if dim not in (None, 1):
-        raise ConfigError("random-1d lives in dimension 1")
+def _build_random_1d(dim, x0=None, seed=0) -> ScenarioInstance:
     seed = int(seed)
     rng = np.random.default_rng(seed)
     A, B, z = random_pw1d_pair(rng)
     k = np.array([0.0])
-    start = as_point(x0, 1) if x0 is not None else rng.uniform(-3.0, 3.0, 1)
+    start = as_point(x0, dim) if x0 is not None else rng.uniform(-3.0, 3.0, 1)
     problem = DRProblem(A, B, start)
 
     def check_decoupled(trace):
@@ -558,12 +539,7 @@ def _build_random_1d(dim=None, x0=None, seed=0) -> ScenarioInstance:
         return CheckResult(ok, 0.0 if ok else 1.0)
 
     return _finish_consistent_instance(
-        problem,
-        seed,
-        iters=10_000,
-        extra_checks=[("decoupled_fejer", check_decoupled)],
-        z=z,
-        k=k,
+        problem, seed, extra_checks=[("decoupled_fejer", check_decoupled)], z=z, k=k
     )
 
 
@@ -573,8 +549,8 @@ def _build_random_1d(dim=None, x0=None, seed=0) -> ScenarioInstance:
 _REGISTRY: dict[str, ScenarioSpec] = {}
 
 
-def _register(name, description, anchor, build):
-    _REGISTRY[name] = ScenarioSpec(description=description, anchor=anchor, build=build)
+def _register(name, description, anchor, dim, build):
+    _REGISTRY[name] = ScenarioSpec(description, anchor, dim, build)
 
 
 _register(
@@ -582,6 +558,7 @@ _register(
     "normal cone of the nonnegative quadrant against the quarter-turn rotation",
     "consistent planar pair whose solution pairs do NOT decouple: distances to "
     "primal-only targets can grow by exactly 5/4 a^2 in one step",
+    2,
     _build_rotator_cone,
 )
 _register(
@@ -589,6 +566,7 @@ _register(
     "horizontal axis against identity plus a perpendicularly shifted copy",
     "zero-free sum with displacement equal to the shift: primal shadows halve "
     "every step while dual shadows diverge",
+    2,
     _build_shifted_subspace,
 )
 _register(
@@ -596,6 +574,7 @@ _register(
     "normal cones of two parallel horizontal lines",
     "infeasible pair on which the splitting map is a pure translation by the "
     "gap vector; shadows are constant",
+    2,
     _build_parallel_lines,
 )
 _register(
@@ -603,6 +582,7 @@ _register(
     "normal cones of two disjoint unit balls on the horizontal axis",
     "infeasible smooth pair: governing iterates drift while shadows converge "
     "to the nearest-point contact",
+    2,
     _build_disjoint_balls,
 )
 _register(
@@ -610,6 +590,7 @@ _register(
     "two intersecting lines through the origin",
     "consistent affine pair with linear convergence; the step length equals "
     "the projection gap at every point",
+    2,
     _build_affine_consistent,
 )
 _register(
@@ -617,6 +598,7 @@ _register(
     "normal cones of the points 0 and 2 on the line",
     "simplest infeasible pair: governing sequence walks arithmetically, "
     "shadow pinned at the first point",
+    1,
     _build_points_1d,
 )
 _register(
@@ -624,6 +606,7 @@ _register(
     "seeded monotone piecewise-linear pair on the line sharing a zero",
     "one-dimensional consistent pair on which shadow and dual shadow are each "
     "separately monotone in distance to their targets",
+    1,
     _build_random_1d,
 )
 _register(
@@ -631,6 +614,7 @@ _register(
     "seeded affine pair in R^d with a forced common point",
     "generic consistent affine geometry with bounded principal angles; used "
     "for convergence, summability and gap-identity sweeps",
+    None,
     _build_random_affine,
 )
 
@@ -649,5 +633,9 @@ def get_scenario(name: str) -> ScenarioSpec:
         ) from None
 
 
-def build_scenario(name: str, **kwargs) -> ScenarioInstance:
-    return get_scenario(name).build(**kwargs)
+def build_scenario(name: str, dim: Optional[int] = None, **kwargs) -> ScenarioInstance:
+    """Build a scenario in the dimension its registry entry records."""
+    spec = get_scenario(name)
+    if spec.dim is not None and dim not in (None, spec.dim):
+        raise ConfigError(f"{name} lives in dimension {spec.dim}")
+    return spec.build(dim=spec.dim if spec.dim is not None else dim, **kwargs)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drsplit import (
     AffineSubspace,
@@ -103,6 +105,25 @@ def test_rotator_resolvent_values():
     assert np.allclose(B.resolvent([0.0, 0.0]), [0.0, 0.0], atol=0)
     assert np.allclose(B.resolvent([1.0, 1.0]), [1.0, 0.0], atol=0)
     assert B.is_linear_relation
+
+
+_ROTATOR_COORDINATE = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ROTATOR_COORDINATE, _ROTATOR_COORDINATE)
+def test_rotator_point_is_its_stack_row_and_the_formula(x0, x1):
+    res = rotator().resolvent_map
+    p = np.array([x0, x1])
+    with np.errstate(all="ignore"):  # inf - inf and overflow are part of the domain
+        got = res(p)
+        row = res(p[None])[0]
+        formula = np.array([0.5 * (p[0] + p[1]), 0.5 * (-p[0] + p[1])])
+    assert got.shape == (2,)
+    assert got.tobytes() == row.tobytes() == formula.tobytes()
 
 
 def test_rotator_reflected_is_clockwise_turn(rng):

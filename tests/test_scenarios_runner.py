@@ -20,9 +20,10 @@ from drsplit import (
     rotator,
     run,
 )
+import drsplit.runner
 from drsplit.cli import main as cli_main
 from drsplit.runner import REL_TOL, SLACK_TOL, PairEntry
-from drsplit.scenarios import _perturbed_start
+from drsplit.scenarios import _perturbed_start, get_scenario
 from drsplit.space import NonnegativeOrthant
 
 REQUIRED = {
@@ -194,6 +195,73 @@ def test_config_rejects_garbage(tmp_path):
 def test_scenario_dimension_validation():
     with pytest.raises(ConfigError):
         build_scenario("rotator-cone", dim=3)
+
+
+SCENARIO_NAMES = [name for name, _, _ in list_scenarios()]
+FIXED_DIM_CASES = [
+    (name, dim)
+    for name in SCENARIO_NAMES
+    for dim in (-1, 0, 1, 2, 3, 5)
+    if get_scenario(name).dim not in (None, dim)
+]
+
+
+def test_registry_records_each_fixed_dimension():
+    dims = {name: get_scenario(name).dim for name in SCENARIO_NAMES}
+    assert dims == {
+        "rotator-cone": 2,
+        "shifted-subspace": 2,
+        "parallel-lines": 2,
+        "disjoint-balls": 2,
+        "affine-consistent": 2,
+        "points-1d": 1,
+        "random-1d": 1,
+        "random-affine": None,
+    }
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_registry_dimension_equals_no_dimension(name):
+    dim = get_scenario(name).dim
+    explicit, implicit = build_scenario(name, dim=dim), build_scenario(name)
+    assert explicit.problem.x0.tobytes() == implicit.problem.x0.tobytes()
+    summaries = [run(make_config(scenario=name, dim=d, iters=300))[0] for d in (dim, None)]
+    assert summaries[0].to_json_text() == summaries[1].to_json_text()
+
+
+@pytest.mark.parametrize("name, dim", FIXED_DIM_CASES)
+def test_other_dimension_is_a_config_error(name, dim, capsys):
+    message = f"{name} lives in dimension {get_scenario(name).dim}"
+    with pytest.raises(ConfigError) as err:
+        build_scenario(name, dim=dim)
+    assert str(err.value) == message
+    assert cli_main(["--scenario", name, "--dim", str(dim)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def test_random_affine_defaults_to_dimension_five():
+    assert build_scenario("random-affine").problem.dim == 5
+
+
+@pytest.mark.parametrize("dim", [0, 1, -2])
+def test_random_affine_below_dimension_two_exits_two(dim, tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert cli_main(["--scenario", "random-affine", "--dim", str(dim), "--out-summary", str(out)]) == 2
+    assert capsys.readouterr().err == "configuration error: need dim >= 2\n"
+    assert not out.exists()
+
+
+def test_run_builds_through_build_scenario(monkeypatch):
+    calls = []
+
+    def spy(name, **kwargs):
+        calls.append((name, kwargs["dim"]))
+        return build_scenario(name, **kwargs)
+
+    monkeypatch.setattr(drsplit.runner, "build_scenario", spy)
+    run(make_config(scenario="points-1d"))
+    run(make_config(scenario="random-affine", dim=2, iters=10))
+    assert calls == [("points-1d", None), ("random-affine", 2)]
 
 
 def test_identity_sweep_deterministic():

@@ -8,6 +8,8 @@ never stops at a stationary point, so it also pins the rows ``iterate`` fills
 without iterating once the orbit is bitwise stationary.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from drsplit import (
     trailing_quarter,
 )
 from drsplit.cli import main as cli_main
-from drsplit.runner import format_float, write_trace_csv
+from drsplit.runner import _json_number, write_trace_csv
 
 FIELDS = ("governing", "shadow", "dual_shadow", "b_shadow", "b_dual_shadow", "steps")
 
@@ -65,6 +67,10 @@ def _reference_iterate(problem, max_iters, step_tol):
     return records, stop, stationary_at
 
 
+def _cell(x):
+    return format(float(x), ".17g")
+
+
 def _reference_csv(records, d):
     header = (
         ["n"]
@@ -79,9 +85,9 @@ def _reference_csv(records, d):
     for r in records:
         cells = [str(r["n"])]
         for vec in (r["governing"], r["shadow"], r["dual_shadow"], r["b_shadow"]):
-            cells.extend(format_float(c) for c in vec)
-        cells.append(format_float(np.linalg.norm(r["steps"])))
-        cells.extend(format_float(c) for c in r["steps"])
+            cells.extend(_cell(c) for c in vec)
+        cells.append(_cell(np.linalg.norm(r["steps"])))
+        cells.extend(_cell(c) for c in r["steps"])
         lines.append(",".join(cells))
     return ("\n".join(lines) + "\n").encode()
 
@@ -185,11 +191,44 @@ def test_gram_diameter_of_identical_rows_regression():
     assert diameter(np.array([[0.0, 1.0], [-0.0, 1.0]])) == 0.0
 
 
-def test_percent_format_equals_format_float():
-    # write_trace_csv formats a whole row with "%.17g"; _reference_csv uses format_float
-    values = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308, 1.0 / 3.0, 1e300]
-    for x in values:
-        assert "%.17g" % x == format_float(x)
+_EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308, 1.0 / 3.0, 1e300]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS)))
+def test_json_number_is_the_csv_cell_rule(x):
+    # the summary JSON and the trace CSV ("%.17g" per cell) share one rule,
+    # which is also _reference_csv's format(x, ".17g") and round-trips exactly
+    text = _json_number(x)
+    if np.isfinite(x):
+        assert text == "%.17g" % x == _cell(x)
+        assert np.float64(float(text)).tobytes() == np.float64(x).tobytes()
+    else:
+        assert text == "null"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--scenario", "shifted-subspace"],
+        ["--scenario", "parallel-lines"],
+        ["--scenario", "disjoint-balls"],
+        ["--scenario", "points-1d"],
+        ["--scenario", "random-affine", "--dim", "2", "--seed", "1"],
+    ],
+    ids=lambda a: "-".join(a[1::2]),
+)
+def test_summary_numbers_equal_the_last_csv_row_as_text(args, tmp_path, capsys):
+    csv, summary = tmp_path / "t.csv", tmp_path / "s.json"
+    assert cli_main(args + ["--out-trace", str(csv), "--out-summary", str(summary)]) == 0
+    header, *rows = csv.read_text().splitlines()
+    last = dict(zip(header.split(","), rows[-1].split(",")))
+    d = sum(1 for column in last if column.startswith("g"))
+    # number texts exactly as written, so "2" and "2.0" differ
+    doc = json.loads(summary.read_text(), parse_float=str, parse_int=str)
+    assert doc["v_estimate"] == [last[f"v{i}"] for i in range(d)]
+    assert doc["final_step_norm"] == last["step_norm"]
+    assert doc["shadow_limit"] == [last[f"s{i}"] for i in range(d)]
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,97 @@
+"""Print one digest line per run of the standard byte-identity matrix.
+
+Every run goes in-process through ``drsplit.cli.main`` (the demos through
+``runpy``) and prints its exit code and the sha256 of its stdout, stderr,
+trace CSV and summary JSON; a file the run did not write shows as ``-``.
+Two checkouts produce identical artifacts when their outputs diff clean:
+
+    python tools/artifact_digests.py > after.txt
+    (cd ../other-checkout && python tools/artifact_digests.py) > before.txt
+    diff before.txt after.txt
+
+The script imports drsplit from the ``src/`` directory next to it, so it
+digests the checkout it lives in. It is a check, not a benchmark: it
+measures no time.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import pathlib
+import runpy
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from drsplit.cli import main as cli_main  # noqa: E402
+from drsplit.scenarios import list_scenarios  # noqa: E402
+
+
+def _sha(data: bytes | None) -> str:
+    return "-" if data is None else hashlib.sha256(data).hexdigest()
+
+
+def _capture(fn) -> tuple[object, bytes, bytes]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        result = fn()
+    return result, out.getvalue().encode(), err.getvalue().encode()
+
+
+def _read(path: pathlib.Path) -> bytes | None:
+    return path.read_bytes() if path.exists() else None
+
+
+def cli_runs() -> list[list[str]]:
+    """The argument lists of the CLI part of the matrix, in print order."""
+    runs = []
+    for name, _description, _anchor in list_scenarios():
+        for seed in (0, 3):
+            runs.append(["--scenario", name, "--seed", str(seed)])
+    for dim in (2, 5, 50):
+        for seed in (1, 2):
+            runs.append(["--scenario", "random-affine", "--dim", str(dim), "--seed", str(seed)])
+    runs.append(["--scenario", "random-1d", "--seed", "4"])
+    # the error paths
+    runs.append(["--scenario", "rotator-cone", "--dim", "3"])
+    runs.append(["--scenario", "points-1d", "--dim", "2"])
+    runs.append(["--scenario", "random-affine", "--dim", "1"])
+    runs.append(["--scenario", "random-affine", "--dim", "0"])
+    runs.append(["--scenario", "parallel-lines", "--x0=1,2,3"])
+    # a far-out start and a stationary stop
+    runs.append(["--scenario", "random-affine", "--dim", "2", "--x0=1e200,-1e200", "--iters", "200"])
+    runs.append(["--scenario", "random-affine", "--dim", "5", "--seed", "3", "--tol", "1e-9"])
+    runs.append(["--check-identities", "--seed", "7", "--samples", "50"])
+    return runs
+
+
+def digest_cli(argv: list[str], work: pathlib.Path) -> str:
+    csv, summary = work / "trace.csv", work / "summary.json"
+    for path in (csv, summary):
+        path.unlink(missing_ok=True)
+    files = [] if "--check-identities" in argv else ["--out-trace", str(csv), "--out-summary", str(summary)]
+    code, out, err = _capture(lambda: cli_main(argv + files))
+    return f"{' '.join(argv)} | exit {code} | {_sha(out)} {_sha(err)} {_sha(_read(csv))} {_sha(_read(summary))}"
+
+
+def digest_demo(script: pathlib.Path) -> str:
+    _, out, err = _capture(lambda: runpy.run_path(str(script), run_name="__main__"))
+    return f"demos/{script.name} | {_sha(out)} {_sha(err)}"
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = pathlib.Path(tmp)
+        for argv in cli_runs():
+            print(digest_cli(argv, work), flush=True)
+    for script in sorted((ROOT / "demos").glob("0*.py")):
+        print(digest_demo(script), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
