@@ -45,9 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the identity sweep over every registered operator pair",
     )
-    parser.add_argument(
-        "--samples", type=int, default=200, help="samples per pair for --check-identities"
-    )
+    parser.add_argument("--samples", type=int, help="samples per pair for --check-identities")
     return parser
 
 
@@ -71,7 +69,8 @@ def _print_sweep(sweep) -> None:
 
 
 def _run_sweep(args) -> int:
-    sweep = check_identities(seed=args.seed if args.seed is not None else 7, samples=args.samples)
+    given = {key: getattr(args, key) for key in ("seed", "samples") if getattr(args, key) is not None}
+    sweep = check_identities(**given)
     _print_sweep(sweep)
     return 0 if sweep.passed else 1
 

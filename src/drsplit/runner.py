@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .identities import (
-    ResidualReport,
     affine_gap_residuals,
     dr_decomposition_residuals,
     eight_point_residual,
@@ -119,6 +118,8 @@ def make_config(file_values: dict[str, str] | None = None, **overrides) -> Scena
             cfg.step_tol = float(merged.pop("tol"))
         if "seed" in merged:
             cfg.seed = int(merged.pop("seed"))
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration value: {exc}") from exc
     if cfg.step_tol is not None and not (math.isfinite(cfg.step_tol) and cfg.step_tol >= 0):
@@ -138,6 +139,9 @@ def make_config(file_values: dict[str, str] | None = None, **overrides) -> Scena
 
 # ---------------------------------------------------------------------------
 # persistence
+
+# the one number format of both artifacts: 17 significant digits round-trip a float
+FLOAT_FORMAT = "%.17g"
 
 
 def write_trace_csv(trace: DRTrace, path: str) -> None:
@@ -163,8 +167,7 @@ def write_trace_csv(trace: DRTrace, path: str) -> None:
             trace.steps,
         ]
     )
-    # one format per row, the 17-digit rule of _json_number
-    row_format = "%d," + ",".join(["%.17g"] * table.shape[1])
+    row_format = "%d," + ",".join([FLOAT_FORMAT] * table.shape[1])
     lines = [",".join(header)]
     lines.extend(row_format % (n, *row) for n, row in enumerate(table.tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -172,9 +175,7 @@ def write_trace_csv(trace: DRTrace, path: str) -> None:
 
 
 def _json_number(x: float) -> str:
-    if x is None or not math.isfinite(x):
-        return "null"
-    return "%.17g" % x
+    return FLOAT_FORMAT % x if math.isfinite(x) else "null"
 
 
 def _json_vector(v) -> str:
@@ -384,33 +385,26 @@ def _blocks(samples: int) -> list[tuple[int, int]]:
     return [(first, min(SWEEP_BLOCK, samples - first)) for first in range(0, samples, SWEEP_BLOCK)]
 
 
-def _absorb_value(
-    worst: dict[str, WorstRecord], name: str, values: np.ndarray, pair: str, first: int, slack: bool = False
+def _absorb(
+    worst: dict[str, WorstRecord],
+    slack_worst: dict[str, WorstRecord],
+    entries: dict[str, np.ndarray],
+    pair: str,
+    first: int,
 ):
-    """Keep the worst row of a block: the largest residual, or the smallest slack.
+    """Keep the worst row of a block per name: the largest residual, or, for a
+    name ending in ``_slack``, the smallest slack (in ``slack_worst``).
 
     The earliest sample wins a tie, within the block and against the record
     held so far.
     """
-    i = int(np.argmin(values) if slack else np.argmax(values))
-    value = float(values[i])
-    held = worst.get(name)
-    if held is None or (value < held.value if slack else value > held.value):
-        worst[name] = WorstRecord(value, pair, first + i)
-
-
-def _absorb(
-    worst: dict[str, WorstRecord],
-    slack_worst: dict[str, WorstRecord],
-    report: ResidualReport,
-    pair: str,
-    first: int,
-):
-    for name, values in report.entries.items():
-        if name.endswith("_slack"):
-            _absorb_value(slack_worst, name, values, pair, first, slack=True)
-        else:
-            _absorb_value(worst, name, values, pair, first)
+    for name, values in entries.items():
+        slack = name.endswith("_slack")
+        records = slack_worst if slack else worst
+        i = int(np.argmin(values) if slack else np.argmax(values))
+        value, held = float(values[i]), records.get(name)
+        if held is None or (value < held.value if slack else value > held.value):
+            records[name] = WorstRecord(value, pair, first + i)
 
 
 def check_identities(
@@ -435,8 +429,8 @@ def check_identities(
         for first, n in _blocks(samples):
             pts = rng.standard_normal((n, 8, d)) * 1.5
             rows = pts.transpose(1, 0, 2)
-            _absorb(worst, slack_worst, three_point_residuals(*rows[:3]), tag, first)
-            _absorb_value(worst, "eight_point", eight_point_residual(*rows), tag, first)
+            _absorb(worst, slack_worst, three_point_residuals(*rows[:3]).entries, tag, first)
+            _absorb(worst, slack_worst, {"eight_point": eight_point_residual(*rows)}, tag, first)
 
     for entry in entries:
         A, B, label = entry.A, entry.B, entry.label
@@ -447,40 +441,25 @@ def check_identities(
         for first, n in _blocks(samples):
             xy = rng.standard_normal((n, 2, entry.dim)) * 1.5
             x, y = xy[:, 0], xy[:, 1]
-            _absorb(worst, slack_worst, dr_decomposition_residuals(A, B, x, y), label, first)
-            _absorb(worst, slack_worst, fixed_point_step_residuals(A, B, x), label, first)
-            _absorb_value(
-                worst,
-                "inverse_resolvent_sum",
-                np.maximum(
+            _absorb(worst, slack_worst, dr_decomposition_residuals(A, B, x, y).entries, label, first)
+            _absorb(worst, slack_worst, fixed_point_step_residuals(A, B, x).entries, label, first)
+            inline = {
+                "inverse_resolvent_sum": np.maximum(
                     vector_residual(A.resolvent_map(x) + a_inv.resolvent_map(x), x)[0],
                     vector_residual(B.resolvent_map(x) + b_inv.resolvent_map(x), x)[0],
                 ),
-                label,
-                first,
-            )
-            _absorb_value(
-                worst,
-                "self_duality",
-                vector_residual(dr_apply(A, B, x), dr_apply(a_inv, dual_b, x))[0],
-                label,
-                first,
-            )
-            _absorb_value(
-                worst,
-                "product_resolvent",
-                vector_residual(
+                "self_duality": vector_residual(dr_apply(A, B, x), dr_apply(a_inv, dual_b, x))[0],
+                "product_resolvent": vector_residual(
                     prod.resolvent_map(xy.reshape(n, -1)),
                     np.concatenate([A.resolvent_map(x), B.resolvent_map(y)], axis=1),
                 )[0],
-                label,
-                first,
-            )
+            }
             if A.is_linear_relation and B.is_linear_relation:
-                _absorb_value(worst, "linear_relation_step", linear_relation_residual(A, B, x), label, first)
+                inline["linear_relation_step"] = linear_relation_residual(A, B, x)
+            _absorb(worst, slack_worst, inline, label, first)
             if entry.skew_family:
-                _absorb(worst, slack_worst, skew_residuals(A, B, x, y), label, first)
+                _absorb(worst, slack_worst, skew_residuals(A, B, x, y).entries, label, first)
             if entry.affine_sets is not None:
                 U, V = entry.affine_sets
-                _absorb(worst, slack_worst, affine_gap_residuals(U, V, x), label, first)
+                _absorb(worst, slack_worst, affine_gap_residuals(U, V, x).entries, label, first)
     return IdentitySweep(seed=seed, samples=samples, worst=worst, slack_worst=slack_worst)

@@ -60,10 +60,10 @@ class ScenarioInstance:
 
     problem: DRProblem
     default_iters: int
-    default_step_tol: float
     checks: list[tuple[str, CheckFn]]
     seed: int
     v: np.ndarray
+    default_step_tol: float = 0.0
     z: Optional[np.ndarray] = None
     k: Optional[np.ndarray] = None
     solutions: Optional[SolutionSets] = None
@@ -253,7 +253,6 @@ def _build_shifted_subspace(dim, x0=None, seed=0) -> ScenarioInstance:
     return ScenarioInstance(
         problem=problem,
         default_iters=256,
-        default_step_tol=0.0,
         checks=[
             ("v_estimate", _v_check(v, 1e-9)),
             ("shadow_halving", check_shadow_halving),
@@ -286,7 +285,6 @@ def _build_parallel_lines(dim, x0=None, seed=0, gap=2.0) -> ScenarioInstance:
     return ScenarioInstance(
         problem=problem,
         default_iters=128,
-        default_step_tol=0.0,
         checks=[
             ("v_estimate", _v_check(v, 1e-9)),
             ("shadow_constant", check_shadow_constant),
@@ -315,7 +313,6 @@ def _build_disjoint_balls(dim, x0=None, seed=0) -> ScenarioInstance:
     return ScenarioInstance(
         problem=problem,
         default_iters=5000,
-        default_step_tol=0.0,
         checks=[
             ("shadow_limit", check_shadow_limit),
             ("v_estimate", _v_check(v, 1e-5)),
@@ -381,7 +378,6 @@ def _finish_consistent_instance(
     return ScenarioInstance(
         problem=problem,
         default_iters=10_000,
-        default_step_tol=0.0,
         checks=_consistent_checks(sets) + (extra_checks or []),
         seed=seed,
         v=np.zeros(problem.dim),
@@ -425,7 +421,6 @@ def _build_points_1d(dim, x0=None, seed=0) -> ScenarioInstance:
     return ScenarioInstance(
         problem=problem,
         default_iters=64,
-        default_step_tol=0.0,
         checks=[
             ("governing_arithmetic", check_arithmetic),
             ("shadow_zero", check_shadow_zero),
@@ -546,77 +541,64 @@ def _build_random_1d(dim, x0=None, seed=0) -> ScenarioInstance:
 # ---------------------------------------------------------------------------
 # registry
 
-_REGISTRY: dict[str, ScenarioSpec] = {}
-
-
-def _register(name, description, anchor, dim, build):
-    _REGISTRY[name] = ScenarioSpec(description, anchor, dim, build)
-
-
-_register(
-    "rotator-cone",
-    "normal cone of the nonnegative quadrant against the quarter-turn rotation",
-    "consistent planar pair whose solution pairs do NOT decouple: distances to "
-    "primal-only targets can grow by exactly 5/4 a^2 in one step",
-    2,
-    _build_rotator_cone,
-)
-_register(
-    "shifted-subspace",
-    "horizontal axis against identity plus a perpendicularly shifted copy",
-    "zero-free sum with displacement equal to the shift: primal shadows halve "
-    "every step while dual shadows diverge",
-    2,
-    _build_shifted_subspace,
-)
-_register(
-    "parallel-lines",
-    "normal cones of two parallel horizontal lines",
-    "infeasible pair on which the splitting map is a pure translation by the "
-    "gap vector; shadows are constant",
-    2,
-    _build_parallel_lines,
-)
-_register(
-    "disjoint-balls",
-    "normal cones of two disjoint unit balls on the horizontal axis",
-    "infeasible smooth pair: governing iterates drift while shadows converge "
-    "to the nearest-point contact",
-    2,
-    _build_disjoint_balls,
-)
-_register(
-    "affine-consistent",
-    "two intersecting lines through the origin",
-    "consistent affine pair with linear convergence; the step length equals "
-    "the projection gap at every point",
-    2,
-    _build_affine_consistent,
-)
-_register(
-    "points-1d",
-    "normal cones of the points 0 and 2 on the line",
-    "simplest infeasible pair: governing sequence walks arithmetically, "
-    "shadow pinned at the first point",
-    1,
-    _build_points_1d,
-)
-_register(
-    "random-1d",
-    "seeded monotone piecewise-linear pair on the line sharing a zero",
-    "one-dimensional consistent pair on which shadow and dual shadow are each "
-    "separately monotone in distance to their targets",
-    1,
-    _build_random_1d,
-)
-_register(
-    "random-affine",
-    "seeded affine pair in R^d with a forced common point",
-    "generic consistent affine geometry with bounded principal angles; used "
-    "for convergence, summability and gap-identity sweeps",
-    None,
-    _build_random_affine,
-)
+_REGISTRY: dict[str, ScenarioSpec] = {
+    "rotator-cone": ScenarioSpec(
+        "normal cone of the nonnegative quadrant against the quarter-turn rotation",
+        "consistent planar pair whose solution pairs do NOT decouple: distances to "
+        "primal-only targets can grow by exactly 5/4 a^2 in one step",
+        2,
+        _build_rotator_cone,
+    ),
+    "shifted-subspace": ScenarioSpec(
+        "horizontal axis against identity plus a perpendicularly shifted copy",
+        "zero-free sum with displacement equal to the shift: primal shadows halve "
+        "every step while dual shadows diverge",
+        2,
+        _build_shifted_subspace,
+    ),
+    "parallel-lines": ScenarioSpec(
+        "normal cones of two parallel horizontal lines",
+        "infeasible pair on which the splitting map is a pure translation by the "
+        "gap vector; shadows are constant",
+        2,
+        _build_parallel_lines,
+    ),
+    "disjoint-balls": ScenarioSpec(
+        "normal cones of two disjoint unit balls on the horizontal axis",
+        "infeasible smooth pair: governing iterates drift while shadows converge "
+        "to the nearest-point contact",
+        2,
+        _build_disjoint_balls,
+    ),
+    "affine-consistent": ScenarioSpec(
+        "two intersecting lines through the origin",
+        "consistent affine pair with linear convergence; the step length equals "
+        "the projection gap at every point",
+        2,
+        _build_affine_consistent,
+    ),
+    "points-1d": ScenarioSpec(
+        "normal cones of the points 0 and 2 on the line",
+        "simplest infeasible pair: governing sequence walks arithmetically, "
+        "shadow pinned at the first point",
+        1,
+        _build_points_1d,
+    ),
+    "random-1d": ScenarioSpec(
+        "seeded monotone piecewise-linear pair on the line sharing a zero",
+        "one-dimensional consistent pair on which shadow and dual shadow are each "
+        "separately monotone in distance to their targets",
+        1,
+        _build_random_1d,
+    ),
+    "random-affine": ScenarioSpec(
+        "seeded affine pair in R^d with a forced common point",
+        "generic consistent affine geometry with bounded principal angles; used "
+        "for convergence, summability and gap-identity sweeps",
+        None,
+        _build_random_affine,
+    ),
+}
 
 
 def list_scenarios() -> list[tuple[str, str, str]]:

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PossiblyInconsistentError
+from .errors import DimensionMismatchError, NonFiniteIterateError, PossiblyInconsistentError
 from .operators import MonotoneOperator
 from .space import as_point, as_points, diameter, row_norms
 from .splitting import DRProblem, DRTrace, StopReason, dr_apply, iterate, trailing_quarter
@@ -63,18 +63,37 @@ class SolutionSets:
 # fixed points and solution samples
 
 
-def find_fixed_point(problem: DRProblem, tol: float = 1e-12, max_iters: int = 100_000) -> np.ndarray:
+# The fixed-point search iterates in runs of at most this many records, so it
+# holds one such trace whatever its ``max_iters``.
+SEARCH_CHUNK = 4096
+
+
+def find_fixed_point(problem: DRProblem, tol: float, max_iters: int = 100_000) -> np.ndarray:
     """Iterate until the step norm drops below ``tol`` and return that point.
 
     Raises :class:`PossiblyInconsistentError` (carrying the displacement
-    estimate) when the step norm stagnates above ``tol``.
+    estimate) when the step norm stagnates above ``tol``. The search runs in
+    chunks of ``SEARCH_CHUNK`` records, each started at the point the last
+    one's loop would have gone on to, so its results are bitwise those of one
+    ``iterate(problem, max_iters, tol)`` run.
     """
-    trace = iterate(problem, max_iters=max_iters, step_tol=tol)
-    if trace.stop_reason is StopReason.STEP_CONVERGED:
-        return trace.governing[-1].copy()
-    raise PossiblyInconsistentError(
-        step_norm=float(trace.step_norms[-1]), v_estimate=trace.v_estimate.copy()
-    )
+    x, done = problem.x0, 0
+    while True:
+        chunk = min(SEARCH_CHUNK, max_iters - done)  # iterate rejects a max_iters below 1
+        try:
+            trace = iterate(DRProblem(problem.A, problem.B, x), chunk, tol)
+        except NonFiniteIterateError as exc:
+            raise NonFiniteIterateError(done + exc.iteration) from None
+        if trace.stop_reason is StopReason.STEP_CONVERGED:
+            return trace.governing[-1].copy()
+        done += chunk
+        # a stationary orbit (tol 0) repeats its last record to the end
+        if done == max_iters or trace.stationary_at is not None:
+            raise PossiblyInconsistentError(
+                step_norm=float(trace.step_norms[-1]), v_estimate=trace.v_estimate.copy()
+            )
+        # the loop's x_next, (x - J_A x) + J_B R_A x, bit for bit
+        x = trace.governing[-1] - trace.shadow[-1] + trace.b_shadow[-1]
 
 
 def primal_dual_from_fix(

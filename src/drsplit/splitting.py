@@ -29,9 +29,6 @@ from .errors import DimensionMismatchError, NonFiniteIterateError
 from .operators import MonotoneOperator, inner_shift, outer_shift
 from .space import as_point, as_points, diameter, row_norms
 
-DEFAULT_MAX_ITERS = 100_000
-DEFAULT_STEP_TOL = 1e-12
-
 
 class StopReason(str, Enum):
     MAX_ITERS = "max_iters"
@@ -181,11 +178,7 @@ def _physical_memory_bytes() -> Optional[int]:
 _MAX_FLOAT = float(np.finfo(float).max)
 
 
-def iterate(
-    problem: DRProblem,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    step_tol: float = DEFAULT_STEP_TOL,
-) -> DRTrace:
+def iterate(problem: DRProblem, max_iters: int, step_tol: float) -> DRTrace:
     """Run the iteration from ``problem.x0`` and record every tracked sequence.
 
     Stops once the step norm drops below ``step_tol`` or after ``max_iters``

@@ -164,8 +164,9 @@ def test_trace_beyond_physical_memory_is_refused(monkeypatch, capsys):
     assert len(iterate(inst.problem, max_iters=50, step_tol=0.0)) == 50
     with pytest.raises(ValueError, match=r"max_iters=51 .*dimension 2 does not fit in memory"):
         iterate(inst.problem, max_iters=51, step_tol=0.0)
-    # 10 MB: the scenario's fixed-point runs (10^5 records, one orbit) fit, a
-    # run of 10^6 records with its companion (96 MB) does not
+    # 10 MB: the scenario's fixed-point searches (one orbit, SEARCH_CHUNK
+    # records at a time) fit, a run of 10^6 records with its companion (96 MB)
+    # does not
     monkeypatch.setattr(drsplit.splitting, "_physical_memory_bytes", lambda: 10**7)
     assert cli_main(["--scenario", "random-affine", "--dim", "2", "--iters", str(10**6)]) == 2
     assert "max_iters=1000000 records in dimension 2 does not fit in memory" in capsys.readouterr().err
@@ -174,7 +175,14 @@ def test_trace_beyond_physical_memory_is_refused(monkeypatch, capsys):
     monkeypatch.setattr(drsplit.splitting, "_physical_memory_bytes", lambda: None)
     assert len(iterate(inst.problem, max_iters=51, step_tol=0.0)) == 51
     with pytest.raises(ValueError, match=r"max_iters=1000000000000000 .*does not fit in memory"):
-        iterate(inst.problem, max_iters=10**15)
+        iterate(inst.problem, max_iters=10**15, step_tol=1e-12)
+
+
+def test_fixed_point_searches_fit_where_the_run_fits(monkeypatch):
+    # the run holds 3 arrays x 2 orbits x 10^4 records x 50 x 8 B = 24 MB; the
+    # build's searches, with max_iters 10^5, hold one chunk of records each
+    monkeypatch.setattr(drsplit.splitting, "_physical_memory_bytes", lambda: 64 * 2**20)
+    assert cli_main(["--scenario", "random-affine", "--dim", "50", "--seed", "1"]) == 0
 
 
 def test_physical_memory_is_unknown_without_sysconf(monkeypatch):

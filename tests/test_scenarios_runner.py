@@ -20,6 +20,7 @@ from drsplit import (
     rotator,
     run,
 )
+import drsplit.cli
 import drsplit.runner
 from drsplit.cli import main as cli_main
 from drsplit.runner import REL_TOL, SLACK_TOL, PairEntry
@@ -332,6 +333,18 @@ def test_cli_dimension_mismatch_is_config_error(tmp_path):
     assert cli_main(["--scenario", "rotator-cone", "--dim", "7"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, kwargs",
+    [([], {}), (["--samples", "3"], {"samples": 3}), (["--seed", "2"], {"seed": 2})],
+)
+def test_cli_check_identities_defaults_are_the_sweeps_own(argv, kwargs, capsys):
+    # a flag the user does not give leaves check_identities' default in place
+    assert cli_main(["--check-identities", *argv]) == 0
+    out = capsys.readouterr().out
+    drsplit.cli._print_sweep(check_identities(**kwargs))
+    assert out == capsys.readouterr().out
+
+
 def test_cli_check_identities_smoke(capsys):
     assert cli_main(["--check-identities", "--samples", "2", "--seed", "3"]) == 0
     out = capsys.readouterr().out
@@ -507,4 +520,8 @@ def test_config_rejects_empty_x0_coordinate(capsys):
     with pytest.raises(ConfigError, match="empty coordinate"):
         make_config(scenario="parallel-lines", x0="1,,2")
     assert cli_main(["--scenario", "parallel-lines", "--x0", "1,,2"]) == 2
-    assert "1,,2" in capsys.readouterr().err
+    # the parser's own message, with no second prefix
+    assert capsys.readouterr().err == "configuration error: invalid x0 '1,,2': empty coordinate\n"
+    # other bad values keep the generic wrapper
+    with pytest.raises(ConfigError, match="^invalid configuration value: could not convert"):
+        make_config(scenario="parallel-lines", x0=("one",))

@@ -1,11 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import drsplit.solutions
 from drsplit import (
     Box,
     DRProblem,
+    MonotoneOperator,
+    NonFiniteIterateError,
     PossiblyInconsistentError,
     SetSample,
+    Singleton,
+    StopReason,
     build_scenario,
     decoupled_1d_fejer_check,
     diameter,
@@ -42,6 +49,71 @@ def test_find_fixed_point_inconsistent_raises_with_estimate():
         find_fixed_point(inst.problem, tol=1e-10, max_iters=500)
     assert np.allclose(err.value.v_estimate, [0.0, 2.0], atol=1e-6)
     assert err.value.step_norm > 1.0
+
+
+def _search_problem(name, **kwargs):
+    p = build_scenario(name, **kwargs).problem
+    return DRProblem(p.A, p.B, p.x0)
+
+
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [
+        ("random-affine", {"dim": 2, "seed": 1}),
+        ("random-affine", {"dim": 5, "seed": 1}),
+        ("random-affine", {"dim": 50, "seed": 1}),
+        ("random-1d", {"seed": 1}),
+        ("affine-consistent", {}),
+        ("rotator-cone", {}),
+        ("parallel-lines", {}),
+    ],
+)
+@pytest.mark.parametrize("tol", [1e-13, 0.0])
+def test_find_fixed_point_in_chunks_equals_one_run(monkeypatch, name, kwargs, tol):
+    # 3,000 records are 428 chunks of 7 and one of 4
+    monkeypatch.setattr(drsplit.solutions, "SEARCH_CHUNK", 7)
+    problem = _search_problem(name, **kwargs)
+    ref = iterate(problem, 3000, tol)
+    if ref.stop_reason is StopReason.STEP_CONVERGED:
+        assert find_fixed_point(problem, tol, 3000).tobytes() == ref.governing[-1].tobytes()
+        return
+    with pytest.raises(PossiblyInconsistentError) as err:
+        find_fixed_point(problem, tol, 3000)
+    assert np.float64(err.value.step_norm).tobytes() == ref.step_norms[-1].tobytes()
+    assert err.value.v_estimate.tobytes() == ref.v_estimate.tobytes()
+
+
+def test_find_fixed_point_counts_records_across_chunks(monkeypatch):
+    monkeypatch.setattr(drsplit.solutions, "SEARCH_CHUNK", 7)
+    problem = _search_problem("rotator-cone")
+    with pytest.raises(ValueError, match="max_iters must be >= 1"):
+        find_fixed_point(problem, 1e-12, max_iters=0)
+
+    def breaks_at_record_20():
+        # N_{0} in R^1, whose 21st resolvent call returns NaN; T x = x + 1
+        calls = [0]
+
+        def resolvent(x):
+            calls[0] += 1
+            return np.full_like(x, np.nan if calls[0] == 21 else 0.0)
+
+        return DRProblem(MonotoneOperator(resolvent, 1), normal_cone(Singleton([1.0])), [3.0])
+
+    with pytest.raises(NonFiniteIterateError) as err:
+        find_fixed_point(breaks_at_record_20(), 1e-12, 100)
+    assert err.value.iteration == 20
+
+
+def test_find_fixed_point_holds_one_chunk_of_records():
+    # 10^5 records of d = 50 would take 3 * 10^5 * 50 * 8 B = 114 MiB
+    problem = _search_problem("random-affine", dim=50, seed=1)
+    tracemalloc.start()
+    try:
+        find_fixed_point(problem, 1e-13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_primal_dual_from_fix_rotator_ray():

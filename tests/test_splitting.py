@@ -230,7 +230,7 @@ def test_iterate_rejects_wrong_image_shape_at_the_start(bad_is_a):
 def test_iterate_rejects_bad_arguments():
     inst = build_scenario("points-1d")
     with pytest.raises(ValueError):
-        iterate(inst.problem, max_iters=0)
+        iterate(inst.problem, max_iters=0, step_tol=1e-12)
     with pytest.raises(ValueError):
         iterate(inst.problem, max_iters=5, step_tol=-1.0)
     with pytest.raises(ValueError, match="nan"):

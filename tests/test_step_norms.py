@@ -25,9 +25,9 @@ from drsplit import (
     normal_cone,
 )
 from drsplit.space import row_norms
-from drsplit.splitting import DEFAULT_STEP_TOL
 
 _TINY = float(np.finfo(float).smallest_subnormal)
+DEFAULT_STEP_TOL = 1e-12  # rotator-cone's fixed-point search tolerance
 _NORMAL_MIN = float(np.finfo(float).tiny)
 
 # magnitudes from 1e-300 to 1e150, subnormals, signed zeros and non-finite entries
@@ -115,7 +115,7 @@ def test_lone_orbit_with_a_non_finite_image_raises_at_its_record(k, value):
     # T x = x + 1 until record k: a lone orbit that never stops moving
     A, B = _breaks_at(k, value), normal_cone(Singleton([1.0]))
     with pytest.raises(NonFiniteIterateError) as err:
-        iterate(DRProblem(A, B, [3.0]), max_iters=50)
+        iterate(DRProblem(A, B, [3.0]), max_iters=50, step_tol=DEFAULT_STEP_TOL)
     assert err.value.iteration == k
 
 

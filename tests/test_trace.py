@@ -287,8 +287,8 @@ def test_trace_too_large_for_memory_is_a_value_error(capsys):
     # without touching memory; numpy rejects 10**19 rows by shape alone
     inst = build_scenario("points-1d")
     with pytest.raises(ValueError, match=r"max_iters=1000000000000000 .*dimension 1"):
-        iterate(inst.problem, max_iters=10**15)
+        iterate(inst.problem, max_iters=10**15, step_tol=1e-12)
     with pytest.raises(ValueError, match=r"max_iters=10000000000000000000 .*dimension 1"):
-        iterate(inst.problem, max_iters=10**19)
+        iterate(inst.problem, max_iters=10**19, step_tol=1e-12)
     assert cli_main(["--scenario", "points-1d", "--iters", str(10**15)]) == 2
     assert "max_iters=1000000000000000" in capsys.readouterr().err
