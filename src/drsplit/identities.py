@@ -136,9 +136,9 @@ def eight_point_residual(a, b, x, y, a_star, b_star, u, v):
 
 
 def _splitting_data(A: MonotoneOperator, B: MonotoneOperator, x: np.ndarray):
-    ja = A.resolvent_map(x)
+    ja = A._checked_map(x)
     ra = 2.0 * ja - x
-    jb = B.resolvent_map(ra)
+    jb = B._checked_map(ra)
     tx = x - ja + jb
     return ja, x - ja, jb, ra - jb, tx
 
@@ -226,7 +226,7 @@ def _require_quarter_turn_family(A: MonotoneOperator, name: str) -> None:
     if A.dim != 2 or not A.is_linear_relation:
         raise OperatorFamilyError(f"{name} must be a planar linear operator")
     s = np.random.default_rng(12345).standard_normal((4, 2))
-    j = A.resolvent_map(s)
+    j = A._checked_map(s)
     not_skew = np.abs(_dot(j, s - j)) > 1e-10 * (1.0 + _dot(s, s))
     squared = _linear_forward(A, _linear_forward(A, s))
     not_square = row_norms(squared + s) > 1e-10 * (1.0 + row_norms(s))

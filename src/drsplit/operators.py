@@ -40,9 +40,9 @@ class MonotoneOperator:
     constructor and combinator below. It takes one point of shape (dim,) or a
     stack of row points of shape (m, dim) and returns an array of the same
     shape, and row i of a stack's image must be bitwise equal to the image of
-    row i alone. ``resolvent`` and ``dr_apply`` check the shape of its output;
-    ``iterate`` checks it at the start point only and calls the map unchecked
-    after that.
+    row i alone. Every public evaluation checks the shape of its first image
+    (``OperatorContractError``) and trusts later ones: ``iterate`` checks it at
+    the start point only.
     """
 
     resolvent_map: Callable[[np.ndarray], np.ndarray]
@@ -85,13 +85,13 @@ class GraphPoint:
 def reflected(A: MonotoneOperator, x) -> np.ndarray:
     """Reflected resolvent 2 J_A(x) - x (nonexpansive)."""
     xv = as_point(x, A.dim)
-    return 2.0 * A.resolvent_map(xv) - xv
+    return 2.0 * A._checked_map(xv) - xv
 
 
 def minty_forward(A: MonotoneOperator, x) -> GraphPoint:
     """Parametrize the graph of A: x -> (J_A x, x - J_A x)."""
     xv = as_point(x, A.dim)
-    p = A.resolvent_map(xv)
+    p = A._checked_map(xv)
     return GraphPoint(p, xv - p)
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ConfigError
 from .identities import affine_gap_residuals
 from .operators import (
+    MonotoneOperator,
     inner_shift,
     normal_cone,
     piecewise_linear_1d,
@@ -139,7 +140,7 @@ def _summability_check(trace: DRTrace) -> CheckResult:
         # without a second start (or with one that rounded back to x0, so two
         # equal orbits would make every series vanish) nothing is certified
         return CheckResult(False, float("nan"))
-    rep = summability_report(trace, trace.companion, term_tol=1e-8, nonneg_tol=1e-10)
+    rep = summability_report(trace, trace.companion)
     worst = min(rep.pairing_a_min, rep.pairing_b_min)
     return CheckResult(rep.pairings_nonnegative and rep.final_terms_small, worst)
 
@@ -350,31 +351,29 @@ def _consistent_checks(sets: SolutionSets) -> list[tuple[str, CheckFn]]:
 
 
 def _finish_consistent_instance(
-    problem: DRProblem,
+    A: MonotoneOperator,
+    B: MonotoneOperator,
+    start: np.ndarray,
     seed: int,
     extra_checks: list[tuple[str, CheckFn]] | None = None,
     z: Optional[np.ndarray] = None,
     k: Optional[np.ndarray] = None,
 ) -> ScenarioInstance:
-    """Attach a companion start, solution samples (computed from converged
-    runs) and checkers.
+    """Build the problem from ``start`` with a companion start, and attach
+    solution samples (computed from converged runs) and checkers.
 
     The companion is a seeded perturbation of the start (none if it rounds
     away). The fixed points come from the start and two more perturbed
     starts; a perturbation that rounds away adds no row.
     """
-    companion = _perturbed_start(problem.x0, np.random.default_rng(seed + 7919))
-    problem = DRProblem(problem.A, problem.B, problem.x0, companion)
+    companion = _perturbed_start(start, np.random.default_rng(seed + 7919))
+    problem = DRProblem(A, B, start, companion)
     rng = np.random.default_rng(seed + 104729)
     starts = [problem.x0] + [_perturbed_start(problem.x0, rng) for _ in range(2)]
     fix_sample = SetSample(
-        [
-            find_fixed_point(DRProblem(problem.A, problem.B, start), tol=1e-13)
-            for start in starts
-            if start is not None
-        ]
+        [find_fixed_point(DRProblem(A, B, s), tol=1e-13) for s in starts if s is not None]
     )
-    sets = primal_dual_from_fix(problem.A, problem.B, fix_sample, tol=1e-9)
+    sets = primal_dual_from_fix(A, B, fix_sample, tol=1e-9)
     return ScenarioInstance(
         problem=problem,
         default_iters=10_000,
@@ -393,8 +392,7 @@ def _build_affine_consistent(dim, x0=None, seed=0) -> ScenarioInstance:
     A = normal_cone(U, label="normal_cone(horizontal line)")
     B = normal_cone(V, label="normal_cone(diagonal line)")
     start = as_point(x0, dim) if x0 is not None else np.array([0.0, 1.0])
-    problem = DRProblem(A, B, start)
-    return _finish_consistent_instance(problem, seed)
+    return _finish_consistent_instance(A, B, start, seed)
 
 
 def _build_points_1d(dim, x0=None, seed=0) -> ScenarioInstance:
@@ -466,7 +464,6 @@ def _build_random_affine(dim, x0=None, seed=0) -> ScenarioInstance:
     A = normal_cone(U, label="normal_cone(random affine U)")
     B = normal_cone(V, label="normal_cone(random affine V)")
     start = as_point(x0, d) if x0 is not None else rng.uniform(-2.0, 2.0, d)
-    problem = DRProblem(A, B, start)
 
     def check_gap_identity(trace):
         # evaluated at a bounded seeded point: the bound is absolute, so the
@@ -476,7 +473,9 @@ def _build_random_affine(dim, x0=None, seed=0) -> ScenarioInstance:
         worst = rep.raw["gap_identity"]
         return CheckResult(worst <= 1e-10, worst)
 
-    return _finish_consistent_instance(problem, seed, extra_checks=[("gap_identity", check_gap_identity)])
+    return _finish_consistent_instance(
+        A, B, start, seed, extra_checks=[("gap_identity", check_gap_identity)]
+    )
 
 
 def random_pw1d_pair(rng: np.random.Generator):
@@ -527,14 +526,13 @@ def _build_random_1d(dim, x0=None, seed=0) -> ScenarioInstance:
     A, B, z = random_pw1d_pair(rng)
     k = np.array([0.0])
     start = as_point(x0, dim) if x0 is not None else rng.uniform(-3.0, 3.0, 1)
-    problem = DRProblem(A, B, start)
 
     def check_decoupled(trace):
         ok = decoupled_1d_fejer_check(trace.problem, z, k, trace)
         return CheckResult(ok, 0.0 if ok else 1.0)
 
     return _finish_consistent_instance(
-        problem, seed, extra_checks=[("decoupled_fejer", check_decoupled)], z=z, k=k
+        A, B, start, seed, extra_checks=[("decoupled_fejer", check_decoupled)], z=z, k=k
     )
 
 

@@ -90,7 +90,7 @@ def find_fixed_point(problem: DRProblem, tol: float, max_iters: int = 100_000) -
         # a stationary orbit (tol 0) repeats its last record to the end
         if done == max_iters or trace.stationary_at is not None:
             raise PossiblyInconsistentError(
-                step_norm=float(trace.step_norms[-1]), v_estimate=trace.v_estimate.copy()
+                step_norm=float(trace.step_norms[-1]), v_estimate=trace.v_estimate
             )
         # the loop's x_next, (x - J_A x) + J_B R_A x, bit for bit
         x = trace.governing[-1] - trace.shadow[-1] + trace.b_shadow[-1]

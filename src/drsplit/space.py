@@ -135,11 +135,8 @@ class AffineSubspace:
     @classmethod
     def from_span(cls, offset, spanning_vectors: Iterable) -> "AffineSubspace":
         """Build from any independent spanning set (orthonormalized here)."""
-        vecs = orthonormalize(list(spanning_vectors))
-        offset = as_point(offset)
-        if vecs:
-            return cls(offset, np.vstack(vecs))
-        return cls(offset, np.zeros((0, offset.shape[0])))
+        # an empty set gives a (0,) basis, which the constructor reshapes
+        return cls(offset, np.array(orthonormalize(list(spanning_vectors))))
 
     @property
     def dim(self) -> int:

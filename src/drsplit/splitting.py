@@ -68,12 +68,14 @@ class DRProblem:
 class DRTrace:
     """The tracked sequences of one run as ``(n, d)`` arrays, row n for T^n x.
 
-    ``iterate`` fills ``governing``, ``shadow`` and ``b_shadow``; the other
-    sequences are derived from them with the loop's own expressions, so every
-    row is bitwise what the loop computed. ``stationary_at`` is the first n
-    with T^(n+1) x bitwise equal to T^n x (``None`` if there is none): every
-    row from n on is then the same. ``companion`` is the trace of the
-    problem's companion start, as many records long, bitwise equal to
+    ``iterate`` fills ``governing``, ``shadow`` and ``b_shadow``, the one
+    stored copy of the run. The other sequences are derived from them at each
+    read, with the loop's own expressions, so every row is bitwise what the
+    loop computed; only the O(N^2) ``trailing_shadow_diameter`` is kept.
+    ``stationary_at`` is the first n with T^(n+1) x bitwise equal to T^n x
+    (``None`` if there is none): every row from n on is then the same.
+    ``companion`` is the trace of the problem's companion start, as many
+    records long, bitwise equal to
     ``iterate(DRProblem(A, B, companion), len(trace), step_tol=0.0)``.
     """
 
@@ -94,23 +96,23 @@ class DRTrace:
             f"stop={self.stop_reason.value})"
         )
 
-    @cached_property
+    @property
     def dual_shadow(self) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             return self.governing - self.shadow
 
-    @cached_property
+    @property
     def b_dual_shadow(self) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             return (2.0 * self.shadow - self.governing) - self.b_shadow
 
-    @cached_property
+    @property
     def steps(self) -> np.ndarray:
         """T^n x - T^(n+1) x."""
         with np.errstate(over="ignore", invalid="ignore"):
             return self.governing - (self.dual_shadow + self.b_shadow)
 
-    @cached_property
+    @property
     def step_norms(self) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             return row_norms(self.steps)
@@ -122,7 +124,7 @@ class DRTrace:
 
     @property
     def v_estimate(self) -> np.ndarray:
-        return self.steps[-1]
+        return self.steps[-1].copy()  # a view would keep the whole steps array alive
 
 
 def trailing_quarter(length: int) -> slice:

@@ -30,6 +30,7 @@ from drsplit import (
     inner_shift,
     inverse,
     linear_relation_residual,
+    minty_forward,
     normal_cone,
     operator_pair_library,
     outer_shift,
@@ -37,6 +38,7 @@ from drsplit import (
     product,
     project,
     projector_operator,
+    reflected,
     rotator,
     scaled_id_plus_normal_cone,
     skew_residuals,
@@ -251,6 +253,38 @@ def test_resolvent_and_dr_apply_reject_wrong_output_shape():
     assert np.array_equal(rowless.resolvent([1.0, 2.0]), [0.0, 0.0])
     with pytest.raises(OperatorContractError, match=r"rowless.*\(2,\).*\(3, 2\)"):
         rowless.resolvent(np.ones((3, 2)))
+
+
+# a planar map whose images drop a coordinate; declared linear, so that the
+# linear-relation and skew reports get as far as evaluating it
+FIRST_COLUMN = MonotoneOperator(
+    lambda x: x[..., :1], dim=2, is_linear_relation=True, label="first-column"
+)
+FIRST_COLUMN_ERROR = r"first-column returned shape \((\d+, )?1,?\) for input of shape \((\d+, )?2,?\)"
+PAIR_EVALUATIONS = {
+    "dr_decomposition_residuals": lambda A, B, x: dr_decomposition_residuals(A, B, x, -x),
+    "fixed_point_step_residuals": fixed_point_step_residuals,
+    "linear_relation_residual": linear_relation_residual,
+    "skew_residuals": lambda A, B, x: skew_residuals(A, B, x, -x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_EVALUATIONS))
+@pytest.mark.parametrize(
+    "x", [[1.0, 2.0], [[1.0, 2.0], [3.0, -1.0], [0.5, 0.0]]], ids=["point", "stack"]
+)
+def test_identities_check_each_operators_first_image(name, x):
+    evaluate = PAIR_EVALUATIONS[name]
+    with pytest.raises(OperatorContractError, match=FIRST_COLUMN_ERROR):
+        evaluate(FIRST_COLUMN, rotator(), np.array(x))
+    with pytest.raises(OperatorContractError, match=FIRST_COLUMN_ERROR):
+        evaluate(rotator(), FIRST_COLUMN, np.array(x))
+
+
+@pytest.mark.parametrize("evaluate", [reflected, minty_forward])
+def test_one_point_evaluations_check_the_image(evaluate):
+    with pytest.raises(OperatorContractError, match=FIRST_COLUMN_ERROR):
+        evaluate(FIRST_COLUMN, [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------

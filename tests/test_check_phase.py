@@ -172,3 +172,27 @@ def test_check_phase_memory_is_linear_in_the_trace(monkeypatch):
     # the peak counts the traced trace arrays (2 orbits x 3 x 10^4 x 50 x 8 B,
     # about 23 MiB) and the checks' temporaries on top of them
     assert peaks[0] < 64 * MIB
+
+
+def test_a_checked_trace_holds_only_the_arrays_iterate_wrote(monkeypatch):
+    run_checks = ScenarioInstance.run_checks
+    held = []
+
+    def traced_checks(self, trace):
+        out = run_checks(self, trace)
+        held.append(tracemalloc.get_traced_memory()[0])
+        return out
+
+    monkeypatch.setattr(ScenarioInstance, "run_checks", traced_checks)
+    tracemalloc.start()
+    try:
+        summary, trace = run(make_config(None, scenario="random-affine", dim=50, seed=1))
+    finally:
+        tracemalloc.stop()
+    assert summary.all_passed and trace.companion is not None
+    derived = {"dual_shadow", "b_dual_shadow", "steps", "step_norms"}
+    assert not derived & vars(trace).keys()
+    assert not derived & vars(trace.companion).keys()
+    # the trace arrays alone are 2 orbits x 3 x 10^4 x 50 x 8 B, about 23 MiB;
+    # a cached copy of the four derived sequences would double that
+    assert held[0] < 28 * MIB

@@ -25,6 +25,18 @@ def test_project_horizontal_line():
     assert np.allclose(project(S, [3.0, 5.0]), [3.0, 1.0], atol=0)
 
 
+def test_from_span_of_no_vectors_is_the_offset_point():
+    offset = np.array([1.5, -2.0, 0.25])
+    S = AffineSubspace.from_span(offset, [])
+    T = AffineSubspace(offset, np.zeros((0, 3)))
+    assert S.offset.tobytes() == T.offset.tobytes()
+    assert S.basis.shape == T.basis.shape == (0, 3)
+    x = np.random.default_rng(5).standard_normal((4, 3))
+    for p in (x[0], x):
+        assert S.project(p).tobytes() == T.project(p).tobytes()
+    assert S.project(x[0]).tobytes() == offset.tobytes()
+
+
 def test_project_ball_radially():
     S = Ball([4.0, 0.0], 1.0)
     assert np.allclose(project(S, [0.0, 0.0]), [3.0, 0.0], atol=0)
