@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DimensionMismatchError, OperatorFamilyError
 from .operators import MonotoneOperator, normal_cone
 from .space import ConvexSet, as_points, is_affine, row_norms
-from .splitting import dr_apply
+from .splitting import dr_apply, dr_step
 
 
 # Row-wise inner product; on one point it is bitwise equal to np.dot, which
@@ -135,14 +135,6 @@ def eight_point_residual(a, b, x, y, a_star, b_star, u, v):
     return _value(_scaled(np.abs(lhs - rhs), np.abs(lhs), np.abs(rhs)))
 
 
-def _splitting_data(A: MonotoneOperator, B: MonotoneOperator, x: np.ndarray):
-    ja = A._checked_map(x)
-    ra = 2.0 * ja - x
-    jb = B._checked_map(ra)
-    tx = x - ja + jb
-    return ja, x - ja, jb, ra - jb, tx
-
-
 def dr_decomposition_residuals(A: MonotoneOperator, B: MonotoneOperator, x, y) -> ResidualReport:
     """Decompositions of <Tx-Ty, x-y> and friends into monotone pairings.
 
@@ -154,13 +146,9 @@ def dr_decomposition_residuals(A: MonotoneOperator, B: MonotoneOperator, x, y) -
 
     writing J_A' for the resolvent of the inverse.
     """
-    if A.dim != B.dim:
-        raise DimensionMismatchError(f"operator dimensions differ: {A.dim} vs {B.dim}")
-    xv = as_points(x, A.dim)
-    yv = as_points(y, A.dim)
+    xv, jax, dax, jbx, dbx, tx = dr_step(A, B, x)
+    yv, jay, day, jby, dby, ty = dr_step(A, B, y)
     _same_shape(xv, yv)
-    jax, dax, jbx, dbx, tx = _splitting_data(A, B, xv)
-    jay, day, jby, dby, ty = _splitting_data(A, B, yv)
     pair_a = _dot(jax - jay, dax - day)
     pair_b = _dot(jbx - jby, dbx - dby)
     dt = (xv - tx) - (yv - ty)
@@ -193,10 +181,7 @@ def fixed_point_step_residuals(A: MonotoneOperator, B: MonotoneOperator, x) -> R
     pairs (J_A x, J_A' x) of A and (J_B R_A x, J_B' R_A x) of B, verified here
     by re-projecting each pair's sum through the resolvent.
     """
-    if A.dim != B.dim:
-        raise DimensionMismatchError(f"operator dimensions differ: {A.dim} vs {B.dim}")
-    xv = as_points(x, A.dim)
-    ja, da, jb, db, tx = _splitting_data(A, B, xv)
+    xv, ja, da, jb, db, tx = dr_step(A, B, x)
     step = xv - tx
     rep = ResidualReport()
     rep.add_vector_equality("step_shadow_gap", step, ja - jb)
@@ -210,11 +195,9 @@ def linear_relation_residual(A: MonotoneOperator, B: MonotoneOperator, x):
     """Scaled residual of Id - T = J_A - 2 J_B J_A + J_B (linear resolvents only)."""
     if not (A.is_linear_relation and B.is_linear_relation):
         raise OperatorFamilyError("both operators must be linear relations")
-    xv = as_points(x, A.dim)
-    ja = A.resolvent_map(xv)
-    step = xv - dr_apply(A, B, xv)
+    xv, ja, _, _, _, tx = dr_step(A, B, x)
     explicit = ja - 2.0 * B.resolvent_map(ja) + B.resolvent_map(xv)
-    return _value(vector_residual(step, explicit)[0])
+    return _value(vector_residual(xv - tx, explicit)[0])
 
 
 def _linear_forward(A: MonotoneOperator, x: np.ndarray) -> np.ndarray:
@@ -245,13 +228,9 @@ def skew_residuals(A: MonotoneOperator, B: MonotoneOperator, x, y) -> ResidualRe
     """
     _require_quarter_turn_family(A, "A")
     _require_quarter_turn_family(B, "B")
-    xv = as_points(x, 2)
-    yv = as_points(y, 2)
+    xv, jax, dax, _, _, tx = dr_step(A, B, x)
+    yv, jay, day, _, _, ty = dr_step(A, B, y)
     _same_shape(xv, yv)
-    tx = dr_apply(A, B, xv)
-    ty = dr_apply(A, B, yv)
-    jax, jay = A.resolvent_map(xv), A.resolvent_map(yv)
-    dax, day = xv - jax, yv - jay
     jatx, jaty = A.resolvent_map(tx), A.resolvent_map(ty)
     datx, daty = tx - jatx, ty - jaty
     dt = (xv - tx) - (yv - ty)
@@ -267,7 +246,7 @@ def skew_residuals(A: MonotoneOperator, B: MonotoneOperator, x, y) -> ResidualRe
     )
     rep.add_equality("skew_energy", _nsq(xv), _nsq(tx) + _nsq(xv - tx))
     rep.add_equality("skew_orthogonality", _dot(tx, xv - tx), 0.0)
-    composed = _linear_forward(B, _linear_forward(A, xv))
+    composed = _linear_forward(B, xv - 2.0 * jax)  # A's forward map is x - 2 J_A x
     rep.add_vector_equality("skew_half_composition", xv - tx, 0.5 * (xv - composed))
     return rep
 
@@ -297,15 +276,12 @@ def affine_gap_residuals(U: ConvexSet, V: ConvexSet, x) -> ResidualReport:
         raise OperatorFamilyError("U and V must be affine subspaces")
     if U.dim != V.dim:
         raise DimensionMismatchError(f"set dimensions differ: {U.dim} vs {V.dim}")
-    xv = as_points(x, U.dim)
-    A = normal_cone(U)
-    B = normal_cone(V)
+    A, B = normal_cone(U), normal_cone(V)
+    xv, pu_x, _, _, _, tx = dr_step(A, B, x)
     y = _materialize_affine_fixed_point(A, B)
     z = U.project(y)
     k = y - z
-    tx = dr_apply(A, B, xv)
-    pu_x, pv_x = U.project(xv), V.project(xv)
-    pu_tx = U.project(tx)
+    pv_x, pu_tx = V.project(xv), U.project(tx)
 
     rep = ResidualReport()
     rep.add_equality("gap_identity", _nsq(xv - tx), _nsq(pu_x - pv_x))

@@ -240,7 +240,7 @@ def run(config: ScenarioConfig) -> tuple[RunSummary, DRTrace]:
         scenario=config.scenario,
         iterations=len(trace),
         v_estimate=trace.v_estimate,
-        final_step_norm=float(trace.step_norms[-1]),
+        final_step_norm=trace.final_step_norm,
         shadow_limit=trace.shadow[-1],
         checks=checks,
         wall_ms=wall_ms,

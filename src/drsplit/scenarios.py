@@ -35,7 +35,7 @@ from .solutions import (
     sweet_principle_check,
 )
 from .space import AffineSubspace, Ball, NonnegativeOrthant, Singleton, as_point, row_norms
-from .splitting import DRProblem, DRTrace, dr_apply, iterate, normal_problem, shifted_governing
+from .splitting import DRProblem, DRTrace, dr_step, iterate, normal_problem, shifted_governing
 
 
 @dataclass(eq=False)
@@ -165,9 +165,8 @@ def _build_rotator_cone(dim, x0=None, seed=0, a=1.0) -> ScenarioInstance:
     sets = primal_dual_from_fix(A, B, fix_sample)
     # the counterexample values are pinned to the canonical start (a, 0),
     # not to the configured orbit: T x and the shadows of x and T x
-    x = np.array([a, 0.0])
-    tx = dr_apply(A, B, x)
-    shadows = A.resolvent(np.stack([x, tx]))  # each row bitwise its one-point image
+    x, ja_x, _, _, _, tx = dr_step(A, B, np.array([a, 0.0]))
+    shadows = np.stack([ja_x, A.resolvent(tx)])
 
     def check_step_value(trace):
         return _vector_close_check(tx, np.array([0.5 * a, -0.5 * a]), 1e-15)
@@ -326,10 +325,6 @@ def _build_disjoint_balls(dim, x0=None, seed=0) -> ScenarioInstance:
 
 
 def _consistent_checks(sets: SolutionSets) -> list[tuple[str, CheckFn]]:
-    def check_converged(trace):
-        final = float(trace.step_norms[-1])
-        return CheckResult(final <= 1e-10, final)
-
     def check_sweet(trace):
         rep = sweet_principle_check(
             trace.governing,
@@ -342,7 +337,7 @@ def _consistent_checks(sets: SolutionSets) -> list[tuple[str, CheckFn]]:
         return CheckResult(rep.verdict, worst)
 
     return [
-        ("step_converged", check_converged),
+        ("step_converged", lambda trace: _bounded_value_check(trace.final_step_norm, 0.0, 1e-10)),
         ("shadow_trailing_diameter", _shadow_diameter_check),
         ("pair_fejer_wrt_solution_pairs", _pair_fejer_check(sets)),
         ("sequential_principle_evidence", check_sweet),

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DimensionMismatchError, NonFiniteIterateError, PossiblyInconsistentError
 from .operators import MonotoneOperator
 from .space import as_point, as_points, diameter, row_norms
-from .splitting import DRProblem, DRTrace, StopReason, dr_apply, iterate, trailing_quarter
+from .splitting import DRProblem, DRTrace, StopReason, dr_step, iterate, trailing_quarter
 
 
 @dataclass(eq=False)
@@ -72,7 +72,8 @@ def find_fixed_point(problem: DRProblem, tol: float, max_iters: int = 100_000) -
     """Iterate until the step norm drops below ``tol`` and return that point.
 
     Raises :class:`PossiblyInconsistentError` (carrying the displacement
-    estimate) when the step norm stagnates above ``tol``. The search runs in
+    estimate) after ``max_iters`` records with no step norm below ``tol``, or
+    at once when a ``tol``-0 orbit turns stationary. The search runs in
     chunks of ``SEARCH_CHUNK`` records, each started at the point the last
     one's loop would have gone on to, so its results are bitwise those of one
     ``iterate(problem, max_iters, tol)`` run.
@@ -90,7 +91,7 @@ def find_fixed_point(problem: DRProblem, tol: float, max_iters: int = 100_000) -
         # a stationary orbit (tol 0) repeats its last record to the end
         if done == max_iters or trace.stationary_at is not None:
             raise PossiblyInconsistentError(
-                step_norm=float(trace.step_norms[-1]), v_estimate=trace.v_estimate
+                step_norm=trace.final_step_norm, v_estimate=trace.v_estimate
             )
         # the loop's x_next, (x - J_A x) + J_B R_A x, bit for bit
         x = trace.governing[-1] - trace.shadow[-1] + trace.b_shadow[-1]
@@ -104,18 +105,17 @@ def primal_dual_from_fix(
 ) -> SolutionSets:
     """Split certified fixed points into primal/dual solution samples through J_A.
 
-    Each fixed point y yields z = J_A y and k = y - z; the pair (z, k) then
-    solves the primal and dual problems simultaneously. A point whose step
-    norm ||y - Ty|| exceeds ``tol`` is not certified and raises ``ValueError``.
+    Each fixed point y yields z = J_A y and k = y - z, read off the step that
+    certifies it; (z, k) then solves the primal and dual problems at once. A
+    point whose step norm ||y - Ty|| exceeds ``tol`` raises ``ValueError``.
     """
-    y = fix_points.points
-    steps = row_norms(y - dr_apply(A, B, y))
+    y, z, k, _, _, ty = dr_step(A, B, fix_points.points)
+    steps = row_norms(y - ty)
     moving = np.flatnonzero(~(steps <= tol))  # a NaN step certifies nothing
     if moving.size:
         i = int(moving[0])
         raise ValueError(f"point {i} is not fixed: step norm {steps[i]:.3e} exceeds {tol:.1e}")
-    z = A.resolvent(y)
-    return SolutionSets(fix_t=fix_points, primal=SetSample(z), dual=SetSample(y - z))
+    return SolutionSets(fix_t=fix_points, primal=SetSample(z), dual=SetSample(k))
 
 
 # ---------------------------------------------------------------------------

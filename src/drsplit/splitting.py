@@ -124,7 +124,16 @@ class DRTrace:
 
     @property
     def v_estimate(self) -> np.ndarray:
-        return self.steps[-1].copy()  # a view would keep the whole steps array alive
+        """The last step, bitwise ``steps[-1]``, from the last record alone."""
+        g, s, b = self.governing[-1], self.shadow[-1], self.b_shadow[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return g - ((g - s) + b)
+
+    @property
+    def final_step_norm(self) -> float:
+        """The last step's norm, bitwise ``step_norms[-1]``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(row_norms(self.v_estimate))
 
 
 def trailing_quarter(length: int) -> slice:
@@ -133,14 +142,23 @@ def trailing_quarter(length: int) -> slice:
     return slice(start, length)
 
 
-def dr_apply(A: MonotoneOperator, B: MonotoneOperator, x) -> np.ndarray:
-    """One application of the splitting operator, x - J_A x + J_B(2 J_A x - x),
-    at one point or at each row of a stack."""
+def dr_step(A: MonotoneOperator, B: MonotoneOperator, x) -> tuple[np.ndarray, ...]:
+    """One splitting step at one point or at each row of a stack: the checked
+    points x, the graph points (J_A x, x - J_A x) of A and (J_B R_A x,
+    R_A x - J_B R_A x) of B, and T x = (x - J_A x) + J_B R_A x."""
     if A.dim != B.dim:
         raise DimensionMismatchError(f"operator dimensions differ: {A.dim} vs {B.dim}")
     xv = as_points(x, A.dim)
     ja = A._checked_map(xv)
-    return xv - ja + B._checked_map(2.0 * ja - xv)
+    ra = 2.0 * ja - xv
+    jb = B._checked_map(ra)
+    da = xv - ja
+    return xv, ja, da, jb, ra - jb, da + jb
+
+
+def dr_apply(A: MonotoneOperator, B: MonotoneOperator, x) -> np.ndarray:
+    """T x, the last image of ``dr_step``."""
+    return dr_step(A, B, x)[-1]
 
 
 def _read_text(path: str) -> Optional[str]:

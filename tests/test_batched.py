@@ -19,6 +19,7 @@ from drsplit import (
     MonotoneOperator,
     NonnegativeOrthant,
     OperatorContractError,
+    SetSample,
     Singleton,
     as_points,
     check_identities,
@@ -35,6 +36,7 @@ from drsplit import (
     operator_pair_library,
     outer_shift,
     piecewise_linear_1d,
+    primal_dual_from_fix,
     product,
     project,
     projector_operator,
@@ -285,6 +287,50 @@ def test_identities_check_each_operators_first_image(name, x):
 def test_one_point_evaluations_check_the_image(evaluate):
     with pytest.raises(OperatorContractError, match=FIRST_COLUMN_ERROR):
         evaluate(FIRST_COLUMN, [1.0, 2.0])
+
+
+# every evaluation of a splitting step rejects operators of two dimensions
+# and points of another dimension than the operators', with one message each
+STEP_EVALUATIONS = {
+    "dr_apply": dr_apply,
+    # a valid first point, so that the second one's check is the one tested
+    "dr_decomposition_residuals": lambda A, B, x: dr_decomposition_residuals(A, B, x[..., :2], x),
+    "fixed_point_step_residuals": fixed_point_step_residuals,
+    "linear_relation_residual": linear_relation_residual,
+    "primal_dual_from_fix": lambda A, B, x: primal_dual_from_fix(A, B, SetSample(np.atleast_2d(x))),
+}
+OPERATOR_DIMS_ERROR = r"^operator dimensions differ: 2 vs 1$"
+POINT_DIM_ERROR = r"^expected dimension 2, got 3$"
+
+
+@pytest.mark.parametrize("name", sorted(STEP_EVALUATIONS))
+@pytest.mark.parametrize("rows", [(), (3,)], ids=["point", "stack"])
+def test_step_evaluations_check_dimensions(name, rows):
+    evaluate = STEP_EVALUATIONS[name]
+    with pytest.raises(DimensionMismatchError, match=OPERATOR_DIMS_ERROR):
+        evaluate(identity_operator(2), identity_operator(1), np.ones(rows + (2,)))
+    with pytest.raises(DimensionMismatchError, match=POINT_DIM_ERROR):
+        evaluate(identity_operator(2), identity_operator(2), np.ones(rows + (3,)))
+
+
+@pytest.mark.parametrize("rows", [(), (3,)], ids=["point", "stack"])
+def test_skew_and_affine_gap_check_dimensions(rows):
+    x = np.ones(rows + (3,))
+    with pytest.raises(DimensionMismatchError, match=POINT_DIM_ERROR):
+        skew_residuals(rotator(), rotator(), x[..., :2], x)
+    line = AffineSubspace(np.zeros(2), [[1.0, 0.0]])
+    with pytest.raises(DimensionMismatchError, match=POINT_DIM_ERROR):
+        affine_gap_residuals(line, line, x)
+    with pytest.raises(DimensionMismatchError, match=r"^set dimensions differ: 2 vs 1$"):
+        affine_gap_residuals(line, AffineSubspace(np.zeros(1), [[1.0]]), x[..., :2])
+
+
+def test_certificate_rejects_points_the_maps_cannot_see():
+    # np.maximum keeps any shape, so only the point check stops these 3-d
+    # points from being certified as fixed points of a 2-d pair
+    relu = MonotoneOperator(lambda x: np.maximum(x, 0.0), 2, label="relu")
+    with pytest.raises(DimensionMismatchError, match=POINT_DIM_ERROR):
+        primal_dual_from_fix(relu, relu, SetSample([[1.0, 2.0, 3.0]]))
 
 
 # ---------------------------------------------------------------------------

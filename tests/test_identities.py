@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from drsplit import (
     MonotoneOperator,
     NonnegativeOrthant,
     OperatorFamilyError,
+    SetSample,
     affine_gap_residuals,
     dr_decomposition_residuals,
     eight_point_residual,
@@ -13,6 +16,7 @@ from drsplit import (
     linear_relation_residual,
     normal_cone,
     operator_pair_library,
+    primal_dual_from_fix,
     projector_operator,
     random_affine_pair,
     rotator,
@@ -321,3 +325,57 @@ def test_counterexample_reproduction_exact():
     )
     assert abs(pair_growth - 0.5) <= 1e-12
     assert abs(primal_growth - 1.25) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# each report takes its images from one splitting step
+
+
+def _counting(op: MonotoneOperator):
+    """``op`` with a list that grows by one entry per resolvent call."""
+    calls = []
+
+    def res(x):
+        calls.append(x.shape)
+        return op.resolvent_map(x)
+
+    return MonotoneOperator(res, op.dim, op.is_linear_relation, op.label), calls
+
+
+POINTS = np.arange(6.0).reshape(3, 2)
+
+
+def test_linear_relation_and_certificate_evaluate_j_a_once():
+    A, a_calls = _counting(normal_cone(X_AXIS))
+    B, _ = _counting(normal_cone(DIAGONAL))
+    linear_relation_residual(A, B, POINTS)
+    assert len(a_calls) == 1
+    a_calls.clear()
+    sets = primal_dual_from_fix(A, B, SetSample(np.zeros((3, 2))))
+    assert len(a_calls) == 1
+    assert np.array_equal(sets.primal.points, np.zeros((3, 2)))
+
+
+def test_skew_residuals_reuse_the_steps_images():
+    # 3 for the family test, 2 steps, J_A at T x and T y; A's forward map at
+    # x comes from the step's J_A x
+    A, a_calls = _counting(rotator())
+    B, _ = _counting(rotator())
+    skew_residuals(A, B, POINTS, -POINTS)
+    assert len(a_calls) == 7
+
+
+def test_affine_gap_takes_p_u_x_from_the_step(monkeypatch):
+    calls = collections.Counter()
+    project = AffineSubspace.project
+
+    def counting_project(self, x):
+        calls[id(self)] += 1
+        return project(self, x)
+
+    monkeypatch.setattr(AffineSubspace, "project", counting_project)
+    U = AffineSubspace(np.zeros(2), np.array([[1.0, 0.0]]))
+    affine_gap_residuals(U, DIAGONAL, POINTS)
+    # normal_cone's linearity test, the fixed point's step, P_U of it, the
+    # step at x and P_U T x
+    assert calls[id(U)] == 5

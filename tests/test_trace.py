@@ -9,6 +9,9 @@ without iterating once the orbit is bitwise stationary.
 """
 
 import json
+import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -292,3 +295,51 @@ def test_trace_too_large_for_memory_is_a_value_error(capsys):
         iterate(inst.problem, max_iters=10**19, step_tol=1e-12)
     assert cli_main(["--scenario", "points-1d", "--iters", str(10**15)]) == 2
     assert "max_iters=1000000000000000" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the final facts come from the last record
+
+
+def _last_record_traces():
+    full = iterate(build_scenario("random-affine", dim=5, seed=1).problem, 3000, 0.0)
+    trimmed = iterate(build_scenario("affine-consistent").problem, 5000, 1e-12)
+    filled = iterate(build_scenario("random-affine", dim=5, seed=3).problem, 10_000, 0.0)
+    far = build_scenario("random-affine", dim=2, x0=(1e200, -1e200)).problem
+    return {
+        "full": full,
+        "companion": full.companion,
+        "step_converged": trimmed,
+        "stationary_filled": filled,
+        "far_out": iterate(far, 200, 0.0),
+    }
+
+
+def test_final_facts_equal_the_last_rows_bitwise():
+    traces = _last_record_traces()
+    assert traces["step_converged"].stop_reason is StopReason.STEP_CONVERGED
+    assert traces["stationary_filled"].stationary_at == 170
+    for name, tr in traces.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflowing norm stays silent
+            v, norm = tr.v_estimate, tr.final_step_norm
+        assert v.tobytes() == tr.steps[-1].tobytes(), name
+        assert type(norm) is float
+        assert np.float64(norm).tobytes() == tr.step_norms[-1].tobytes(), name
+    assert math.isinf(traces["far_out"].final_step_norm)
+
+
+def test_step_converged_check_reads_one_record():
+    # deriving the whole (n, d) steps array to read its last row takes 7.6 MiB here
+    inst = build_scenario("random-affine", dim=50, seed=1)
+    tr = iterate(inst.problem, 10_000, 0.0)
+    check = dict(inst.checks)["step_converged"]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = check(tr)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert result.worst_value == tr.final_step_norm
+    assert peak < 2**20

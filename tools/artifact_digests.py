@@ -62,8 +62,10 @@ def cli_runs() -> list[list[str]]:
     runs.append(["--scenario", "random-affine", "--dim", "1"])
     runs.append(["--scenario", "random-affine", "--dim", "0"])
     runs.append(["--scenario", "parallel-lines", "--x0=1,2,3"])
-    # a far-out start and a stationary stop
+    # a far-out start, a search that stagnates at an overflowing step norm, and
+    # a stationary stop
     runs.append(["--scenario", "random-affine", "--dim", "2", "--x0=1e200,-1e200", "--iters", "200"])
+    runs.append(["--scenario", "random-affine", "--dim", "3", "--x0=1e200,1e200,1e200"])
     runs.append(["--scenario", "random-affine", "--dim", "5", "--seed", "3", "--tol", "1e-9"])
     runs.append(["--check-identities", "--seed", "7", "--samples", "50"])
     return runs
