@@ -143,10 +143,19 @@ def make_config(file_values: dict[str, str] | None = None, **overrides) -> Scena
 # the one number format of both artifacts: 17 significant digits round-trip a float
 FLOAT_FORMAT = "%.17g"
 
+# numbers of the trace table formatted and written at a time, so the writer
+# holds the text of one block, not of the whole trace
+CSV_BLOCK = 16384
+
 
 def write_trace_csv(trace: DRTrace, path: str) -> None:
     """Columns: n, governing, shadow, dual shadow, second shadow, step norm,
-    running displacement estimate (the current step vector)."""
+    running displacement estimate (the current step vector).
+
+    A block whose bit patterns are mostly distinct is formatted row by row.
+    In any other block each distinct pattern is formatted once; bits, not
+    values, so that -0.0 and 0.0 keep their own texts.
+    """
     d = trace.problem.dim
     header = (
         ["n"]
@@ -167,11 +176,22 @@ def write_trace_csv(trace: DRTrace, path: str) -> None:
             trace.steps,
         ]
     )
-    row_format = "%d," + ",".join([FLOAT_FORMAT] * table.shape[1])
-    lines = [",".join(header)]
-    lines.extend(row_format % (n, *row) for n, row in enumerate(table.tolist()))
+    rows = max(1, CSV_BLOCK // table.shape[1])
+    row_format = "%d," + ",".join([FLOAT_FORMAT] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for first in range(0, len(table), rows):
+            block = table[first : first + rows]
+            bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+            if 2 * len(bits) > block.size:
+                # mostly distinct: one format call per row costs less than a text per cell
+                lines = (row_format % (n, *row) for n, row in enumerate(block.tolist(), first))
+            else:
+                texts = np.array([FLOAT_FORMAT % x for x in bits.view(float).tolist()], dtype=object)
+                # the inverse's shape differs between numpy 2.0.x releases
+                cells = texts[inverse.reshape(block.shape)].tolist()
+                lines = (f"{n},{','.join(row)}\n" for n, row in enumerate(cells, first))
+            fh.write("".join(lines))
 
 
 def _json_number(x: float) -> str:

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drsplit import (
     AffineSubspace,
@@ -179,3 +183,72 @@ def test_orthogonal_complement_basis_is_orthonormal_complement(k, d, rng):
 def test_singleton_is_linear_exactly_when_it_is_the_origin(point, linear):
     assert is_linear_subspace(Singleton(point)) is linear
     assert normal_cone(Singleton(point)).is_linear_relation is linear
+
+
+# ---------------------------------------------------------------------------
+# the one-point projections that iterate calls once per record
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d))),
+    st.integers(-300, 300),
+    st.integers(0, 2**32 - 1),
+)
+def test_affine_point_projection_is_the_matmul_form_bitwise(dk, exponent, seed):
+    # the one-point path uses ndarray.dot; it must keep the bits of
+    # offset + basis.T @ (basis @ rel) and of its own stacked rows
+    d, k = dk
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    basis = np.linalg.qr(rng.standard_normal((d, d)))[0][:k] if k else np.zeros((0, d))
+    S = AffineSubspace(scale * rng.standard_normal(d), basis)
+    X = scale * rng.standard_normal((5, d))
+    stacked = S.project(X)
+    for x, row in zip(X, stacked):
+        got = S.project(x)
+        assert got.tobytes() == (S.offset + S.basis.T @ (S.basis @ (x - S.offset))).tobytes()
+        assert got.tobytes() == row.tobytes()
+
+
+def _np_sqrt_ball_project(ball, x):
+    """Ball.project's one-point path with numpy square roots."""
+    rel = x - ball.center
+    with np.errstate(over="ignore"):
+        dist = np.sqrt(rel.dot(rel))
+    if dist <= ball.radius:
+        return x.copy()
+    if dist == np.inf:
+        unit = rel / np.max(np.abs(rel))
+        return ball.center + (ball.radius / np.sqrt(unit.dot(unit))) * unit
+    return ball.center + (ball.radius / dist) * rel
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.sampled_from([-3.0, -1.0, 0.0, 0.5, 2.0]),
+    st.sampled_from([0.5, 1.0, 2.0, 3.7]),
+    st.one_of(
+        # inside, on, just past and far outside the sphere (the squared
+        # norm overflows from about 1.3e154 on)
+        st.sampled_from([0.0, 0.5, 1.0, 1.0 + 2**-52, 2.0, 1e154, 1e200, 1e300]),
+        st.floats(0.0, 1e307),
+    ),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_ball_point_projection_is_the_np_sqrt_form_bitwise(d, c, radius, distance, axis, seed):
+    rng = np.random.default_rng(seed)
+    ball = Ball(np.full(d, c), radius)
+    direction = np.eye(d)[rng.integers(d)] if axis else rng.standard_normal(d)
+    if not axis:
+        direction /= np.linalg.norm(direction)
+    x = ball.center + (distance * radius) * direction
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a far point's squared norm overflows silently
+        got = ball.project(x)
+        row = ball.project(x[None])[0]
+    assert got.tobytes() == _np_sqrt_ball_project(ball, x).tobytes()
+    assert got.tobytes() == row.tobytes()
+    assert np.all(np.isfinite(got))

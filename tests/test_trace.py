@@ -10,6 +10,8 @@ without iterating once the orbit is bitwise stationary.
 
 import json
 import math
+import pathlib
+import tempfile
 import tracemalloc
 import warnings
 
@@ -18,14 +20,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import drsplit.runner
 import drsplit.splitting
 from drsplit import (
     DRProblem,
+    DRTrace,
+    NonnegativeOrthant,
     StopReason,
     build_scenario,
     diameter,
     iterate,
     list_scenarios,
+    normal_cone,
     operator_pair_library,
     sweet_principle_check,
     trailing_quarter,
@@ -208,6 +214,59 @@ def test_json_number_is_the_csv_cell_rule(x):
         assert np.float64(float(text)).tobytes() == np.float64(x).tobytes()
     else:
         assert text == "null"
+
+
+_NAN_PAYLOAD = np.array([0x7FF8_0000_DEAD_BEEF], dtype=np.uint64).view(float)[0]
+_CSV_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, -np.nan, _NAN_PAYLOAD,
+    -_NAN_PAYLOAD, 1e308, -1e308, 1.0 / 3.0,
+]  # fmt: skip
+
+
+@st.composite
+def _written_traces(draw):
+    """A trace built directly from three ``(n, d)`` arrays whose cells come
+    from a small pool, so that values repeat within and across blocks."""
+    d, n = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    pool = draw(st.lists(st.one_of(st.floats(), st.sampled_from(_CSV_EDGES)), min_size=1, max_size=12))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=3 * n * d, max_size=3 * n * d))
+    governing, shadow, b_shadow = np.array(pool)[picks].reshape(3, n, d)
+    cone = normal_cone(NonnegativeOrthant(d))
+    return DRTrace(DRProblem(cone, cone, np.zeros(d)), governing, shadow, b_shadow, StopReason.MAX_ITERS, None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_written_traces())
+def test_blocked_csv_writer_equals_the_cell_rule(tr):
+    # a mostly distinct block is formatted row by row, any other block formats
+    # each distinct bit pattern once and maps it back: -0.0 and 0.0 keep their
+    # own texts, every NaN writes "nan", and a block of one number writes what
+    # a whole table does (small pools and CSV_BLOCK 1 reach both paths)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fields = {name: getattr(tr, name) for name in ("governing", "shadow", "dual_shadow", "b_shadow", "steps")}
+        records = [{"n": n, **{name: rows[n] for name, rows in fields.items()}} for n in range(len(tr))]
+        expected = _reference_csv(records, tr.problem.dim)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = pathlib.Path(tmp) / "t.csv"
+        for block in (1, 7, 64, drsplit.runner.CSV_BLOCK):
+            mp.setattr(drsplit.runner, "CSV_BLOCK", block)
+            write_trace_csv(tr, str(path))
+            assert path.read_bytes() == expected, block
+
+
+def test_csv_writer_holds_one_block_of_text(tmp_path):
+    # the whole table as Python floats and one line per record took 158 MiB here
+    inst = build_scenario("random-affine", dim=50, seed=1)
+    tr = iterate(inst.problem, inst.default_iters, inst.default_step_tol)
+    assert len(tr) == 10_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_trace_csv(tr, str(tmp_path / "t.csv"))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 @pytest.mark.parametrize(
