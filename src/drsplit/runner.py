@@ -143,19 +143,15 @@ def make_config(file_values: dict[str, str] | None = None, **overrides) -> Scena
 # the one number format of both artifacts: 17 significant digits round-trip a float
 FLOAT_FORMAT = "%.17g"
 
-# numbers of the trace table formatted and written at a time, so the writer
-# holds the text of one block, not of the whole trace
+# numbers of the trace table built, formatted and written at a time, so the
+# writer holds the numbers and text of one block, not of the whole trace
 CSV_BLOCK = 16384
 
 
 def write_trace_csv(trace: DRTrace, path: str) -> None:
     """Columns: n, governing, shadow, dual shadow, second shadow, step norm,
-    running displacement estimate (the current step vector).
-
-    A block whose bit patterns are mostly distinct is formatted row by row.
-    In any other block each distinct pattern is formatted once; bits, not
-    values, so that -0.0 and 0.0 keep their own texts.
-    """
+    running displacement estimate (the current step vector), written in
+    blocks of ``CSV_BLOCK`` numbers built from the trace's own rows."""
     d = trace.problem.dim
     header = (
         ["n"]
@@ -166,32 +162,28 @@ def write_trace_csv(trace: DRTrace, path: str) -> None:
         + ["step_norm"]
         + [f"v{i}" for i in range(d)]
     )
-    table = np.hstack(
-        [
-            trace.governing,
-            trace.shadow,
-            trace.dual_shadow,
-            trace.b_shadow,
-            trace.step_norms[:, None],
-            trace.steps,
-        ]
-    )
-    rows = max(1, CSV_BLOCK // table.shape[1])
-    row_format = "%d," + ",".join([FLOAT_FORMAT] * table.shape[1]) + "\n"
+    block_rows = max(1, CSV_BLOCK // (5 * d + 1))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for first in range(0, len(table), rows):
-            block = table[first : first + rows]
-            bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-            if 2 * len(bits) > block.size:
-                # mostly distinct: one format call per row costs less than a text per cell
-                lines = (row_format % (n, *row) for n, row in enumerate(block.tolist(), first))
-            else:
-                texts = np.array([FLOAT_FORMAT % x for x in bits.view(float).tolist()], dtype=object)
-                # the inverse's shape differs between numpy 2.0.x releases
-                cells = texts[inverse.reshape(block.shape)].tolist()
-                lines = (f"{n},{','.join(row)}\n" for n, row in enumerate(cells, first))
-            fh.write("".join(lines))
+        for first in range(0, len(trace), block_rows):
+            fh.write(_csv_block(trace.rows(slice(first, first + block_rows)), first))
+
+
+def _csv_block(part: DRTrace, first: int) -> str:
+    """The CSV lines of ``part``, numbered from ``first``, with each distinct
+    bit pattern formatted once: bits, not values, so that -0.0 and 0.0 keep
+    their own texts. The texts are freed on return, before the next block
+    makes its own, so the writer never holds two blocks' texts."""
+    block = np.hstack(
+        [part.governing, part.shadow, part.dual_shadow, part.b_shadow, part.step_norms[:, None], part.steps]
+    )
+    bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+    # one format call for every pattern: no FLOAT_FORMAT text holds a comma
+    texts = ((FLOAT_FORMAT + ",") * len(bits))[:-1] % tuple(bits.view(float).tolist())
+    texts = np.array(texts.split(","), dtype=object)
+    # the inverse's shape differs between numpy 2.0.x releases
+    cells = texts[inverse.reshape(block.shape)].tolist()
+    return "".join([f"{n},{','.join(row)}\n" for n, row in enumerate(cells, first)])
 
 
 def _json_number(x: float) -> str:

@@ -71,11 +71,11 @@ SEARCH_CHUNK = 4096
 def find_fixed_point(problem: DRProblem, tol: float, max_iters: int = 100_000) -> np.ndarray:
     """Iterate until the step norm drops below ``tol`` and return that point.
 
-    Raises :class:`PossiblyInconsistentError` (carrying the displacement
-    estimate) after ``max_iters`` records with no step norm below ``tol``, or
-    at once when a ``tol``-0 orbit turns stationary. The search runs in
-    chunks of ``SEARCH_CHUNK`` records, each started at the point the last
-    one's loop would have gone on to, so its results are bitwise those of one
+    A ``tol``-0 orbit that turns bitwise stationary returns its exact fixed
+    point. Raises :class:`PossiblyInconsistentError` (carrying the displacement
+    estimate) after ``max_iters`` records with no step norm below ``tol``. The
+    search runs in chunks of ``SEARCH_CHUNK`` records, each started where the
+    last one's loop would have gone on, so its results are bitwise those of one
     ``iterate(problem, max_iters, tol)`` run.
     """
     x, done = problem.x0, 0
@@ -85,11 +85,11 @@ def find_fixed_point(problem: DRProblem, tol: float, max_iters: int = 100_000) -
             trace = iterate(DRProblem(problem.A, problem.B, x), chunk, tol)
         except NonFiniteIterateError as exc:
             raise NonFiniteIterateError(done + exc.iteration) from None
-        if trace.stop_reason is StopReason.STEP_CONVERGED:
+        # a stationary orbit (tol 0) has reached T x = x bitwise; its last record is x
+        if trace.stop_reason is StopReason.STEP_CONVERGED or trace.stationary_at is not None:
             return trace.governing[-1].copy()
         done += chunk
-        # a stationary orbit (tol 0) repeats its last record to the end
-        if done == max_iters or trace.stationary_at is not None:
+        if done == max_iters:
             raise PossiblyInconsistentError(
                 step_norm=trace.final_step_norm, v_estimate=trace.v_estimate
             )

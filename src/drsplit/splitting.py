@@ -122,18 +122,22 @@ class DRTrace:
         """Diameter of the shadow over the trailing quarter of the trace."""
         return diameter(self.shadow[trailing_quarter(len(self))])
 
+    def rows(self, index: slice) -> "DRTrace":
+        """The records in ``index`` as a trace of the same problem, with no
+        ``stationary_at`` and no companion: each derived sequence of it is
+        that slice of the whole trace's, bitwise."""
+        stored = (self.governing[index], self.shadow[index], self.b_shadow[index])
+        return DRTrace(self.problem, *stored, self.stop_reason, None)
+
     @property
     def v_estimate(self) -> np.ndarray:
         """The last step, bitwise ``steps[-1]``, from the last record alone."""
-        g, s, b = self.governing[-1], self.shadow[-1], self.b_shadow[-1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            return g - ((g - s) + b)
+        return self.rows(slice(-1, None)).steps[0]
 
     @property
     def final_step_norm(self) -> float:
         """The last step's norm, bitwise ``step_norms[-1]``."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(row_norms(self.v_estimate))
+        return float(self.rows(slice(-1, None)).step_norms[0])
 
 
 def trailing_quarter(length: int) -> slice:

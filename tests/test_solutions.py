@@ -74,13 +74,25 @@ def test_find_fixed_point_in_chunks_equals_one_run(monkeypatch, name, kwargs, to
     monkeypatch.setattr(drsplit.solutions, "SEARCH_CHUNK", 7)
     problem = _search_problem(name, **kwargs)
     ref = iterate(problem, 3000, tol)
-    if ref.stop_reason is StopReason.STEP_CONVERGED:
+    # a tol-0 orbit that turns stationary (random-affine d=2 at n = 27, d=5 at
+    # 196, random-1d at 54, rotator-cone at 1) has reached an exact fixed point
+    if ref.stop_reason is StopReason.STEP_CONVERGED or ref.stationary_at is not None:
         assert find_fixed_point(problem, tol, 3000).tobytes() == ref.governing[-1].tobytes()
         return
     with pytest.raises(PossiblyInconsistentError) as err:
         find_fixed_point(problem, tol, 3000)
     assert np.float64(err.value.step_norm).tobytes() == ref.step_norms[-1].tobytes()
     assert err.value.v_estimate.tobytes() == ref.v_estimate.tobytes()
+
+
+def test_find_fixed_point_returns_a_stationary_point():
+    # at tol 0 this orbit turns bitwise stationary at n = 170: T y = y exactly
+    problem = _search_problem("random-affine", dim=5, seed=3)
+    ref = iterate(problem, 1000, 0.0)
+    assert ref.stationary_at == 170
+    y = find_fixed_point(problem, 0.0)
+    assert y.tobytes() == ref.governing[170].tobytes()
+    assert dr_apply(problem.A, problem.B, y).tobytes() == y.tobytes()
 
 
 def test_find_fixed_point_counts_records_across_chunks(monkeypatch):

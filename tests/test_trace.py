@@ -238,10 +238,9 @@ def _written_traces(draw):
 @settings(max_examples=200, deadline=None)
 @given(_written_traces())
 def test_blocked_csv_writer_equals_the_cell_rule(tr):
-    # a mostly distinct block is formatted row by row, any other block formats
-    # each distinct bit pattern once and maps it back: -0.0 and 0.0 keep their
-    # own texts, every NaN writes "nan", and a block of one number writes what
-    # a whole table does (small pools and CSV_BLOCK 1 reach both paths)
+    # every block formats each distinct bit pattern once and maps it back:
+    # -0.0 and 0.0 keep their own texts, every NaN writes "nan", and blocks of
+    # one row (CSV_BLOCK 1) write what one block of the whole trace does
     with np.errstate(over="ignore", invalid="ignore"):
         fields = {name: getattr(tr, name) for name in ("governing", "shadow", "dual_shadow", "b_shadow", "steps")}
         records = [{"n": n, **{name: rows[n] for name, rows in fields.items()}} for n in range(len(tr))]
@@ -267,6 +266,20 @@ def test_csv_writer_holds_one_block_of_text(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20
+
+
+def test_csv_writer_holds_one_block_of_numbers(tmp_path):
+    # the whole (n, 5d + 1) table built before the first block took 26.9 MiB here
+    inst = build_scenario("random-affine", dim=50, seed=1)
+    tr = iterate(inst.problem, inst.default_iters, inst.default_step_tol)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_trace_csv(tr, str(tmp_path / "t.csv"))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize(
@@ -402,3 +415,20 @@ def test_step_converged_check_reads_one_record():
         tracemalloc.stop()
     assert result.worst_value == tr.final_step_norm
     assert peak < 2**20
+
+
+def test_rows_are_the_slices_of_the_whole_trace_bitwise():
+    traces = _last_record_traces()
+    for name in ("companion", "step_converged", "far_out"):
+        tr = traces[name]
+        n = len(tr)
+        for index in (slice(0, 3), slice(n - 3, n), slice(-1, None), slice(n // 2, n // 2 + 1), slice(0, n)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # the overflowing norms stay silent
+                part = tr.rows(index)
+                got = {field: getattr(part, field) for field in FIELDS + ("step_norms",)}
+                want = {field: getattr(tr, field)[index] for field in FIELDS + ("step_norms",)}
+            assert part.problem is tr.problem and part.stationary_at is None and part.companion is None
+            for field in got:
+                assert got[field].shape == want[field].shape, (name, index, field)
+                assert got[field].tobytes() == want[field].tobytes(), (name, index, field)

@@ -56,6 +56,8 @@ def cli_runs() -> list[list[str]]:
         for seed in (1, 2):
             runs.append(["--scenario", "random-affine", "--dim", str(dim), "--seed", str(seed)])
     runs.append(["--scenario", "random-1d", "--seed", "4"])
+    # a trace whose every CSV block holds no repeated number
+    runs.append(["--scenario", "random-affine", "--dim", "50", "--seed", "1", "--iters", "400"])
     # the error paths
     runs.append(["--scenario", "rotator-cone", "--dim", "3"])
     runs.append(["--scenario", "points-1d", "--dim", "2"])
