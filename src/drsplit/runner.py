@@ -144,7 +144,9 @@ def make_config(file_values: dict[str, str] | None = None, **overrides) -> Scena
 FLOAT_FORMAT = "%.17g"
 
 # numbers of the trace table built, formatted and written at a time, so the
-# writer holds the numbers and text of one block, not of the whole trace
+# writer holds the numbers and text of one block, not of the whole trace;
+# smaller than the check phase's space.BLOCK_NUMBERS, since a block's text
+# costs many times its numbers
 CSV_BLOCK = 16384
 
 

@@ -34,7 +34,7 @@ from .solutions import (
     summability_report,
     sweet_principle_check,
 )
-from .space import AffineSubspace, Ball, NonnegativeOrthant, Singleton, as_point, row_norms
+from .space import AffineSubspace, Ball, NonnegativeOrthant, Singleton, as_point, row_blocks, row_norms
 from .splitting import DRProblem, DRTrace, dr_step, iterate, normal_problem, shifted_governing
 
 
@@ -116,7 +116,9 @@ def _pair_fejer_check(sets: SolutionSets) -> CheckFn:
     pairs = sets.pairs
 
     def check(trace: DRTrace) -> CheckResult:
-        res = fejer_check(np.hstack([trace.shadow, trace.dual_shadow]), pairs, slack=1e-10)
+        # the product-space rows, built one row block at a time
+        parts = map(trace.rows, row_blocks(len(trace), 2 * trace.problem.dim))
+        res = fejer_check((np.hstack([p.shadow, p.dual_shadow]) for p in parts), pairs, slack=1e-10)
         return CheckResult(res.passed, res.max_sq_increase, res.witness_index)
 
     return check

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteIterateError, PossiblyInconsistentError
 from .operators import MonotoneOperator
-from .space import as_point, as_points, diameter, row_norms
+from .space import as_point, as_points, diameter, row_blocks, row_norms
 from .splitting import DRProblem, DRTrace, StopReason, dr_step, iterate, trailing_quarter
 
 
@@ -131,29 +131,28 @@ class FejerResult:
     witness_index: Optional[int]  # step index achieving max_sq_increase
 
 
-def fejer_check(x: np.ndarray, E: SetSample, slack: float = 0.0) -> FejerResult:
+def fejer_check(x, E: SetSample, slack: float = 0.0) -> FejerResult:
     """Is the sequence within-``slack`` Fejer monotone with respect to the sample?
 
-    ``x`` is an (n, d) array with n >= 1, row n the n-th term. Checks
+    ``x`` is the sequence, row n its n-th term: an (n, d) array with n >= 1,
+    or its consecutive (k, d) row blocks as an iterable, read once and never
+    joined, so that a caller can build one block at a time. Checks
     ||x[n+1] - e|| <= ||x[n] - e|| + slack for every sampled e and every n;
     reports the first violating step and the largest increase of the squared
     distance (the quantity that is exactly zero-summable in theory).
     """
-    if not (isinstance(x, np.ndarray) and x.ndim == 2 and x.shape[0] >= 1):
-        raise ValueError(f"expected a nonempty (n, d) array, got {type(x).__name__} {np.shape(x)}")
+    blocks = x
+    if isinstance(x, np.ndarray):
+        if not (x.ndim == 2 and x.shape[0] >= 1):
+            raise ValueError(f"expected a nonempty (n, d) array, got shape {x.shape}")
+        blocks = (x[rows] for rows in row_blocks(*x.shape))
     e = E.points
     if not len(e):
         raise ValueError("reference sample must be nonempty")
-    if e.shape[1] != x.shape[1]:
-        raise DimensionMismatchError(
-            f"sequence dimension {x.shape[1]} differs from sample dimension {e.shape[1]}"
-        )
-    if x.shape[0] == 1:
+    dists = _sample_distances(blocks, e)
+    if dists.shape[0] == 1:
         return FejerResult(True, None, 0.0, 0.0, None)
-    # np.linalg.norm, not row_norms (whose sums round differently); an
-    # overflowing orbit gives inf or NaN distances, which fail below
     with np.errstate(over="ignore", invalid="ignore"):
-        dists = np.stack([np.linalg.norm(x - p, axis=1) for p in e], axis=1)  # (n, m), by column
         diffs = dists[1:] - dists[:-1]  # (n-1, m)
         sq_diffs = dists[1:] ** 2 - dists[:-1] ** 2
     violations = ~(diffs <= slack)  # a NaN difference is a violation, never a pass
@@ -168,6 +167,27 @@ def fejer_check(x: np.ndarray, E: SetSample, slack: float = 0.0) -> FejerResult:
         max_sq_increase=max_sq,
         witness_index=witness,
     )
+
+
+def _sample_distances(blocks, e: np.ndarray) -> np.ndarray:
+    """The (n, m) distances ||x_i - e_j|| of a sequence given as consecutive
+    row blocks to the m rows of ``e``, one column per sample point, formed one
+    block at a time: a row's norm depends on that row alone."""
+    columns = []
+    # np.linalg.norm, not row_norms (whose sums round differently); an
+    # overflowing orbit gives inf or NaN distances, which fail the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in blocks:
+            if not (isinstance(block, np.ndarray) and block.ndim == 2):
+                raise ValueError(f"expected (k, d) row blocks, got {type(block).__name__} {np.shape(block)}")
+            if block.shape[1] != e.shape[1]:
+                raise DimensionMismatchError(
+                    f"sequence dimension {block.shape[1]} differs from sample dimension {e.shape[1]}"
+                )
+            columns.append(np.stack([np.linalg.norm(block - p, axis=1) for p in e], axis=1))
+    if not sum(len(c) for c in columns):
+        raise ValueError("expected a nonempty sequence")
+    return np.concatenate(columns)
 
 
 @dataclass(eq=False)
@@ -208,9 +228,7 @@ def sweet_principle_check(
     fejer = fejer_check(x_seq, E, slack=1e-10)
     window = trailing_quarter(x_seq.shape[0])
     u_win = u_seq[window]
-    gap = u_win - x_seq[window]
-    pairings = np.stack([np.einsum("nd,nd->n", u_win - p, gap) for p in E.points], axis=1)
-    pairing_max = float(np.max(np.abs(pairings)))
+    pairing_max = float(np.max(np.abs(_sample_pairings(u_win, x_seq[window], E.points))))
     if cauchy is None:
         cauchy = diameter(u_win)
     verdict = bool(fejer.passed and pairing_max <= tol and cauchy <= tol)
@@ -220,6 +238,18 @@ def sweet_principle_check(
         cauchy=cauchy,
         verdict=verdict,
     )
+
+
+def _sample_pairings(u: np.ndarray, x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The (n, m) pairings <u_i - e_j, u_i - x_i>, one column per sample point,
+    formed one row block at a time."""
+    columns = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in row_blocks(*u.shape):
+            u_rows = u[rows]
+            gap = u_rows - x[rows]
+            columns.append(np.stack([np.einsum("nd,nd->n", u_rows - p, gap) for p in e], axis=1))
+    return np.concatenate(columns)
 
 
 @dataclass(eq=False)
@@ -254,18 +284,15 @@ def summability_report(
     if px.A is not py.A or px.B is not py.B:
         raise ValueError("traces come from different problems")
     n = min(len(trace_x), len(trace_y))
-    sx, sy = trace_x.steps[:n], trace_y.steps[:n]
-    step_diff = np.sum((sx - sy) ** 2, axis=1)
-    pa = np.sum(
-        (trace_x.shadow[:n] - trace_y.shadow[:n])
-        * (trace_x.dual_shadow[:n] - trace_y.dual_shadow[:n]),
-        axis=1,
-    )
-    pb = np.sum(
-        (trace_x.b_shadow[:n] - trace_y.b_shadow[:n])
-        * (trace_x.b_dual_shadow[:n] - trace_y.b_dual_shadow[:n]),
-        axis=1,
-    )
+    # the three (n,) term vectors, each block's from that block's rows alone
+    step_diff, pa, pb = np.empty(n), np.empty(n), np.empty(n)
+    # an overflowing orbit gives inf or NaN terms, which fail the verdicts
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in row_blocks(n, px.dim):
+            bx, by = trace_x.rows(rows), trace_y.rows(rows)
+            step_diff[rows] = np.sum((bx.steps - by.steps) ** 2, axis=1)
+            pa[rows] = np.sum((bx.shadow - by.shadow) * (bx.dual_shadow - by.dual_shadow), axis=1)
+            pb[rows] = np.sum((bx.b_shadow - by.b_shadow) * (bx.b_dual_shadow - by.b_dual_shadow), axis=1)
     return SummabilityReport(
         step_diff_sum=float(step_diff.sum()),
         pairing_a_sum=float(pa.sum()),

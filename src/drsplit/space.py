@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -51,15 +51,24 @@ def row_norms(x: np.ndarray):
     return np.sqrt(np.vecdot(x, x))
 
 
-# rows of the squared-distance matrix formed at a time: a window of N rows
-# never holds more than DIAMETER_BLOCK x N entries of it (Gram block included)
-DIAMETER_BLOCK = 256
+# numbers of a whole-trace temporary formed at a time: the check phase works
+# on blocks of rows that hold about this many, so it holds one block of each
+# temporary, never the whole trace's
+BLOCK_NUMBERS = 2**17
+
+
+def row_blocks(n: int, width: int) -> Iterator[slice]:
+    """Consecutive slices that cover rows 0 to n - 1, each of as many rows of
+    ``width`` numbers as ``BLOCK_NUMBERS`` holds (at least one row)."""
+    rows = max(1, BLOCK_NUMBERS // width)
+    return (slice(first, min(first + rows, n)) for first in range(0, n, rows))
 
 
 def diameter(points: np.ndarray) -> float:
-    """Max pairwise distance via the centered Gram matrix, formed one block of
-    ``DIAMETER_BLOCK`` rows of its upper triangle at a time: (sq_i + sq_j) -
-    2 g_ij is symmetric, so this is bitwise the full-matrix value.
+    """Max pairwise distance via the centered Gram matrix, formed one row block
+    of its upper triangle at a time (``row_blocks`` of N-number rows):
+    (sq_i + sq_j) - 2 g_ij is symmetric, so this is bitwise the full-matrix
+    value.
 
     Exactly 0.0 when every row equals the first; NaN when the Gram entries
     overflow: such a set has no measured diameter.
@@ -74,10 +83,10 @@ def diameter(points: np.ndarray) -> float:
         centered = pts - pts.mean(axis=0)  # centering keeps the squares cancellation-free
         sq = np.einsum("nd,nd->n", centered, centered)
         block_tops = []
-        for i in range(0, len(sq), DIAMETER_BLOCK):
-            gram = centered[i : i + DIAMETER_BLOCK] @ centered[i:].T
+        for rows in row_blocks(len(sq), len(sq)):
+            gram = centered[rows] @ centered[rows.start :].T
             gram *= 2.0
-            block_tops.append(np.max((sq[i : i + DIAMETER_BLOCK, None] + sq[None, i:]) - gram))
+            block_tops.append(np.max((sq[rows, None] + sq[None, rows.start :]) - gram))
     top = float(np.max(block_tops))  # np.max keeps a NaN, where max() need not
     if not np.isfinite(top):
         return float("nan")

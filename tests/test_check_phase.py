@@ -2,20 +2,30 @@
 
 ``diameter`` forms the upper triangle of the centred Gram matrix one block of
 rows at a time; ``fejer_check`` and ``sweet_principle_check`` form one
-distance or pairing column per sample point. Each must be bitwise equal to
-the formula that forms the whole N x N Gram matrix, or the (n, m, d)
-differences, at once. Bitwise equality of a block product with the same
-entries of ``a @ a.T`` is an assumption about the BLAS, which these tests
-check on whatever numpy runs them. ``tracemalloc`` sees numpy's buffers, so
+distance or pairing column per sample point, one row block at a time, and
+``summability_report`` derives its terms one row block at a time. Each must be
+bitwise equal to the formula that forms the whole N x N Gram matrix, the
+(n, m, d) differences or the whole derived sequences at once. Bitwise
+equality of a block product with the same entries of ``a @ a.T`` is an
+assumption about the BLAS, which these tests check on whatever numpy runs
+them. ``tracemalloc`` sees numpy's buffers, so
 the memory tests bound what the checks allocate.
 """
 
+import dataclasses
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+import drsplit.solutions
+import drsplit.space
 from drsplit import (
+    CheckResult,
+    DRProblem,
+    FejerResult,
     SetSample,
     build_scenario,
     diameter,
@@ -23,12 +33,15 @@ from drsplit import (
     iterate,
     make_config,
     run,
+    SummabilityReport,
+    summability_report,
     sweet_principle_check,
     trailing_quarter,
 )
 from drsplit.scenarios import ScenarioInstance
 
 MIB = 2**20
+BLOCK = drsplit.space.BLOCK_NUMBERS
 
 
 def _full_gram_diameter(points):
@@ -62,6 +75,53 @@ def _bits(value):
     return np.float64(value).tobytes()
 
 
+def _fields(result):
+    # every field of a flat result dataclass, each float as its bits
+    return tuple(_bits(v) if isinstance(v, float) else v for v in dataclasses.astuple(result))
+
+
+def _full_fejer(x, e, slack):
+    # fejer_check's verdict formed from the whole (n, m) distance matrix
+    if len(x) == 1:
+        return FejerResult(True, None, 0.0, 0.0, None)
+    dists = _full_distances(x, e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = dists[1:] - dists[:-1]
+        sq_diffs = dists[1:] ** 2 - dists[:-1] ** 2
+    violations = ~(diffs <= slack)
+    passed = not violations.any()
+    return FejerResult(
+        passed=passed,
+        first_violation=None if passed else int(np.argwhere(violations.any(axis=1))[0, 0]),
+        max_increase=float(np.max(diffs)),
+        max_sq_increase=float(np.max(sq_diffs)),
+        witness_index=int(np.unravel_index(np.argmax(sq_diffs), sq_diffs.shape)[0]),
+    )
+
+
+def _full_summability(tx, ty, term_tol=1e-8, nonneg_tol=1e-10):
+    # the three term vectors from the whole derived sequences of both traces
+    n = min(len(tx), len(ty))
+    with np.errstate(over="ignore", invalid="ignore"):
+        step_diff = np.sum((tx.steps[:n] - ty.steps[:n]) ** 2, axis=1)
+        pa = np.sum((tx.shadow[:n] - ty.shadow[:n]) * (tx.dual_shadow[:n] - ty.dual_shadow[:n]), axis=1)
+        pb = np.sum(
+            (tx.b_shadow[:n] - ty.b_shadow[:n]) * (tx.b_dual_shadow[:n] - ty.b_dual_shadow[:n]), axis=1
+        )
+    return SummabilityReport(
+        step_diff_sum=float(step_diff.sum()),
+        pairing_a_sum=float(pa.sum()),
+        pairing_b_sum=float(pb.sum()),
+        step_diff_last=float(step_diff[-1]),
+        pairing_a_last=float(pa[-1]),
+        pairing_b_last=float(pb[-1]),
+        pairing_a_min=float(pa.min()),
+        pairing_b_min=float(pb.min()),
+        pairings_nonnegative=bool(pa.min() >= -nonneg_tol and pb.min() >= -nonneg_tol),
+        final_terms_small=bool(step_diff[-1] <= term_tol and pa[-1] <= term_tol and pb[-1] <= term_tol),
+    )
+
+
 @pytest.mark.parametrize("n", [2, 255, 256, 257, 513, 2500])
 @pytest.mark.parametrize("dim", [1, 3, 50])
 @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e150])
@@ -82,6 +142,23 @@ def test_diameter_of_a_row_whose_squares_overflow_is_nan(n):
 def test_diameter_of_equal_rows_is_exactly_zero(n):
     cloud = np.tile([0.1, -3.7, 2e-300], (n, 1))
     assert _bits(diameter(cloud)) == _bits(_full_gram_diameter(cloud)) == bytes(8)
+
+
+def _diameter_block_windows():
+    # windows whose rows of N numbers fill one BLOCK_NUMBERS block, spill one
+    # or two rows into a second, or end on a block of one row
+    one = math.isqrt(BLOCK)
+    ends_on_one_row = next(n for n in range(2500, 5000) if n % (BLOCK // n) == 1)
+    return [one, one + 1, one + 2, ends_on_one_row - 1, ends_on_one_row]
+
+
+@pytest.mark.parametrize("n", _diameter_block_windows())
+@pytest.mark.parametrize("dim", [1, 3, 50])
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e150])
+def test_diameter_at_its_row_block_boundaries_equals_the_full_gram_formula(n, dim, scale):
+    rng = np.random.default_rng(1000 * n + dim)
+    cloud = scale * rng.standard_normal((n, dim))
+    assert _bits(diameter(cloud)) == _bits(_full_gram_diameter(cloud))
 
 
 def _consistent_trace(name, **kwargs):
@@ -112,19 +189,37 @@ def stack_spy(monkeypatch):
     return stacked
 
 
+@pytest.fixture
+def matrix_spy(monkeypatch):
+    # every (n, m) distance and pairing matrix the checks reduce, by kind
+    made = {"distances": [], "pairings": []}
+    for kind, name in (("distances", "_sample_distances"), ("pairings", "_sample_pairings")):
+        form = getattr(drsplit.solutions, name)
+
+        def spy(*args, form=form, out=made[kind]):
+            matrix = form(*args)
+            out.append(matrix)
+            return matrix
+
+        monkeypatch.setattr(drsplit.solutions, name, spy)
+    return made
+
+
 @pytest.mark.parametrize("name, kwargs", TRACES)
-def test_fejer_distances_and_pairings_equal_the_full_formulas(name, kwargs, stack_spy):
+def test_fejer_distances_and_pairings_equal_the_full_formulas(name, kwargs, matrix_spy):
     inst, trace = _consistent_trace(name, **kwargs)
     sets = inst.solutions
     pair_seq = np.hstack([trace.shadow, trace.dual_shadow])
-    stack_spy.clear()  # the build and iterate stack arrays of their own
+    full_pair_dists = _full_distances(pair_seq, sets.pairs.points).tobytes()
     fejer_check(pair_seq, sets.pairs, slack=1e-10)
-    [dists] = stack_spy
-    assert dists.tobytes() == _full_distances(pair_seq, sets.pairs.points).tobytes()
+    # the scenario check builds the product-space rows one block at a time
+    dict(inst.checks)["pair_fejer_wrt_solution_pairs"](trace)
+    from_array, from_blocks = matrix_spy["distances"]
+    assert from_array.tobytes() == from_blocks.tobytes() == full_pair_dists
 
-    stack_spy.clear()
+    matrix_spy["distances"].clear()
     sweet_principle_check(trace.governing, trace.shadow, sets.primal, tol=1e-6, cauchy=0.0)
-    dists, pairings = stack_spy
+    [dists], [pairings] = matrix_spy["distances"], matrix_spy["pairings"]
     assert dists.tobytes() == _full_distances(trace.governing, sets.primal.points).tobytes()
     window = trailing_quarter(len(trace))
     expected = _full_pairings(trace.shadow[window], trace.governing[window], sets.primal.points)
@@ -138,6 +233,73 @@ def test_fejer_distances_of_an_overflowing_sequence_equal_the_full_formula(stack
     [dists] = stack_spy
     assert dists.tobytes() == _full_distances(x, sample.points).tobytes()
     assert not res.passed
+
+
+def _assert_checks_equal_the_full_formulas(inst, part, companion):
+    # every field of the pair Fejer, sweet and summability results of the
+    # first records of a trace, against the formulas on whole arrays
+    sets = inst.solutions
+    pair_seq = np.hstack([part.shadow, part.dual_shadow])
+    full_pair = _full_fejer(pair_seq, sets.pairs.points, 1e-10)
+    assert _fields(fejer_check(pair_seq, sets.pairs, slack=1e-10)) == _fields(full_pair)
+    pair_check = dict(inst.checks)["pair_fejer_wrt_solution_pairs"](part)
+    expected = CheckResult(full_pair.passed, full_pair.max_sq_increase, full_pair.witness_index)
+    assert _fields(pair_check) == _fields(expected)
+
+    sweet = sweet_principle_check(part.governing, part.shadow, sets.primal, tol=1e-6, cauchy=0.0)
+    assert _fields(sweet.fejer) == _fields(_full_fejer(part.governing, sets.primal.points, 1e-10))
+    window = trailing_quarter(len(part))
+    pairings = _full_pairings(part.shadow[window], part.governing[window], sets.primal.points)
+    assert _bits(sweet.pairing_max) == _bits(np.max(np.abs(pairings)))
+
+    report = summability_report(part, companion)
+    assert _fields(report) == _fields(_full_summability(part, companion))
+
+
+def _block_boundary_lengths(block_numbers, dim):
+    # 1, block - 1, block, block + 1 and 2 block + 1 records for the 2d-wide
+    # pair rows and the d-wide rows
+    lengths = {1}
+    for rows in (block_numbers // (2 * dim), block_numbers // dim):
+        lengths |= {rows - 1, rows, rows + 1, 2 * rows + 1}
+    return sorted(lengths)
+
+
+# at the real block size, and at blocks of 7 d-wide rows, where a trace of 61
+# records also has a trailing quarter (the pairings' window) of three blocks
+BOUNDARY_CASES = [(BLOCK, n) for n in _block_boundary_lengths(BLOCK, 50)]
+BOUNDARY_CASES += [(7 * 50, n) for n in _block_boundary_lengths(7 * 50, 50) + [61]]
+
+
+@pytest.fixture(scope="module")
+def d50_trace():
+    # as many records as the longest boundary case, companion included
+    inst = build_scenario("random-affine", dim=50, seed=1)
+    longest = max(n for _, n in BOUNDARY_CASES)
+    return inst, iterate(inst.problem, longest, 0.0)
+
+
+@pytest.mark.parametrize("block_numbers, n", BOUNDARY_CASES)
+def test_checks_at_row_block_boundaries_equal_the_full_formulas(block_numbers, n, d50_trace, monkeypatch):
+    monkeypatch.setattr(drsplit.space, "BLOCK_NUMBERS", block_numbers)
+    inst, trace = d50_trace
+    first = slice(0, n)
+    _assert_checks_equal_the_full_formulas(inst, trace.rows(first), trace.companion.rows(first))
+
+
+@pytest.mark.parametrize("block_numbers", [BLOCK, 4 * 7])
+def test_checks_of_a_far_out_trace_equal_the_full_formulas_without_warnings(block_numbers, monkeypatch):
+    # the steps and distances of a start at 1e200 overflow to inf, and their
+    # differences to NaN; none of it may warn (a warning would reach stderr)
+    monkeypatch.setattr(drsplit.space, "BLOCK_NUMBERS", block_numbers)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inst = build_scenario("random-affine", dim=2, x0=[1e200, -1e200])
+        trace = iterate(inst.problem, 200, inst.default_step_tol)
+        other = iterate(DRProblem(inst.problem.A, inst.problem.B, np.array([-3e199, 1e200])), 200, 0.0)
+        assert not np.all(np.isfinite(trace.step_norms))
+        _assert_checks_equal_the_full_formulas(inst, trace, other)
+        inst.run_checks(trace)  # every check of the run, diameter included
 
 
 def test_diameter_of_a_long_window_stays_within_a_row_block():
@@ -172,6 +334,29 @@ def test_check_phase_memory_is_linear_in_the_trace(monkeypatch):
     # the peak counts the traced trace arrays (2 orbits x 3 x 10^4 x 50 x 8 B,
     # about 23 MiB) and the checks' temporaries on top of them
     assert peaks[0] < 64 * MIB
+
+
+def test_check_phase_peaks_within_8_mib_of_the_trace_it_holds(monkeypatch):
+    run_checks = ScenarioInstance.run_checks
+    margins = []
+
+    def traced_checks(self, trace):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = run_checks(self, trace)
+        margins.append(tracemalloc.get_traced_memory()[1] - held)
+        return out
+
+    monkeypatch.setattr(ScenarioInstance, "run_checks", traced_checks)
+    tracemalloc.start()
+    try:
+        summary, trace = run(make_config(None, scenario="random-affine", dim=50, seed=1))
+    finally:
+        tracemalloc.stop()
+    assert summary.all_passed and len(trace) == 10_000
+    # whole-trace (n, d) and (n, 2d) temporaries put 23.2 MiB on top of the
+    # 23 MiB trace; row blocks of BLOCK_NUMBERS numbers put about 3 MiB
+    assert margins[0] <= 8 * MIB
 
 
 def test_a_checked_trace_holds_only_the_arrays_iterate_wrote(monkeypatch):

@@ -70,6 +70,10 @@ def cli_runs() -> list[list[str]]:
     runs.append(["--scenario", "random-affine", "--dim", "3", "--x0=1e200,1e200,1e200"])
     runs.append(["--scenario", "random-affine", "--dim", "5", "--seed", "3", "--tol", "1e-9"])
     runs.append(["--check-identities", "--seed", "7", "--samples", "50"])
+    # the check phase's row blocks: one record past a block of d=50 rows
+    # (space.BLOCK_NUMBERS // 50 = 2,621 records), and a single record
+    runs.append(["--scenario", "random-affine", "--dim", "50", "--seed", "1", "--iters", "2622"])
+    runs.append(["--scenario", "random-affine", "--dim", "50", "--seed", "1", "--iters", "1"])
     return runs
 
 
