@@ -48,7 +48,7 @@ from .scenarios import (
     random_affine_pair,
     random_pw1d_pair,
 )
-from .space import AffineSubspace, Ball, Box, NonnegativeOrthant, Singleton
+from .space import AffineSubspace, Ball, Box, NonnegativeOrthant, Singleton, row_blocks
 from .splitting import DRTrace, dr_apply, iterate
 
 # ---------------------------------------------------------------------------
@@ -153,7 +153,8 @@ CSV_BLOCK = 16384
 def write_trace_csv(trace: DRTrace, path: str) -> None:
     """Columns: n, governing, shadow, dual shadow, second shadow, step norm,
     running displacement estimate (the current step vector), written in
-    blocks of ``CSV_BLOCK`` numbers built from the trace's own rows."""
+    ``space.row_blocks`` of ``CSV_BLOCK`` numbers built from the trace's own
+    rows."""
     d = trace.problem.dim
     header = (
         ["n"]
@@ -164,11 +165,10 @@ def write_trace_csv(trace: DRTrace, path: str) -> None:
         + ["step_norm"]
         + [f"v{i}" for i in range(d)]
     )
-    block_rows = max(1, CSV_BLOCK // (5 * d + 1))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for first in range(0, len(trace), block_rows):
-            fh.write(_csv_block(trace.rows(slice(first, first + block_rows)), first))
+        for rows in row_blocks(len(trace), 5 * d + 1, CSV_BLOCK):
+            fh.write(_csv_block(trace.rows(rows), rows.start))
 
 
 def _csv_block(part: DRTrace, first: int) -> str:
@@ -388,17 +388,6 @@ class IdentitySweep:
         return ok and ok_slack
 
 
-# Samples are drawn and evaluated in blocks of at most this many rows, one
-# call per identity and block, so the sweep's memory does not grow with the
-# sample count.
-SWEEP_BLOCK = 1024
-
-
-def _blocks(samples: int) -> list[tuple[int, int]]:
-    """(first sample, row count) of each block of a sweep over ``samples`` samples."""
-    return [(first, min(SWEEP_BLOCK, samples - first)) for first in range(0, samples, SWEEP_BLOCK)]
-
-
 def _absorb(
     worst: dict[str, WorstRecord],
     slack_worst: dict[str, WorstRecord],
@@ -430,6 +419,8 @@ def check_identities(
 
     Each identity is evaluated once per block of samples on the stack of the
     block's points; the records equal those of a sample-by-sample sweep.
+    Blocks are ``space.row_blocks`` of samples eight points wide (the most one
+    sample draws), so the sweep's memory does not grow with ``samples``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -440,7 +431,8 @@ def check_identities(
 
     for d in sorted({e.dim for e in entries}):
         tag = f"points-dim{d}"
-        for first, n in _blocks(samples):
+        for block in row_blocks(samples, 8 * d):
+            first, n = block.start, block.stop - block.start
             pts = rng.standard_normal((n, 8, d)) * 1.5
             rows = pts.transpose(1, 0, 2)
             _absorb(worst, slack_worst, three_point_residuals(*rows[:3]).entries, tag, first)
@@ -452,7 +444,8 @@ def check_identities(
         b_inv = inverse(B)
         dual_b = dual_flip(b_inv)
         prod = product(A, B)
-        for first, n in _blocks(samples):
+        for block in row_blocks(samples, 8 * entry.dim):
+            first, n = block.start, block.stop - block.start
             xy = rng.standard_normal((n, 2, entry.dim)) * 1.5
             x, y = xy[:, 0], xy[:, 1]
             _absorb(worst, slack_worst, dr_decomposition_residuals(A, B, x, y).entries, label, first)

@@ -63,38 +63,31 @@ class SolutionSets:
 # fixed points and solution samples
 
 
-# The fixed-point search iterates in runs of at most this many records, so it
-# holds one such trace whatever its ``max_iters``.
-SEARCH_CHUNK = 4096
-
-
 def find_fixed_point(problem: DRProblem, tol: float, max_iters: int = 100_000) -> np.ndarray:
     """Iterate until the step norm drops below ``tol`` and return that point.
 
     A ``tol``-0 orbit that turns bitwise stationary returns its exact fixed
     point. Raises :class:`PossiblyInconsistentError` (carrying the displacement
     estimate) after ``max_iters`` records with no step norm below ``tol``. The
-    search runs in chunks of ``SEARCH_CHUNK`` records, each started where the
-    last one's loop would have gone on, so its results are bitwise those of one
-    ``iterate(problem, max_iters, tol)`` run.
+    search runs in ``space.row_blocks`` of records three points wide (a record
+    stores three), each started where the last one's loop would have gone on,
+    so it holds one block's trace whatever ``max_iters`` is, and its results
+    are bitwise those of one ``iterate(problem, max_iters, tol)`` run.
     """
-    x, done = problem.x0, 0
-    while True:
-        chunk = min(SEARCH_CHUNK, max_iters - done)  # iterate rejects a max_iters below 1
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    x = problem.x0
+    for rows in row_blocks(max_iters, 3 * problem.dim):
         try:
-            trace = iterate(DRProblem(problem.A, problem.B, x), chunk, tol)
+            trace = iterate(DRProblem(problem.A, problem.B, x), rows.stop - rows.start, tol)
         except NonFiniteIterateError as exc:
-            raise NonFiniteIterateError(done + exc.iteration) from None
+            raise NonFiniteIterateError(rows.start + exc.iteration) from None
         # a stationary orbit (tol 0) has reached T x = x bitwise; its last record is x
         if trace.stop_reason is StopReason.STEP_CONVERGED or trace.stationary_at is not None:
             return trace.governing[-1].copy()
-        done += chunk
-        if done == max_iters:
-            raise PossiblyInconsistentError(
-                step_norm=trace.final_step_norm, v_estimate=trace.v_estimate
-            )
         # the loop's x_next, (x - J_A x) + J_B R_A x, bit for bit
         x = trace.governing[-1] - trace.shadow[-1] + trace.b_shadow[-1]
+    raise PossiblyInconsistentError(step_norm=trace.final_step_norm, v_estimate=trace.v_estimate)
 
 
 def primal_dual_from_fix(
@@ -141,15 +134,10 @@ def fejer_check(x, E: SetSample, slack: float = 0.0) -> FejerResult:
     reports the first violating step and the largest increase of the squared
     distance (the quantity that is exactly zero-summable in theory).
     """
-    blocks = x
-    if isinstance(x, np.ndarray):
-        if not (x.ndim == 2 and x.shape[0] >= 1):
-            raise ValueError(f"expected a nonempty (n, d) array, got shape {x.shape}")
-        blocks = (x[rows] for rows in row_blocks(*x.shape))
     e = E.points
     if not len(e):
         raise ValueError("reference sample must be nonempty")
-    dists = _sample_distances(blocks, e)
+    dists = _sample_distances([x] if isinstance(x, np.ndarray) else x, e)
     if dists.shape[0] == 1:
         return FejerResult(True, None, 0.0, 0.0, None)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -172,7 +160,8 @@ def fejer_check(x, E: SetSample, slack: float = 0.0) -> FejerResult:
 def _sample_distances(blocks, e: np.ndarray) -> np.ndarray:
     """The (n, m) distances ||x_i - e_j|| of a sequence given as consecutive
     row blocks to the m rows of ``e``, one column per sample point, formed one
-    block at a time: a row's norm depends on that row alone."""
+    ``row_blocks`` slice of each block at a time: a row's norm depends on that
+    row alone."""
     columns = []
     # np.linalg.norm, not row_norms (whose sums round differently); an
     # overflowing orbit gives inf or NaN distances, which fail the check
@@ -184,7 +173,8 @@ def _sample_distances(blocks, e: np.ndarray) -> np.ndarray:
                 raise DimensionMismatchError(
                     f"sequence dimension {block.shape[1]} differs from sample dimension {e.shape[1]}"
                 )
-            columns.append(np.stack([np.linalg.norm(block - p, axis=1) for p in e], axis=1))
+            for rows in row_blocks(*block.shape):
+                columns.append(np.stack([np.linalg.norm(block[rows] - p, axis=1) for p in e], axis=1))
     if not sum(len(c) for c in columns):
         raise ValueError("expected a nonempty sequence")
     return np.concatenate(columns)

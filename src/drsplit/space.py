@@ -51,16 +51,18 @@ def row_norms(x: np.ndarray):
     return np.sqrt(np.vecdot(x, x))
 
 
-# numbers of a whole-trace temporary formed at a time: the check phase works
-# on blocks of rows that hold about this many, so it holds one block of each
-# temporary, never the whole trace's
+# numbers of a whole-trace temporary formed at a time: a loop over row blocks
+# of about this many holds one block of each temporary, never the whole
+# trace's; the default budget of ``row_blocks`` (the trace writer passes its
+# own, ``runner.CSV_BLOCK``)
 BLOCK_NUMBERS = 2**17
 
 
-def row_blocks(n: int, width: int) -> Iterator[slice]:
+def row_blocks(n: int, width: int, numbers: int | None = None) -> Iterator[slice]:
     """Consecutive slices that cover rows 0 to n - 1, each of as many rows of
-    ``width`` numbers as ``BLOCK_NUMBERS`` holds (at least one row)."""
-    rows = max(1, BLOCK_NUMBERS // width)
+    ``width`` numbers as ``numbers`` (default ``BLOCK_NUMBERS``) holds, at
+    least one row: the one rule by which a loop splits rows into blocks."""
+    rows = max(1, (BLOCK_NUMBERS if numbers is None else numbers) // width)
     return (slice(first, min(first + rows, n)) for first in range(0, n, rows))
 
 

@@ -5,12 +5,14 @@ and the pair library build; and the block-wise identity sweep against a
 sample-by-sample reference."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import drsplit.space
 from drsplit import (
     AffineSubspace,
     Ball,
@@ -46,8 +48,8 @@ from drsplit import (
     skew_residuals,
     three_point_residuals,
 )
-from drsplit import runner
 from drsplit.identities import affine_gap_residuals
+from drsplit.space import row_blocks
 
 
 # the zero map (resolvent Id) and the identity map (resolvent Id/2), built
@@ -454,13 +456,30 @@ def test_sweep_records_equal_sample_by_sample_reference(seed, samples):
     _assert_sweep_matches_reference(seed, samples)
 
 
-def test_sweep_records_equal_reference_across_a_block_boundary():
+def test_sweep_records_equal_reference_across_a_block_boundary(monkeypatch):
+    # a sample draws at most eight points: blocks of 80 one-dimensional
+    # samples, 40 of dimension 2 and 16 of dimension 5, so 83 samples end in
+    # a block of 3 for every dimension
+    monkeypatch.setattr(drsplit.space, "BLOCK_NUMBERS", 8 * 80)
+    assert [rows.start for rows in row_blocks(83, 8 * 5)] == [0, 16, 32, 48, 64, 80]
     library = {e.label: e for e in operator_pair_library()}
     entries = [library[k] for k in ("kinked-1d", "rotator-rotator", "disjoint-balls", "random-affine-5d")]
-    _assert_sweep_matches_reference(5, runner.SWEEP_BLOCK + 3, entries)
+    _assert_sweep_matches_reference(5, 83, entries)
 
 
 def test_sweep_records_equal_reference_with_small_blocks(monkeypatch):
-    monkeypatch.setattr(runner, "SWEEP_BLOCK", 4)
-    assert runner._blocks(11) == [(0, 4), (4, 4), (8, 3)]
+    monkeypatch.setattr(drsplit.space, "BLOCK_NUMBERS", 32)
+    assert list(row_blocks(11, 8)) == [slice(0, 4), slice(4, 8), slice(8, 11)]
     _assert_sweep_matches_reference(3, 11)
+
+
+def test_sweep_holds_one_block_of_samples():
+    # blocks of BLOCK_NUMBERS numbers bound the sweep's memory whatever the
+    # sample count; 20,000 samples cross blocks at every library dimension
+    tracemalloc.start()
+    try:
+        check_identities(seed=7, samples=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20

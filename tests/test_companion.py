@@ -164,7 +164,7 @@ def test_trace_beyond_physical_memory_is_refused(monkeypatch, capsys):
     assert len(iterate(inst.problem, max_iters=50, step_tol=0.0)) == 50
     with pytest.raises(ValueError, match=r"max_iters=51 .*dimension 2 does not fit in memory"):
         iterate(inst.problem, max_iters=51, step_tol=0.0)
-    # 10 MB: the scenario's fixed-point searches (one orbit, SEARCH_CHUNK
+    # 10 MB: the scenario's fixed-point searches (one orbit, one row block of
     # records at a time) fit, a run of 10^6 records with its companion (96 MB)
     # does not
     monkeypatch.setattr(drsplit.splitting, "_physical_memory_bytes", lambda: 10**7)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import drsplit.solutions
+import drsplit.space
 from drsplit import (
     Box,
     DRProblem,
@@ -27,6 +27,7 @@ from drsplit import (
     summability_report,
     sweet_principle_check,
 )
+from drsplit.space import row_blocks
 
 
 def test_find_fixed_point_rotator_lands_on_ray():
@@ -70,9 +71,10 @@ def _search_problem(name, **kwargs):
 )
 @pytest.mark.parametrize("tol", [1e-13, 0.0])
 def test_find_fixed_point_in_chunks_equals_one_run(monkeypatch, name, kwargs, tol):
-    # 3,000 records are 428 chunks of 7 and one of 4
-    monkeypatch.setattr(drsplit.solutions, "SEARCH_CHUNK", 7)
+    # 3,000 records are 428 blocks of 7 and one of 4: a record stores three points
     problem = _search_problem(name, **kwargs)
+    monkeypatch.setattr(drsplit.space, "BLOCK_NUMBERS", 21 * problem.dim)
+    assert [rows.stop - rows.start for rows in row_blocks(3000, 3 * problem.dim)] == [7] * 428 + [4]
     ref = iterate(problem, 3000, tol)
     # a tol-0 orbit that turns stationary (random-affine d=2 at n = 27, d=5 at
     # 196, random-1d at 54, rotator-cone at 1) has reached an exact fixed point
@@ -81,6 +83,17 @@ def test_find_fixed_point_in_chunks_equals_one_run(monkeypatch, name, kwargs, to
         return
     with pytest.raises(PossiblyInconsistentError) as err:
         find_fixed_point(problem, tol, 3000)
+    assert np.float64(err.value.step_norm).tobytes() == ref.step_norms[-1].tobytes()
+    assert err.value.v_estimate.tobytes() == ref.v_estimate.tobytes()
+
+
+def test_find_fixed_point_at_the_real_block_size_equals_one_run():
+    # nothing patched: 3,000 d=50 records cross blocks at 873, 1,746 and 2,619
+    problem = _search_problem("random-affine", dim=50, seed=1)
+    assert [rows.start for rows in row_blocks(3000, 3 * 50)] == [0, 873, 1746, 2619]
+    ref = iterate(problem, 3000, 0.0)
+    with pytest.raises(PossiblyInconsistentError) as err:
+        find_fixed_point(problem, 0.0, 3000)
     assert np.float64(err.value.step_norm).tobytes() == ref.step_norms[-1].tobytes()
     assert err.value.v_estimate.tobytes() == ref.v_estimate.tobytes()
 
@@ -96,7 +109,8 @@ def test_find_fixed_point_returns_a_stationary_point():
 
 
 def test_find_fixed_point_counts_records_across_chunks(monkeypatch):
-    monkeypatch.setattr(drsplit.solutions, "SEARCH_CHUNK", 7)
+    # blocks of 7 one-dimensional records
+    monkeypatch.setattr(drsplit.space, "BLOCK_NUMBERS", 21)
     problem = _search_problem("rotator-cone")
     with pytest.raises(ValueError, match="max_iters must be >= 1"):
         find_fixed_point(problem, 1e-12, max_iters=0)

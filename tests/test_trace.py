@@ -38,6 +38,7 @@ from drsplit import (
 )
 from drsplit.cli import main as cli_main
 from drsplit.runner import _json_number, write_trace_csv
+from drsplit.space import row_blocks
 
 FIELDS = ("governing", "shadow", "dual_shadow", "b_shadow", "b_dual_shadow", "steps")
 
@@ -251,6 +252,15 @@ def test_blocked_csv_writer_equals_the_cell_rule(tr):
             mp.setattr(drsplit.runner, "CSV_BLOCK", block)
             write_trace_csv(tr, str(path))
             assert path.read_bytes() == expected, block
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 50])
+def test_csv_row_blocks_are_the_writer_blocks_of_csv_block_numbers(d):
+    # the writer's blocks: as many (5d + 1)-number rows as CSV_BLOCK holds
+    block = max(1, drsplit.runner.CSV_BLOCK // (5 * d + 1))
+    for n in (1, block - 1, block, block + 1):
+        expected = [slice(first, min(first + block, n)) for first in range(0, n, block)]
+        assert list(row_blocks(n, 5 * d + 1, drsplit.runner.CSV_BLOCK)) == expected, n
 
 
 def test_csv_writer_holds_one_block_of_text(tmp_path):

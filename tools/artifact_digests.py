@@ -74,6 +74,9 @@ def cli_runs() -> list[list[str]]:
     # (space.BLOCK_NUMBERS // 50 = 2,621 records), and a single record
     runs.append(["--scenario", "random-affine", "--dim", "50", "--seed", "1", "--iters", "2622"])
     runs.append(["--scenario", "random-affine", "--dim", "50", "--seed", "1", "--iters", "1"])
+    # a sweep that crosses row blocks at every pair dimension (16,384 samples
+    # of dimension 1, 3,276 of dimension 5)
+    runs.append(["--check-identities", "--seed", "7", "--samples", "20000"])
     return runs
 
 
