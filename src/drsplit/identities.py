@@ -11,12 +11,14 @@ Every function takes one point of shape (d,) per argument, giving float
 residuals, or stacks of row points of shape (m, d), giving one residual per
 row as an array of shape (m,). Row i of a stack's residuals is bitwise equal
 to the residuals of row i alone: inner products are ``np.vecdot``, which
-matches ``np.dot`` on one point and does not mix rows.
+matches ``np.dot`` on one point and does not mix rows. A step-based report
+given ``steps``, the caller's ``dr_step(A, B, p)`` of each point array p, reuses them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -135,7 +137,15 @@ def eight_point_residual(a, b, x, y, a_star, b_star, u, v):
     return _value(_scaled(np.abs(lhs - rhs), np.abs(lhs), np.abs(rhs)))
 
 
-def dr_decomposition_residuals(A: MonotoneOperator, B: MonotoneOperator, x, y) -> ResidualReport:
+def _steps(A: MonotoneOperator, B: MonotoneOperator, points, steps):
+    if steps is not None and (len(steps) != len(points) or any(s[0] is not p for s, p in zip(steps, points))):
+        raise ValueError("steps must be dr_step(A, B, p) of each point array p passed")
+    return [dr_step(A, B, p) for p in points] if steps is None else steps
+
+
+def dr_decomposition_residuals(
+    A: MonotoneOperator, B: MonotoneOperator, x, y, *, steps=None
+) -> ResidualReport:
     """Decompositions of <Tx-Ty, x-y> and friends into monotone pairings.
 
     Entries decomposition_1..4 are equalities; resolvent_energy_slack is the
@@ -146,8 +156,7 @@ def dr_decomposition_residuals(A: MonotoneOperator, B: MonotoneOperator, x, y) -
 
     writing J_A' for the resolvent of the inverse.
     """
-    xv, jax, dax, jbx, dbx, tx = dr_step(A, B, x)
-    yv, jay, day, jby, dby, ty = dr_step(A, B, y)
+    (xv, jax, dax, jbx, dbx, tx), (yv, jay, day, jby, dby, ty) = _steps(A, B, (x, y), steps)
     _same_shape(xv, yv)
     pair_a = _dot(jax - jay, dax - day)
     pair_b = _dot(jbx - jby, dbx - dby)
@@ -173,7 +182,7 @@ def dr_decomposition_residuals(A: MonotoneOperator, B: MonotoneOperator, x, y) -
     return rep
 
 
-def fixed_point_step_residuals(A: MonotoneOperator, B: MonotoneOperator, x) -> ResidualReport:
+def fixed_point_step_residuals(A: MonotoneOperator, B: MonotoneOperator, x, *, steps=None) -> ResidualReport:
     """The step x - Tx written two ways, plus graph-membership round trips.
 
     x - Tx equals both J_A x - J_B R_A x and J_A' x + J_B' R_A x (primed maps
@@ -181,7 +190,7 @@ def fixed_point_step_residuals(A: MonotoneOperator, B: MonotoneOperator, x) -> R
     pairs (J_A x, J_A' x) of A and (J_B R_A x, J_B' R_A x) of B, verified here
     by re-projecting each pair's sum through the resolvent.
     """
-    xv, ja, da, jb, db, tx = dr_step(A, B, x)
+    [(xv, ja, da, jb, db, tx)] = _steps(A, B, (x,), steps)
     step = xv - tx
     rep = ResidualReport()
     rep.add_vector_equality("step_shadow_gap", step, ja - jb)
@@ -191,11 +200,11 @@ def fixed_point_step_residuals(A: MonotoneOperator, B: MonotoneOperator, x) -> R
     return rep
 
 
-def linear_relation_residual(A: MonotoneOperator, B: MonotoneOperator, x):
+def linear_relation_residual(A: MonotoneOperator, B: MonotoneOperator, x, *, steps=None):
     """Scaled residual of Id - T = J_A - 2 J_B J_A + J_B (linear resolvents only)."""
     if not (A.is_linear_relation and B.is_linear_relation):
         raise OperatorFamilyError("both operators must be linear relations")
-    xv, ja, _, _, _, tx = dr_step(A, B, x)
+    [(xv, ja, _, _, _, tx)] = _steps(A, B, (x,), steps)
     explicit = ja - 2.0 * B.resolvent_map(ja) + B.resolvent_map(xv)
     return _value(vector_residual(xv - tx, explicit)[0])
 
@@ -205,10 +214,17 @@ def _linear_forward(A: MonotoneOperator, x: np.ndarray) -> np.ndarray:
     return x - 2.0 * A.resolvent_map(x)
 
 
+@cache  # drawn once, at the first test: importing drsplit does not load numpy.random
+def _quarter_turn_probe() -> np.ndarray:
+    probe = np.random.default_rng(12345).standard_normal((4, 2))
+    probe.flags.writeable = False
+    return probe
+
+
 def _require_quarter_turn_family(A: MonotoneOperator, name: str) -> None:
     if A.dim != 2 or not A.is_linear_relation:
         raise OperatorFamilyError(f"{name} must be a planar linear operator")
-    s = np.random.default_rng(12345).standard_normal((4, 2))
+    s = _quarter_turn_probe()
     j = A._checked_map(s)
     not_skew = np.abs(_dot(j, s - j)) > 1e-10 * (1.0 + _dot(s, s))
     squared = _linear_forward(A, _linear_forward(A, s))
@@ -219,7 +235,7 @@ def _require_quarter_turn_family(A: MonotoneOperator, name: str) -> None:
         raise OperatorFamilyError(f"{name} {reason}")
 
 
-def skew_residuals(A: MonotoneOperator, B: MonotoneOperator, x, y) -> ResidualReport:
+def skew_residuals(A: MonotoneOperator, B: MonotoneOperator, x, y, *, steps=None) -> ResidualReport:
     """Identities special to skew planar operators squaring to -Id.
 
     For these, all monotone pairings vanish, so the decomposition collapses to
@@ -228,8 +244,7 @@ def skew_residuals(A: MonotoneOperator, B: MonotoneOperator, x, y) -> ResidualRe
     """
     _require_quarter_turn_family(A, "A")
     _require_quarter_turn_family(B, "B")
-    xv, jax, dax, _, _, tx = dr_step(A, B, x)
-    yv, jay, day, _, _, ty = dr_step(A, B, y)
+    (xv, jax, dax, _, _, tx), (yv, jay, day, _, _, ty) = _steps(A, B, (x, y), steps)
     _same_shape(xv, yv)
     jatx, jaty = A.resolvent_map(tx), A.resolvent_map(ty)
     datx, daty = tx - jatx, ty - jaty

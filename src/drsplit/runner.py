@@ -49,7 +49,7 @@ from .scenarios import (
     random_pw1d_pair,
 )
 from .space import AffineSubspace, Ball, Box, NonnegativeOrthant, Singleton, row_blocks
-from .splitting import DRTrace, dr_apply, iterate
+from .splitting import DRTrace, dr_apply, dr_step, iterate
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -440,32 +440,32 @@ def check_identities(
 
     for entry in entries:
         A, B, label = entry.A, entry.B, entry.label
-        a_inv = inverse(A)
-        b_inv = inverse(B)
-        dual_b = dual_flip(b_inv)
+        dual_pair = inverse(A), dual_flip(inverse(B))
         prod = product(A, B)
         for block in row_blocks(samples, 8 * entry.dim):
             first, n = block.start, block.stop - block.start
             xy = rng.standard_normal((n, 2, entry.dim)) * 1.5
             x, y = xy[:, 0], xy[:, 1]
-            _absorb(worst, slack_worst, dr_decomposition_residuals(A, B, x, y).entries, label, first)
-            _absorb(worst, slack_worst, fixed_point_step_residuals(A, B, x).entries, label, first)
+            steps = dr_step(A, B, x), dr_step(A, B, y)
+            ja, tx, bx, by = steps[0][1], steps[0][-1], B.resolvent_map(x), B.resolvent_map(y)
+            report = dr_decomposition_residuals(A, B, x, y, steps=steps)
+            _absorb(worst, slack_worst, report.entries, label, first)
+            report = fixed_point_step_residuals(A, B, x, steps=steps[:1])
+            _absorb(worst, slack_worst, report.entries, label, first)
             inline = {
                 "inverse_resolvent_sum": np.maximum(
-                    vector_residual(A.resolvent_map(x) + a_inv.resolvent_map(x), x)[0],
-                    vector_residual(B.resolvent_map(x) + b_inv.resolvent_map(x), x)[0],
+                    vector_residual(ja + (x - ja), x)[0], vector_residual(bx + (x - bx), x)[0]
                 ),
-                "self_duality": vector_residual(dr_apply(A, B, x), dr_apply(a_inv, dual_b, x))[0],
+                "self_duality": vector_residual(tx, dr_apply(*dual_pair, x))[0],
                 "product_resolvent": vector_residual(
-                    prod.resolvent_map(xy.reshape(n, -1)),
-                    np.concatenate([A.resolvent_map(x), B.resolvent_map(y)], axis=1),
+                    prod.resolvent_map(xy.reshape(n, -1)), np.concatenate([ja, by], axis=1)
                 )[0],
             }
             if A.is_linear_relation and B.is_linear_relation:
-                inline["linear_relation_step"] = linear_relation_residual(A, B, x)
+                inline["linear_relation_step"] = linear_relation_residual(A, B, x, steps=steps[:1])
             _absorb(worst, slack_worst, inline, label, first)
             if entry.skew_family:
-                _absorb(worst, slack_worst, skew_residuals(A, B, x, y).entries, label, first)
+                _absorb(worst, slack_worst, skew_residuals(A, B, x, y, steps=steps).entries, label, first)
             if entry.affine_sets is not None:
                 U, V = entry.affine_sets
                 _absorb(worst, slack_worst, affine_gap_residuals(U, V, x).entries, label, first)

@@ -4,6 +4,7 @@ of that row alone; firm nonexpansiveness of every resolvent the strategies
 and the pair library build; and the block-wise identity sweep against a
 sample-by-sample reference."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -471,6 +472,30 @@ def test_sweep_records_equal_reference_with_small_blocks(monkeypatch):
     monkeypatch.setattr(drsplit.space, "BLOCK_NUMBERS", 32)
     assert list(row_blocks(11, 8)) == [slice(0, 4), slice(4, 8), slice(8, 11)]
     _assert_sweep_matches_reference(3, 11)
+
+
+@pytest.mark.parametrize(
+    "label, a_calls, b_calls",
+    [("disjoint-balls", 7, 7), ("rotator-rotator", 12, 13), ("random-affine-5d", 7, 7)],
+)
+def test_sweep_takes_each_pairs_steps_once_per_block(label, a_calls, b_calls):
+    # one block of 20 samples: the steps at x and y, J_B at x and y, J_A at
+    # T x and T y, the two graph round trips, the dual pair's step and the
+    # product's resolvent; the skew pair adds the linear relation's two J_B
+    # calls and the family tests, J_A at T x and T y and B's forward map
+    counts = {"A": 0, "B": 0}
+
+    def counting(op, key):
+        def res(x):
+            counts[key] += 1
+            return op.resolvent_map(x)
+
+        return dataclasses.replace(op, resolvent_map=res)
+
+    entry = next(e for e in operator_pair_library() if e.label == label)
+    counted = dataclasses.replace(entry, A=counting(entry.A, "A"), B=counting(entry.B, "B"))
+    check_identities(seed=1, samples=20, pairs=[counted])
+    assert counts == {"A": a_calls, "B": b_calls}
 
 
 def test_sweep_holds_one_block_of_samples():

@@ -23,6 +23,7 @@ from drsplit import (
     skew_residuals,
     three_point_residuals,
 )
+from drsplit.splitting import dr_step
 
 X_AXIS = AffineSubspace(np.zeros(2), np.array([[1.0, 0.0]]))
 DIAGONAL = AffineSubspace.from_span(np.zeros(2), [np.array([1.0, 1.0])])
@@ -363,6 +364,41 @@ def test_skew_residuals_reuse_the_steps_images():
     B, _ = _counting(rotator())
     skew_residuals(A, B, POINTS, -POINTS)
     assert len(a_calls) == 7
+
+
+def _report_bits(report):
+    if not hasattr(report, "entries"):  # linear_relation_residual's one value
+        return np.asarray(report).tobytes().hex()
+    tables = (report.entries, report.raw)
+    return [(name, np.asarray(v).tobytes().hex()) for table in tables for name, v in table.items()]
+
+
+# each step-based report, as (report, number of point arguments, applies to entry)
+STEP_REPORTS = [
+    (dr_decomposition_residuals, 2, lambda e: True),
+    (fixed_point_step_residuals, 1, lambda e: True),
+    (linear_relation_residual, 1, lambda e: e.A.is_linear_relation and e.B.is_linear_relation),
+    (skew_residuals, 2, lambda e: e.skew_family),
+]
+
+
+@pytest.mark.parametrize("rows", [(), (5,)], ids=["point", "stack"])
+def test_reports_given_the_callers_steps_equal_their_own_bitwise(rows):
+    rng = np.random.default_rng(8)
+    for entry in operator_pair_library():
+        A, B = entry.A, entry.B
+        points = [1.5 * rng.standard_normal(rows + (entry.dim,)) for _ in range(2)]
+        steps = [dr_step(A, B, p) for p in points]
+        for report, arity, applies in STEP_REPORTS:
+            if not applies(entry):
+                continue
+            own = report(A, B, *points[:arity])
+            given = report(A, B, *points[:arity], steps=steps[:arity])
+            assert _report_bits(given) == _report_bits(own), (entry.label, report.__name__)
+            # steps taken at an equal copy of x are not the steps of x
+            moved = [dr_step(A, B, points[0].copy())] + steps[1:arity]
+            with pytest.raises(ValueError, match="steps must be dr_step"):
+                report(A, B, *points[:arity], steps=moved)
 
 
 def test_affine_gap_takes_p_u_x_from_the_step(monkeypatch):

@@ -77,6 +77,9 @@ def cli_runs() -> list[list[str]]:
     # a sweep that crosses row blocks at every pair dimension (16,384 samples
     # of dimension 1, 3,276 of dimension 5)
     runs.append(["--check-identities", "--seed", "7", "--samples", "20000"])
+    # a sweep whose every stack holds one row, the edge case of the steps each
+    # pair's reports share
+    runs.append(["--check-identities", "--seed", "3", "--samples", "1"])
     return runs
 
 
