@@ -143,6 +143,7 @@ class AffineSubspace:
             raise ValueError("direction basis is not orthonormal to 1e-12")
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_basis_t", basis.T)  # one view, not one per call
 
     @classmethod
     def from_span(cls, offset, spanning_vectors: Iterable) -> "AffineSubspace":
@@ -163,9 +164,9 @@ class AffineSubspace:
         rel = x - self.offset
         if x.ndim == 1:
             # ndarray.dot is bitwise @ here, with less overhead per call
-            return self.offset + self.basis.T.dot(self.basis.dot(rel))
+            return self.offset + self._basis_t.dot(self.basis.dot(rel))
         # a stack of one-row products; one (m, d) gemm would round rows differently
-        return self.offset + ((rel[:, None, :] @ self.basis.T) @ self.basis)[:, 0, :]
+        return self.offset + ((rel[:, None, :] @ self._basis_t) @ self.basis)[:, 0, :]
 
     def orthogonal_complement_basis(self) -> np.ndarray:
         """Orthonormal basis of the orthogonal complement of the direction space."""

@@ -1,10 +1,9 @@
-"""The companion orbit that ``iterate`` runs alongside the lead orbit.
+"""The companion orbit that ``iterate`` runs beside the lead orbit.
 
-A problem with a companion start is iterated as one (2, d) state until one
-orbit turns bitwise stationary and leaves it. The lead trace must equal the
-trace of the same problem without a companion, and the companion trace must
-equal a solo run from the companion start with ``step_tol=0`` for as many
-records: every array, the stop reason and ``stationary_at``, bitwise.
+The lead trace must equal the trace of the same problem without a companion,
+and the companion trace must equal a solo run from the companion start with
+``step_tol=0`` for as many records: every array, the stop reason and
+``stationary_at``, bitwise.
 """
 
 import functools

@@ -1,0 +1,198 @@
+"""``iterate``'s block step test against a record-by-record reference loop.
+
+``iterate`` computes ``STEP_TEST_RECORDS`` records before it tests their
+steps in one vectorized pass, and discards what it computed past the first
+stop. Its traces and errors must be those of the loop below, which tests each
+step as soon as it is taken. The events that end or change a run (a
+tolerance stop, bitwise stationarity, a zero step from -0.0 to 0.0, a step
+norm that overflows while the next point is finite, a non-finite image and a
+resolvent's own exception) are placed at records on both sides of a block
+boundary, with and without a companion start.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from drsplit import DRProblem, MonotoneOperator, NonFiniteIterateError, StopReason, iterate
+from drsplit.splitting import STEP_TEST_RECORDS
+
+MAX_ITERS = 70  # two whole blocks and a partial one
+POSITIONS = [0, STEP_TEST_RECORDS - 1, STEP_TEST_RECORDS, STEP_TEST_RECORDS + 1, MAX_ITERS - 1]
+START = 5.0  # record n of the scripted orbit is (-0.0, START + n) until its event
+_MAX_FLOAT = float(np.finfo(float).max)
+
+
+class ResolventError(RuntimeError):
+    """A scripted resolvent's own failure."""
+
+
+def _reference(A, B, x0, max_iters, step_tol):
+    """Records, stop reason and stationary_at of one orbit, each step tested
+    as soon as it is taken."""
+    records, x = [], x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(max_iters):
+            ja = A.resolvent_map(x)
+            jb = B.resolvent_map(2.0 * ja - x)
+            x_next = x - ja + jb
+            records.append((x, ja, jb))
+            norm = float(np.linalg.norm(x - x_next))
+            if not norm <= _MAX_FLOAT and not np.all(np.isfinite(x_next)):
+                raise NonFiniteIterateError(n)
+            if norm < step_tol:
+                return records, StopReason.STEP_CONVERGED, None
+            if norm == 0.0 and x_next.tobytes() == x.tobytes():
+                return records + [records[-1]] * (max_iters - n - 1), StopReason.MAX_ITERS, n
+            x = x_next
+    return records, StopReason.MAX_ITERS, None
+
+
+def _reference_run(problem, max_iters, step_tol):
+    """(lead, companion) references, or the index of the first non-finite
+    record either orbit reaches before the lead stops."""
+    A, B = problem.A, problem.B
+    try:
+        lead = _reference(A, B, problem.x0, max_iters, step_tol)
+    except NonFiniteIterateError as err:
+        if problem.companion is None:
+            return err.iteration
+        try:
+            _reference(A, B, problem.companion, err.iteration + 1, 0.0)
+        except NonFiniteIterateError as first:
+            return first.iteration
+        return err.iteration
+    if problem.companion is None:
+        return lead, None
+    try:
+        return lead, _reference(A, B, problem.companion, len(lead[0]), 0.0)
+    except NonFiniteIterateError as err:
+        return err.iteration
+
+
+def _assert_trace_is(trace, reference):
+    records, stop, stationary_at = reference
+    assert (len(trace), trace.stop_reason, trace.stationary_at) == (len(records), stop, stationary_at)
+    for field, rows in zip(("governing", "shadow", "b_shadow"), zip(*records)):
+        assert getattr(trace, field).tobytes() == np.array(rows).tobytes(), field
+
+
+# B's image at the event record, which the orbit reaches at second coordinate
+# START + k, and the step tolerances each event is run at
+_EVENTS = {
+    # step norm 0.5: below 0.75, where every other step norm is 1
+    "stop": ([-0.0, 0.5], [0.75]),
+    # T x is x bit for bit
+    "stationary": ([-0.0, 0.0], [0.0, 0.75]),
+    # T x = (0.0, x_1) from x = (-0.0, x_1): a zero step whose bytes differ
+    "zero step": ([0.0, 0.0], [0.0, 0.75]),
+    # a step of 1e200: its norm overflows, the next point is finite
+    "inf norm": ([1e200, 1.0], [0.0, 0.75]),
+    "inf image": ([-0.0, math.inf], [0.0, 0.75]),
+    "nan image": ([-0.0, math.nan], [0.0, 0.75]),
+}
+
+
+def _scripted_pair(k: int, event, rejects_non_finite: bool, raises_at_event: bool):
+    """A = N_{0} in R^2 and a B whose image is (-0.0, 1.0), so T x = x + (0, 1),
+    except ``event`` (or a ``ResolventError``) at the input of record k; with
+    ``rejects_non_finite`` both raise ``ResolventError`` on a non-finite input."""
+    trigger = -(START + k)
+
+    def check(y):
+        if rejects_non_finite and not np.all(np.isfinite(y)):
+            raise ResolventError("non-finite input")
+
+    def ja(x):
+        check(x)
+        return np.zeros_like(x)
+
+    def jb(y):
+        check(y)
+        if y[1] == trigger:
+            if raises_at_event:
+                raise ResolventError("event")
+            return np.array(event)
+        return np.array([-0.0, 1.0])
+
+    return (
+        MonotoneOperator(resolvent_map=ja, dim=2, label="zero"),
+        MonotoneOperator(resolvent_map=jb, dim=2, label="scripted"),
+    )
+
+
+def _assert_matches_reference(problem, step_tol):
+    expected = _reference_run(problem, MAX_ITERS, step_tol)
+    if isinstance(expected, int):
+        with pytest.raises(NonFiniteIterateError) as err:
+            iterate(problem, MAX_ITERS, step_tol)
+        assert err.value.iteration == expected
+        return
+    trace = iterate(problem, MAX_ITERS, step_tol)
+    _assert_trace_is(trace, expected[0])
+    if expected[1] is None:
+        assert trace.companion is None
+    else:
+        _assert_trace_is(trace.companion, expected[1])
+
+
+# the companion meets the event value one record earlier, one record later,
+# or (the lead alone) not at all
+_COMPANIONS = {"lead alone": None, "companion earlier": 1.0, "companion later": -1.0}
+
+
+@pytest.mark.parametrize("companion", list(_COMPANIONS))
+@pytest.mark.parametrize("rejects_non_finite", [False, True])
+@pytest.mark.parametrize("kind", list(_EVENTS))
+def test_block_step_test_equals_the_record_by_record_loop(kind, rejects_non_finite, companion):
+    event, step_tols = _EVENTS[kind]
+    offset = _COMPANIONS[companion]
+    for k in POSITIONS:
+        A, B = _scripted_pair(k, event, rejects_non_finite, raises_at_event=False)
+        second = None if offset is None else [-0.0, START + offset]
+        problem = DRProblem(A, B, np.array([-0.0, START]), second)
+        for step_tol in step_tols:
+            _assert_matches_reference(problem, step_tol)
+
+
+def test_the_events_land_where_they_are_placed():
+    # the reference itself: each event acts at record k and nowhere else
+    for k in POSITIONS:
+        A, B = _scripted_pair(k, _EVENTS["stop"][0], False, False)
+        records, stop, _ = _reference(A, B, np.array([-0.0, START]), MAX_ITERS, 0.75)
+        assert (len(records), stop) == (k + 1, StopReason.STEP_CONVERGED)
+        A, B = _scripted_pair(k, _EVENTS["zero step"][0], False, False)
+        *_, stationary_at = _reference(A, B, np.array([-0.0, START]), MAX_ITERS, 0.0)
+        assert stationary_at == (None if k == MAX_ITERS - 1 else k + 1)
+        A, B = _scripted_pair(k, _EVENTS["nan image"][0], True, False)
+        with pytest.raises(NonFiniteIterateError) as err:
+            _reference(A, B, np.array([-0.0, START]), MAX_ITERS, 0.0)
+        assert err.value.iteration == k
+
+
+@pytest.mark.parametrize("companion", list(_COMPANIONS))
+def test_a_resolvents_own_exception_passes_through(companion):
+    offset = _COMPANIONS[companion]
+    for k in POSITIONS:
+        A, B = _scripted_pair(k, None, False, raises_at_event=True)
+        second = None if offset is None else [-0.0, START + offset]
+        with pytest.raises(ResolventError, match="event"):
+            iterate(DRProblem(A, B, np.array([-0.0, START]), second), MAX_ITERS, 0.0)
+        # a tolerance stop at record k - 1 ends the run, though the block may
+        # already have made the call that fails at record k
+        if k > 0:
+            trace = iterate(DRProblem(A, _stops_then_fails(k - 1), np.array([-0.0, START])), MAX_ITERS, 0.75)
+            assert len(trace) == k and trace.stop_reason is StopReason.STEP_CONVERGED
+
+
+def _stops_then_fails(n: int) -> MonotoneOperator:
+    """T x = x + (0, 1) to record n, a step of norm 0.5 there, and a
+    ``ResolventError`` at every later record."""
+
+    def jb(y):
+        if y[1] < -(START + n):
+            raise ResolventError("event")
+        return np.array([-0.0, 0.5 if y[1] == -(START + n) else 1.0])
+
+    return MonotoneOperator(resolvent_map=jb, dim=2, label="stops-then-fails")

@@ -1,17 +1,18 @@
 """The step norms ``iterate`` tests each record with.
 
-The loop measures a lone ``(d,)`` orbit's step with ``math.sqrt(step.dot(step))``
-and a stacked ``(k, d)`` state's with ``np.sqrt(np.vecdot(step, step))``. Both
-must have the bits of ``row_norms``, the rule behind the persisted
-``step_norm`` column, so that the stop rule agrees with that column; and a
-lone orbit must route non-finite values and zero steps as a stacked one does.
+The loop measures the steps of a block of up to ``STEP_TEST_RECORDS`` records
+with ``np.sqrt(np.vecdot(step, step))``. Each row must have the bits of
+``row_norms``, the rule behind the persisted ``step_norm`` column, and of one
+``math.sqrt(step.dot(step))``, so that the stop rule agrees with that column
+whatever the block's height; and the loop must route non-finite values and
+zero steps as a record-by-record loop does.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drsplit import (
@@ -25,6 +26,7 @@ from drsplit import (
     normal_cone,
 )
 from drsplit.space import row_norms
+from drsplit.splitting import STEP_TEST_RECORDS
 
 _TINY = float(np.finfo(float).smallest_subnormal)
 DEFAULT_STEP_TOL = 1e-12  # rotator-cone's fixed-point search tolerance
@@ -52,10 +54,18 @@ def test_one_point_norm_rules_have_equal_bits(coords):
         assert _bits(lone) == _bits(row_norms(v)) == _bits(np.linalg.norm(v))
 
 
+# a full block of d=50 steps, each row of its own magnitude
+_full_block = np.random.default_rng(23).standard_normal((STEP_TEST_RECORDS, 50))
+_FULL_BLOCK = (_full_block * 10.0 ** np.arange(-150, 170, 10)[:, None]).tolist()
+
+
 @settings(max_examples=200, deadline=None)
+@example(_FULL_BLOCK)
 @given(
     st.integers(min_value=1, max_value=64).flatmap(
-        lambda d: st.lists(st.lists(_coordinate, min_size=d, max_size=d), min_size=1, max_size=6)
+        lambda d: st.lists(
+            st.lists(_coordinate, min_size=d, max_size=d), min_size=1, max_size=STEP_TEST_RECORDS
+        )
     )
 )
 def test_stacked_norms_equal_row_norms_and_each_lone_norm(rows):

@@ -80,6 +80,14 @@ def cli_runs() -> list[list[str]]:
     # a sweep whose every stack holds one row, the edge case of the steps each
     # pair's reports share
     runs.append(["--check-identities", "--seed", "3", "--samples", "1"])
+    # the four infeasible scenarios at 10^4 records from a non-default start,
+    # as the infeasible-persist benchmark runs them, and a tolerance stop
+    # inside a block of iterate's step tests (465 records)
+    runs.append(["--scenario", "disjoint-balls", "--x0=1.25,-2.5", "--iters", "10000"])
+    runs.append(["--scenario", "parallel-lines", "--x0=-2.123456,0.75", "--iters", "10000"])
+    runs.append(["--scenario", "shifted-subspace", "--x0=2.5,-1.875", "--iters", "10000"])
+    runs.append(["--scenario", "points-1d", "--x0=-3.25", "--iters", "10000"])
+    runs.append(["--scenario", "random-affine", "--dim", "5", "--seed", "11", "--tol", "1e-10"])
     return runs
 
 
