@@ -35,7 +35,7 @@ from .solutions import (
     sweet_principle_check,
 )
 from .space import AffineSubspace, Ball, NonnegativeOrthant, Singleton, as_point, row_blocks, row_norms
-from .splitting import DRProblem, DRTrace, dr_step, iterate, normal_problem, shifted_governing
+from .splitting import DRProblem, DRTrace, _orbit_blocks, dr_step, iterate, normal_problem, shifted_governing
 
 
 @dataclass(eq=False)
@@ -136,15 +136,19 @@ def _perturbed_start(x0: np.ndarray, rng: np.random.Generator) -> Optional[np.nd
     return None if np.array_equal(start, x0) else start
 
 
-def _summability_check(trace: DRTrace) -> CheckResult:
-    """The telescoping series along the trace and its companion orbit."""
-    if trace.companion is None:
-        # without a second start (or with one that rounded back to x0, so two
-        # equal orbits would make every series vanish) nothing is certified
-        return CheckResult(False, float("nan"))
-    rep = summability_report(trace, trace.companion)
-    worst = min(rep.pairing_a_min, rep.pairing_b_min)
-    return CheckResult(rep.pairings_nonnegative and rep.final_terms_small, worst)
+def _summability_check(companion: Optional[np.ndarray]) -> CheckFn:
+    """The telescoping series along the trace and the orbit of a second start,
+    which the check streams in row blocks for as many records."""
+
+    def check(trace: DRTrace) -> CheckResult:
+        if companion is None:  # it rounded back to x0: equal orbits certify nothing
+            return CheckResult(False, float("nan"))
+        second = DRProblem(trace.problem.A, trace.problem.B, companion)
+        rep = summability_report(trace, _orbit_blocks(second, len(trace), 0.0))
+        worst = min(rep.pairing_a_min, rep.pairing_b_min)
+        return CheckResult(rep.pairings_nonnegative and rep.final_terms_small, worst)
+
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +330,7 @@ def _build_disjoint_balls(dim, x0=None, seed=0) -> ScenarioInstance:
     )
 
 
-def _consistent_checks(sets: SolutionSets) -> list[tuple[str, CheckFn]]:
+def _consistent_checks(sets: SolutionSets, companion: Optional[np.ndarray]) -> list[tuple[str, CheckFn]]:
     def check_sweet(trace):
         rep = sweet_principle_check(
             trace.governing,
@@ -343,7 +347,7 @@ def _consistent_checks(sets: SolutionSets) -> list[tuple[str, CheckFn]]:
         ("shadow_trailing_diameter", _shadow_diameter_check),
         ("pair_fejer_wrt_solution_pairs", _pair_fejer_check(sets)),
         ("sequential_principle_evidence", check_sweet),
-        ("summability", _summability_check),
+        ("summability", _summability_check(companion)),
     ]
 
 
@@ -356,25 +360,23 @@ def _finish_consistent_instance(
     z: Optional[np.ndarray] = None,
     k: Optional[np.ndarray] = None,
 ) -> ScenarioInstance:
-    """Build the problem from ``start`` with a companion start, and attach
-    solution samples (computed from converged runs) and checkers.
+    """Build the problem from ``start``, and attach solution samples
+    (computed from converged runs) and checkers.
 
-    The companion is a seeded perturbation of the start (none if it rounds
-    away). The fixed points come from the start and two more perturbed
-    starts; a perturbation that rounds away adds no row.
+    The summability check's companion start is a seeded perturbation of the
+    start (none if it rounds away). The fixed points come from the start and
+    two more perturbed starts; a perturbation that rounds away adds no row.
     """
     companion = _perturbed_start(start, np.random.default_rng(seed + 7919))
-    problem = DRProblem(A, B, start, companion)
+    problem = DRProblem(A, B, start)
     rng = np.random.default_rng(seed + 104729)
     starts = [problem.x0] + [_perturbed_start(problem.x0, rng) for _ in range(2)]
-    fix_sample = SetSample(
-        [find_fixed_point(DRProblem(A, B, s), tol=1e-13) for s in starts if s is not None]
-    )
+    fix_sample = SetSample([find_fixed_point(DRProblem(A, B, s), tol=1e-13) for s in starts if s is not None])
     sets = primal_dual_from_fix(A, B, fix_sample, tol=1e-9)
     return ScenarioInstance(
         problem=problem,
         default_iters=10_000,
-        checks=_consistent_checks(sets) + (extra_checks or []),
+        checks=_consistent_checks(sets, companion) + (extra_checks or []),
         seed=seed,
         v=np.zeros(problem.dim),
         z=z,

@@ -13,14 +13,14 @@ same problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteIterateError, PossiblyInconsistentError
+from .errors import DimensionMismatchError, PossiblyInconsistentError
 from .operators import MonotoneOperator
 from .space import as_point, as_points, diameter, row_blocks, row_norms
-from .splitting import DRProblem, DRTrace, StopReason, dr_step, iterate, trailing_quarter
+from .splitting import DRProblem, DRTrace, StopReason, _orbit_blocks, dr_step, trailing_quarter
 
 
 @dataclass(eq=False)
@@ -68,25 +68,16 @@ def find_fixed_point(problem: DRProblem, tol: float, max_iters: int = 100_000) -
 
     A ``tol``-0 orbit that turns bitwise stationary returns its exact fixed
     point. Raises :class:`PossiblyInconsistentError` (carrying the displacement
-    estimate) after ``max_iters`` records with no step norm below ``tol``. The
-    search runs in ``space.row_blocks`` of records three points wide (a record
-    stores three), each started where the last one's loop would have gone on,
-    so it holds one block's trace whatever ``max_iters`` is, and its results
-    are bitwise those of one ``iterate(problem, max_iters, tol)`` run.
+    estimate) after ``max_iters`` records with no step norm below ``tol``. It
+    streams the orbit (``splitting._orbit_blocks``), so it holds one block's
+    trace, and its results are bitwise one ``iterate(problem, max_iters, tol)``'s.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    x = problem.x0
-    for rows in row_blocks(max_iters, 3 * problem.dim):
-        try:
-            trace = iterate(DRProblem(problem.A, problem.B, x), rows.stop - rows.start, tol)
-        except NonFiniteIterateError as exc:
-            raise NonFiniteIterateError(rows.start + exc.iteration) from None
+    for trace in _orbit_blocks(problem, max_iters, tol):
         # a stationary orbit (tol 0) has reached T x = x bitwise; its last record is x
         if trace.stop_reason is StopReason.STEP_CONVERGED or trace.stationary_at is not None:
             return trace.governing[-1].copy()
-        # the loop's x_next, (x - J_A x) + J_B R_A x, bit for bit
-        x = trace.governing[-1] - trace.shadow[-1] + trace.b_shadow[-1]
     raise PossiblyInconsistentError(step_norm=trace.final_step_norm, v_estimate=trace.v_estimate)
 
 
@@ -260,29 +251,38 @@ class SummabilityReport:
 
 def summability_report(
     trace_x: DRTrace,
-    trace_y: DRTrace,
+    trace_y: DRTrace | Iterable[DRTrace],
     term_tol: float = 1e-8,
     nonneg_tol: float = 1e-10,
 ) -> SummabilityReport:
     """Evaluate the three telescoping series for two starts of one problem.
 
-    The step-difference series has square-summable terms; the two pairing
-    series have nonnegative terms (graph monotonicity) whose sums are bounded
-    by the initial squared gap of the starts.
+    ``trace_y`` is a trace or its consecutive row-block traces as an iterable,
+    read once and never joined; the pairs run as far as both runs reach. The
+    step-difference series has square-summable terms; the two pairing series
+    have nonnegative terms (graph monotonicity) whose sums are bounded by the
+    initial squared gap of the starts.
     """
-    px, py = trace_x.problem, trace_y.problem
-    if px.A is not py.A or px.B is not py.B:
-        raise ValueError("traces come from different problems")
-    n = min(len(trace_x), len(trace_y))
+    px = trace_x.problem
     # the three (n,) term vectors, each block's from that block's rows alone
-    step_diff, pa, pb = np.empty(n), np.empty(n), np.empty(n)
+    step_diff, pa, pb = (np.empty(len(trace_x)) for _ in range(3))
+    n = 0  # records of both runs paired so far
     # an overflowing orbit gives inf or NaN terms, which fail the verdicts
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in row_blocks(n, px.dim):
-            bx, by = trace_x.rows(rows), trace_y.rows(rows)
-            step_diff[rows] = np.sum((bx.steps - by.steps) ** 2, axis=1)
-            pa[rows] = np.sum((bx.shadow - by.shadow) * (bx.dual_shadow - by.dual_shadow), axis=1)
-            pb[rows] = np.sum((bx.b_shadow - by.b_shadow) * (bx.b_dual_shadow - by.b_dual_shadow), axis=1)
+        for block in [trace_y] if isinstance(trace_y, DRTrace) else trace_y:
+            if block.problem.A is not px.A or block.problem.B is not px.B:
+                raise ValueError("traces come from different problems")
+            paired = min(len(block), len(trace_x) - n)
+            for rows in row_blocks(paired, px.dim):
+                at = slice(n + rows.start, n + rows.stop)
+                bx, by = trace_x.rows(at), block.rows(rows)
+                step_diff[at] = np.sum((bx.steps - by.steps) ** 2, axis=1)
+                pa[at] = np.sum((bx.shadow - by.shadow) * (bx.dual_shadow - by.dual_shadow), axis=1)
+                pb[at] = np.sum((bx.b_shadow - by.b_shadow) * (bx.b_dual_shadow - by.b_dual_shadow), axis=1)
+            n += paired
+    if not n:
+        raise ValueError("expected a nonempty second run")
+    step_diff, pa, pb = step_diff[:n], pa[:n], pb[:n]
     return SummabilityReport(
         step_diff_sum=float(step_diff.sum()),
         pairing_a_sum=float(pa.sum()),

@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -36,27 +36,17 @@ class StopReason(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class DRProblem:
-    """The pair (A, B) and a start x0; ``companion``, if given, is a second
-    start whose orbit ``iterate`` runs for as many records as the first (the
-    two-orbit results compare T^n x0 with T^n companion)."""
+    """The pair (A, B) and a start x0."""
 
     A: MonotoneOperator
     B: MonotoneOperator
     x0: np.ndarray
-    companion: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        starts = [as_point(self.x0)]
-        if self.companion is not None:
-            starts.append(as_point(self.companion))
-        for start in starts:
-            if not (self.A.dim == self.B.dim == start.shape[0]):
-                raise DimensionMismatchError(
-                    f"operator/start dimensions differ: {self.A.dim}, {self.B.dim}, {start.shape[0]}"
-                )
-        object.__setattr__(self, "x0", starts[0])
-        if self.companion is not None:
-            object.__setattr__(self, "companion", starts[1])
+        object.__setattr__(self, "x0", as_point(self.x0))
+        dims = (self.A.dim, self.B.dim, self.dim)
+        if len(set(dims)) > 1:
+            raise DimensionMismatchError("operator/start dimensions differ: " + ", ".join(map(str, dims)))
 
     @property
     def dim(self) -> int:
@@ -73,9 +63,6 @@ class DRTrace:
     loop computed; only the O(N^2) ``trailing_shadow_diameter`` is kept.
     ``stationary_at`` is the first n with T^(n+1) x bitwise equal to T^n x
     (``None`` if there is none): every row from n on is then the same.
-    ``companion`` is the trace of the problem's companion start, as many
-    records long, bitwise equal to
-    ``iterate(DRProblem(A, B, companion), len(trace), step_tol=0.0)``.
     """
 
     problem: DRProblem
@@ -84,7 +71,6 @@ class DRTrace:
     b_shadow: np.ndarray
     stop_reason: StopReason
     stationary_at: Optional[int]
-    companion: Optional["DRTrace"] = None
 
     def __len__(self) -> int:
         return self.governing.shape[0]
@@ -123,8 +109,8 @@ class DRTrace:
 
     def rows(self, index: slice) -> "DRTrace":
         """The records in ``index`` as a trace of the same problem, with no
-        ``stationary_at`` and no companion: each derived sequence of it is
-        that slice of the whole trace's, bitwise."""
+        ``stationary_at``: each derived sequence of it is that slice of the
+        whole trace's, bitwise."""
         stored = (self.governing[index], self.shadow[index], self.b_shadow[index])
         return DRTrace(self.problem, *stored, self.stop_reason, None)
 
@@ -207,11 +193,12 @@ STEP_TEST_RECORDS = 32
 
 
 def _orbit(
-    A: MonotoneOperator, B: MonotoneOperator, x: np.ndarray, arrays: list[np.ndarray], step_tol: float
+    problem: DRProblem, arrays: list[np.ndarray], step_tol: float
 ) -> tuple[int, StopReason, Optional[int]]:
-    """Iterate one orbit from ``x`` into ``arrays`` (governing, shadow and
-    b_shadow, as many records as they hold): its length, stop reason and
+    """Iterate the orbit from ``problem.x0`` into ``arrays`` (governing, shadow
+    and b_shadow, as many records as they hold): its length, stop reason and
     ``stationary_at``, as ``iterate`` describes them."""
+    A, B, x = problem.A, problem.B, problem.x0
     governing, shadow, b_shadow = arrays
     max_iters = len(governing)
     unchecked_maps = (A.resolvent_map, B.resolvent_map)
@@ -273,43 +260,54 @@ def iterate(problem: DRProblem, max_iters: int, step_tol: float) -> DRTrace:
     each step of a block in one vectorized pass, with ``DRTrace.steps``' and
     ``row_norms``' expressions; it keeps the records up to the block's first
     stop and discards the rest, so up to 31 resolvent evaluations past a stop
-    are made and thrown away. A companion start is then run the same way, as
-    a second lone orbit with ``step_tol=0`` for as many records as the lead;
-    a non-finite coordinate in either orbit raises at the first such record.
+    are made and thrown away.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if not step_tol >= 0:  # also rejects NaN
         raise ValueError(f"step_tol must be >= 0, got {step_tol}")
-    A, B, d = problem.A, problem.B, problem.dim
-    orbits = 1 if problem.companion is None else 2
+    d = problem.dim
     try:
         budget = _physical_memory_bytes()
-        if budget is not None and 3 * orbits * max_iters * d * 8 > budget:
+        if budget is not None and 3 * max_iters * d * 8 > budget:
             raise MemoryError  # numpy would reserve it, and the writes would fail
-        buffers = [[np.empty((max_iters, d)) for _ in range(3)] for _ in range(orbits)]
+        arrays = [np.empty((max_iters, d)) for _ in range(3)]
     except (MemoryError, ValueError) as exc:
-        raise ValueError(
-            f"a trace of max_iters={max_iters} records in dimension {d} "
-            "does not fit in memory"
-        ) from exc
-    try:
-        length, stop, stationary_at = _orbit(A, B, problem.x0, buffers[0], step_tol)
-    except NonFiniteIterateError as err:
-        if orbits == 2:  # the companion's own breakdown comes first if it is earlier
-            _orbit(A, B, problem.companion, [a[: err.iteration + 1] for a in buffers[1]], 0.0)
-        raise
+        message = f"a trace of max_iters={max_iters} records in dimension {d} does not fit in memory"
+        raise ValueError(message) from exc
+    length, stop, stationary_at = _orbit(problem, arrays, step_tol)
+    if length < max_iters:
+        arrays = [a[:length].copy() for a in arrays]
+    return DRTrace(problem, *arrays, stop, stationary_at)
 
-    def trimmed(arrays: list[np.ndarray]) -> list[np.ndarray]:
-        return arrays if length == max_iters else [a[:length].copy() for a in arrays]
 
-    companion = None
-    if orbits == 2:
-        arrays = [a[:length] for a in buffers[1]]
-        companion_at = _orbit(A, B, problem.companion, arrays, 0.0)[2]
-        companion_problem = DRProblem(A, B, problem.companion)
-        companion = DRTrace(companion_problem, *trimmed(arrays), StopReason.MAX_ITERS, companion_at)
-    return DRTrace(problem, *trimmed(buffers[0]), stop, stationary_at, companion)
+def _orbit_blocks(problem: DRProblem, max_iters: int, step_tol: float) -> Iterator[DRTrace]:
+    """The orbit's first ``max_iters`` records (at most) as consecutive traces
+    of ``space.row_blocks`` of records three points wide, bitwise the rows of
+    ``iterate(problem, max_iters, step_tol)``: each block is an ``iterate``
+    call from where the last block's loop would have gone on, the blocks end
+    after a ``STEP_CONVERGED`` one, a ``NonFiniteIterateError`` carries the
+    orbit-wide index, and the blocks after a stationary one repeat its last
+    record (``stationary_at`` 0) without iterating."""
+    A, B, x = problem.A, problem.B, problem.x0
+    fill = None  # a stationary block's last record
+    for rows in row_blocks(max_iters, 3 * problem.dim):
+        size = rows.stop - rows.start
+        if fill is not None:
+            repeated = [np.broadcast_to(r, (size, len(r))) for r in fill]
+            yield DRTrace(DRProblem(A, B, x), *repeated, StopReason.MAX_ITERS, 0)
+            continue
+        try:
+            trace = iterate(DRProblem(A, B, x), size, step_tol)
+        except NonFiniteIterateError as exc:
+            raise NonFiniteIterateError(rows.start + exc.iteration) from None
+        yield trace
+        if trace.stop_reason is StopReason.STEP_CONVERGED:
+            return
+        last = [a[-1] for a in (trace.governing, trace.shadow, trace.b_shadow)]
+        fill = last if trace.stationary_at is not None else None
+        # the loop's x_next, (x - J_A x) + J_B R_A x, bit for bit
+        x = last[0] - last[1] + last[2]
 
 
 def normal_problem(

@@ -5,7 +5,6 @@ asserts. Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
 import json
-from dataclasses import replace
 
 import numpy as np
 
@@ -226,7 +225,7 @@ def test_criterion_7_consistent_convergence():
     worst_diam = 0.0
     all_fejer = True
     for inst in _consistent_instances():
-        trace = iterate(replace(inst.problem, companion=None), max_iters=10_000, step_tol=0.0)
+        trace = iterate(inst.problem, max_iters=10_000, step_tol=0.0)
         window = trailing_quarter(len(trace))
         worst_diam = max(worst_diam, diameter(trace.shadow[window]))
         res = fejer_check(_pair_sequence(trace), inst.solutions.pairs, slack=1e-10)
@@ -251,7 +250,7 @@ def test_criterion_8_summability():
     worst_final = 0.0
     for inst in instances:
         rng = np.random.default_rng(inst.seed + 13)
-        tr1 = iterate(replace(inst.problem, companion=None), max_iters=10_000, step_tol=0.0)
+        tr1 = iterate(inst.problem, max_iters=10_000, step_tol=0.0)
         other = DRProblem(
             inst.problem.A, inst.problem.B, inst.problem.x0 + rng.uniform(-1, 1, inst.problem.dim)
         )

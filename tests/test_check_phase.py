@@ -3,7 +3,8 @@
 ``diameter`` forms the upper triangle of the centred Gram matrix one block of
 rows at a time; ``fejer_check`` and ``sweet_principle_check`` form one
 distance or pairing column per sample point, one row block at a time, and
-``summability_report`` derives its terms one row block at a time. Each must be
+``summability_report`` derives its terms one row block at a time, from a
+whole second trace or from its consecutive row blocks. Each must be
 bitwise equal to the formula that forms the whole N x N Gram matrix, the
 (n, m, d) differences or the whole derived sequences at once. Bitwise
 equality of a block product with the same entries of ``a @ a.T`` is an
@@ -38,7 +39,8 @@ from drsplit import (
     sweet_principle_check,
     trailing_quarter,
 )
-from drsplit.scenarios import ScenarioInstance
+from drsplit.scenarios import ScenarioInstance, _perturbed_start
+from drsplit.space import row_blocks
 
 MIB = 2**20
 BLOCK = drsplit.space.BLOCK_NUMBERS
@@ -254,6 +256,9 @@ def _assert_checks_equal_the_full_formulas(inst, part, companion):
 
     report = summability_report(part, companion)
     assert _fields(report) == _fields(_full_summability(part, companion))
+    # the second run as the consecutive row blocks a streamed orbit yields
+    blocks = [companion.rows(rows) for rows in row_blocks(len(companion), 3 * companion.problem.dim)]
+    assert _fields(summability_report(part, iter(blocks))) == _fields(report)
 
 
 def _block_boundary_lengths(block_numbers, dim):
@@ -273,18 +278,21 @@ BOUNDARY_CASES += [(7 * 50, n) for n in _block_boundary_lengths(7 * 50, 50) + [6
 
 @pytest.fixture(scope="module")
 def d50_trace():
-    # as many records as the longest boundary case, companion included
+    # as many records as the longest boundary case, for the run and for the
+    # orbit of its summability companion start
     inst = build_scenario("random-affine", dim=50, seed=1)
     longest = max(n for _, n in BOUNDARY_CASES)
-    return inst, iterate(inst.problem, longest, 0.0)
+    second = _perturbed_start(inst.problem.x0, np.random.default_rng(1 + 7919))
+    companion = iterate(DRProblem(inst.problem.A, inst.problem.B, second), longest, 0.0)
+    return inst, iterate(inst.problem, longest, 0.0), companion
 
 
 @pytest.mark.parametrize("block_numbers, n", BOUNDARY_CASES)
 def test_checks_at_row_block_boundaries_equal_the_full_formulas(block_numbers, n, d50_trace, monkeypatch):
     monkeypatch.setattr(drsplit.space, "BLOCK_NUMBERS", block_numbers)
-    inst, trace = d50_trace
+    inst, trace, companion = d50_trace
     first = slice(0, n)
-    _assert_checks_equal_the_full_formulas(inst, trace.rows(first), trace.companion.rows(first))
+    _assert_checks_equal_the_full_formulas(inst, trace.rows(first), companion.rows(first))
 
 
 @pytest.mark.parametrize("block_numbers", [BLOCK, 4 * 7])
@@ -331,9 +339,11 @@ def test_check_phase_memory_is_linear_in_the_trace(monkeypatch):
     finally:
         tracemalloc.stop()
     assert summary.all_passed and len(trace) == 10_000
-    # the peak counts the traced trace arrays (2 orbits x 3 x 10^4 x 50 x 8 B,
-    # about 23 MiB) and the checks' temporaries on top of them
-    assert peaks[0] < 64 * MIB
+    # the peak counts the traced trace arrays (3 x 10^4 x 50 x 8 B, about
+    # 11.4 MiB) and the checks' temporaries on top of them, the summability
+    # companion's row blocks among them; a whole companion trace would add
+    # 11.4 MiB more
+    assert peaks[0] < 20 * MIB
 
 
 def test_check_phase_peaks_within_8_mib_of_the_trace_it_holds(monkeypatch):
@@ -355,7 +365,8 @@ def test_check_phase_peaks_within_8_mib_of_the_trace_it_holds(monkeypatch):
         tracemalloc.stop()
     assert summary.all_passed and len(trace) == 10_000
     # whole-trace (n, d) and (n, 2d) temporaries put 23.2 MiB on top of the
-    # 23 MiB trace; row blocks of BLOCK_NUMBERS numbers put about 3 MiB
+    # 11.4 MiB trace; row blocks of BLOCK_NUMBERS numbers, the summability
+    # companion's included, put about 3 MiB
     assert margins[0] <= 8 * MIB
 
 
@@ -374,10 +385,10 @@ def test_a_checked_trace_holds_only_the_arrays_iterate_wrote(monkeypatch):
         summary, trace = run(make_config(None, scenario="random-affine", dim=50, seed=1))
     finally:
         tracemalloc.stop()
-    assert summary.all_passed and trace.companion is not None
+    assert summary.all_passed and summary.checks["summability"].verdict
     derived = {"dual_shadow", "b_dual_shadow", "steps", "step_norms"}
     assert not derived & vars(trace).keys()
-    assert not derived & vars(trace.companion).keys()
-    # the trace arrays alone are 2 orbits x 3 x 10^4 x 50 x 8 B, about 23 MiB;
-    # a cached copy of the four derived sequences would double that
-    assert held[0] < 28 * MIB
+    # the trace arrays alone are 3 x 10^4 x 50 x 8 B, about 11.4 MiB; a cached
+    # copy of one derived sequence would add 3.8 MiB, and a companion trace
+    # kept beside the run 11.4 MiB
+    assert held[0] < 15 * MIB

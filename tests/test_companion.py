@@ -1,9 +1,11 @@
-"""The companion orbit that ``iterate`` runs beside the lead orbit.
+"""The companion orbit that the summability check streams in row blocks.
 
-The lead trace must equal the trace of the same problem without a companion,
-and the companion trace must equal a solo run from the companion start with
-``step_tol=0`` for as many records: every array, the stop reason and
-``stationary_at``, bitwise.
+``iterate`` runs one orbit. The summability check of a consistent scenario
+runs the orbit of its seeded second start itself, one ``space.row_blocks``
+block at a time: the blocks it streams, joined, must equal a solo run from
+that start with ``step_tol=0`` for as many records as the checked trace, every
+array and ``stationary_at`` bitwise, and the check's result must equal that of
+``summability_report`` on the whole solo trace.
 """
 
 import functools
@@ -11,6 +13,8 @@ import functools
 import numpy as np
 import pytest
 
+import drsplit.runner
+import drsplit.space
 import drsplit.splitting
 from drsplit import (
     DimensionMismatchError,
@@ -22,9 +26,11 @@ from drsplit import (
     build_scenario,
     iterate,
     normal_cone,
+    summability_report,
 )
 from drsplit.cli import main as cli_main
-from drsplit.scenarios import _perturbed_start
+from drsplit.scenarios import ScenarioInstance, _perturbed_start, _summability_check
+from drsplit.space import row_blocks
 
 FIELDS = ("governing", "shadow", "b_shadow", "dual_shadow", "b_dual_shadow", "steps", "step_norms")
 
@@ -37,32 +43,62 @@ def _assert_same_trace(got, want):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
-def _assert_companion_contract(problem, max_iters, step_tol):
-    tr = iterate(problem, max_iters=max_iters, step_tol=step_tol)
-    A, B = problem.A, problem.B
-    _assert_same_trace(tr, iterate(DRProblem(A, B, problem.x0), max_iters, step_tol))
-    assert tr.companion.problem.x0.tobytes() == problem.companion.tobytes()
-    assert tr.companion.companion is None
-    _assert_same_trace(
-        tr.companion, iterate(DRProblem(A, B, problem.companion), max_iters=len(tr), step_tol=0.0)
-    )
-    return tr
+def _assert_companion_contract(
+    streamed_companion, join_blocks, inst, max_iters, step_tol, monkeypatch, block_records
+):
+    """Run the lead and the summability check with companion blocks of
+    ``block_records`` records (``None``: the real block size); return the
+    lead trace and the joined companion."""
+    if block_records is not None:
+        monkeypatch.setattr(drsplit.space, "BLOCK_NUMBERS", 3 * inst.problem.dim * block_records)
+    tr = iterate(inst.problem, max_iters=max_iters, step_tol=step_tol)
+    # every block the check iterates is a call of the public iterate
+    calls, real_iterate = [], drsplit.splitting.iterate
+    monkeypatch.setattr(drsplit.splitting, "iterate", lambda *args: calls.append(args) or real_iterate(*args))
+    result, blocks = streamed_companion(dict(inst.checks)["summability"], tr)
+    monkeypatch.setattr(drsplit.splitting, "iterate", real_iterate)
+    A, B = inst.problem.A, inst.problem.B
+    # each block starts where the last one's loop would have gone on
+    assert [len(b) for b in blocks] == [r.stop - r.start for r in row_blocks(len(tr), 3 * inst.problem.dim)]
+    # the blocks after a stationary one repeat its last record without iterating
+    stationary = [i for i, b in enumerate(blocks) if b.stationary_at is not None]
+    iterated = stationary[0] + 1 if stationary else len(blocks)
+    assert len(calls) == iterated
+    assert all(b.stationary_at == 0 for b in blocks[iterated:])
+    for block in blocks:
+        assert block.problem.A is A and block.problem.B is B
+        assert block.problem.x0.tobytes() == block.governing[0].tobytes()
+    companion = join_blocks(blocks)
+    solo = iterate(DRProblem(A, B, blocks[0].problem.x0), max_iters=len(tr), step_tol=0.0)
+    _assert_same_trace(companion, solo)
+    # the check's result is the report's on the whole companion trace
+    rep = summability_report(tr, solo)
+    assert result.verdict == (rep.pairings_nonnegative and rep.final_terms_small)
+    worst = min(rep.pairing_a_min, rep.pairing_b_min)
+    assert np.float64(result.worst_value).tobytes() == np.float64(worst).tobytes()
+    monkeypatch.setattr(drsplit.space, "BLOCK_NUMBERS", BLOCK_NUMBERS)
+    return tr, companion
+
+
+BLOCK_NUMBERS = drsplit.space.BLOCK_NUMBERS
+# companion blocks of 7 records, of 170 (so n = 169 is a block's last record)
+# and of the real size (873 records at d=50; the whole run at d <= 5)
+BLOCK_RECORDS = [7, 170, None]
 
 
 @pytest.mark.parametrize(
     "name, kwargs, step_tol, lead_at, companion_at, length",
     [
-        # the lead never turns stationary, the companion does at n = 749 and
-        # the lead goes on alone
+        # the lead never turns stationary, the companion does at n = 749
         ("random-affine", {"dim": 5, "seed": 11}, 0.0, None, 749, 3000),
         # a tolerance stop truncates both orbits before the companion is stationary
         ("random-affine", {"dim": 5, "seed": 11}, 1e-10, None, None, 465),
-        # the companion leaves at n = 169, the lead at 170
+        # the companion turns stationary at n = 169, the lead at 170
         ("random-affine", {"dim": 5, "seed": 3}, 0.0, 170, 169, 3000),
         # the lead converges at the zero step of n = 170, one step after the
         # companion turned stationary
         ("random-affine", {"dim": 5, "seed": 3}, 5e-324, None, 169, 171),
-        # the lead leaves at n = 86 and the companion goes on alone
+        # the lead turns stationary at n = 86, the companion at 87
         ("random-1d", {"seed": 2}, 0.0, 86, 87, 3000),
         ("random-1d", {"seed": 4}, 1e-10, None, None, 39),
         ("random-affine", {"dim": 2, "seed": 2}, 0.0, 94, 94, 3000),
@@ -70,15 +106,20 @@ def _assert_companion_contract(problem, max_iters, step_tol):
         ("affine-consistent", {}, 1e-10, None, None, 67),
     ],
 )
-def test_companion_equals_solo_run(name, kwargs, step_tol, lead_at, companion_at, length):
+def test_companion_equals_solo_run(
+    streamed_companion, join_blocks, monkeypatch, name, kwargs, step_tol, lead_at, companion_at, length
+):
     inst = build_scenario(name, **kwargs)
-    tr = _assert_companion_contract(inst.problem, 3000, step_tol)
-    assert (len(tr), tr.stationary_at, tr.companion.stationary_at) == (length, lead_at, companion_at)
-    assert tr.companion.stop_reason is StopReason.MAX_ITERS
+    for block_records in BLOCK_RECORDS:
+        tr, companion = _assert_companion_contract(
+            streamed_companion, join_blocks, inst, 3000, step_tol, monkeypatch, block_records
+        )
+        assert (len(tr), tr.stationary_at, companion.stationary_at) == (length, lead_at, companion_at)
+        assert companion.stop_reason is StopReason.MAX_ITERS
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-def test_companion_equals_solo_run_across_seeds(seed):
+def test_companion_equals_solo_run_across_seeds(streamed_companion, join_blocks, monkeypatch, seed):
     for name, kwargs in (
         ("random-affine", {"dim": 2}),
         ("random-affine", {"dim": 5}),
@@ -86,37 +127,48 @@ def test_companion_equals_solo_run_across_seeds(seed):
     ):
         inst = build_scenario(name, seed=seed, **kwargs)
         for step_tol in (0.0, 1e-10):
-            _assert_companion_contract(inst.problem, 1500, step_tol)
+            for block_records in (7, None):
+                _assert_companion_contract(
+                    streamed_companion, join_blocks, inst, 1500, step_tol, monkeypatch, block_records
+                )
 
 
-def test_consistent_scenarios_carry_the_seeded_companion():
+def test_consistent_scenarios_carry_the_seeded_companion(streamed_companion):
     for name, kwargs in (("random-affine", {"dim": 5, "seed": 4}), ("random-1d", {"seed": 1})):
         inst = build_scenario(name, **kwargs)
+        _, blocks = streamed_companion(dict(inst.checks)["summability"], iterate(inst.problem, 100, 0.0))
         expected = _perturbed_start(inst.problem.x0, np.random.default_rng(kwargs["seed"] + 7919))
-        assert inst.problem.companion.tobytes() == expected.tobytes()
-    # a perturbation that rounds back to the start gives no companion
+        assert blocks[0].problem.x0.tobytes() == expected.tobytes()
+    # the problem carries one start; iterate runs one orbit
+    assert not hasattr(inst.problem, "companion") and not hasattr(iterate(inst.problem, 10, 0.0), "companion")
+    # a perturbation that rounds back to the start gives no companion: the
+    # check streams nothing
     inst = build_scenario("random-affine", dim=2, x0=(1e200, -1e200))
-    assert inst.problem.companion is None
-    # infeasible scenarios have none
-    assert build_scenario("parallel-lines").problem.companion is None
+    result, blocks = streamed_companion(dict(inst.checks)["summability"], iterate(inst.problem, 200, 0.0))
+    assert blocks == [] and result.verdict is False
+    # infeasible scenarios have no summability check
+    assert "summability" not in dict(build_scenario("parallel-lines").checks)
 
 
 def test_summability_fails_without_a_companion():
-    inst = build_scenario("random-affine", dim=2, seed=1)
-    solo = iterate(DRProblem(inst.problem.A, inst.problem.B, inst.problem.x0), 500, 0.0)
-    check = inst.run_checks(solo)["summability"]
+    # the far-out start's perturbation rounds away: equal orbits certify nothing
+    inst = build_scenario("random-affine", dim=2, x0=(1e200, -1e200))
+    check = inst.run_checks(iterate(inst.problem, 200, 0.0))["summability"]
     assert check.verdict is False and np.isnan(check.worst_value)
+    inst = build_scenario("random-affine", dim=2, seed=1)
     assert inst.run_checks(iterate(inst.problem, 500, 0.0))["summability"].verdict is True
 
 
-def test_problem_validates_the_companion_like_the_start():
+def test_problem_validates_its_one_start():
     A = normal_cone(Singleton([0.0, 0.0]))
-    problem = DRProblem(A, A, [1.0, 2.0], companion=[3, 4])
-    assert problem.companion.dtype == float and problem.companion.tolist() == [3.0, 4.0]
-    with pytest.raises(DimensionMismatchError):
-        DRProblem(A, A, [1.0, 2.0], companion=[3.0])
+    problem = DRProblem(A, A, [3, 4])
+    assert problem.x0.dtype == float and problem.x0.tolist() == [3.0, 4.0]
+    with pytest.raises(DimensionMismatchError, match=r"^operator/start dimensions differ: 2, 2, 1$"):
+        DRProblem(A, A, [3.0])
     with pytest.raises(ValueError, match="non-finite"):
-        DRProblem(A, A, [1.0, 2.0], companion=[3.0, np.nan])
+        DRProblem(A, A, [3.0, np.nan])
+    with pytest.raises(TypeError):
+        DRProblem(A, A, [1.0, 2.0], companion=[3.0, 4.0])
 
 
 # a deliberately expansive pair: T x = 3 x
@@ -124,17 +176,32 @@ _IDENTITY_RES = MonotoneOperator(resolvent_map=lambda x: x.copy(), dim=1, label=
 _TRIPLING = MonotoneOperator(resolvent_map=lambda x: 3.0 * x, dim=1, label="bad")
 
 
-def test_companion_that_overflows_raises():
+def test_companion_that_overflows_raises(streamed_companion, monkeypatch, capsys):
     alone = DRProblem(_IDENTITY_RES, _TRIPLING, [1.0])
     with pytest.raises(NonFiniteIterateError) as solo:
         iterate(alone, max_iters=10_000, step_tol=0.0)
-    # while both orbits are in the state: the lead 1e-300 would overflow later
+    assert solo.value.iteration > 0
+    # a lead that overflows raises from iterate at its own record, whatever
+    # the companion would do: the lead 1e-300 overflows later than 1.0
+    with pytest.raises(NonFiniteIterateError) as lead:
+        iterate(DRProblem(_IDENTITY_RES, _TRIPLING, [1e-300]), max_iters=10_000, step_tol=0.0)
+    assert lead.value.iteration > solo.value.iteration
+    # a companion that overflows raises from the check at its own record,
+    # counted over the whole orbit across blocks of 7 records, after the lead
+    # at 0 turned stationary at n = 0
+    monkeypatch.setattr(drsplit.space, "BLOCK_NUMBERS", 3 * 7)
+    trace = iterate(DRProblem(_IDENTITY_RES, _TRIPLING, [0.0]), max_iters=10_000, step_tol=0.0)
+    assert trace.stationary_at == 0
     with pytest.raises(NonFiniteIterateError) as paired:
-        iterate(DRProblem(_IDENTITY_RES, _TRIPLING, [1e-300], [1.0]), max_iters=10_000, step_tol=0.0)
-    # after the lead at 0 turned stationary at n = 0 and left the state
-    with pytest.raises(NonFiniteIterateError) as lone:
-        iterate(DRProblem(_IDENTITY_RES, _TRIPLING, [0.0], [1.0]), max_iters=10_000, step_tol=0.0)
-    assert paired.value.iteration == lone.value.iteration == solo.value.iteration > 0
+        streamed_companion(_summability_check(np.array([1.0])), trace)
+    assert paired.value.iteration == solo.value.iteration
+    assert sum(len(b) for b in streamed_companion.blocks) == 7 * (solo.value.iteration // 7)
+    # and the CLI still reports it as a numerical breakdown, exit status 4
+    checks = [("summability", _summability_check(np.array([1.0])))]
+    inst = ScenarioInstance(trace.problem, 10_000, checks, 0, np.zeros(1))
+    monkeypatch.setattr(drsplit.runner, "build_scenario", lambda *args, **kwargs: inst)
+    assert cli_main(["--scenario", "points-1d"]) == 4
+    assert f"non-finite values encountered at iteration {solo.value.iteration}" in capsys.readouterr().err
 
 
 def test_overflowing_step_norm_with_finite_iterates_completes():
@@ -153,34 +220,35 @@ def test_overflowing_step_norm_with_finite_iterates_completes():
 
 def test_trace_beyond_physical_memory_is_refused(monkeypatch, capsys):
     inst = build_scenario("random-affine", dim=2, seed=1)
-    # 3 arrays x orbits x max_iters x d x 8 B against a patched budget
+    # 3 arrays x max_iters x d x 8 B against a patched budget
     monkeypatch.setattr(drsplit.splitting, "_physical_memory_bytes", lambda: 3 * 100 * 2 * 8)
     A, B = inst.problem.A, inst.problem.B
     assert len(iterate(DRProblem(A, B, inst.problem.x0), max_iters=100, step_tol=0.0)) == 100
     with pytest.raises(ValueError, match=r"max_iters=101 .*dimension 2 does not fit in memory"):
         iterate(DRProblem(A, B, inst.problem.x0), max_iters=101, step_tol=0.0)
-    # the companion doubles the figure
-    assert len(iterate(inst.problem, max_iters=50, step_tol=0.0)) == 50
-    with pytest.raises(ValueError, match=r"max_iters=51 .*dimension 2 does not fit in memory"):
-        iterate(inst.problem, max_iters=51, step_tol=0.0)
+    # a consistent scenario's problem counts one orbit too: its checks stream
+    # the companion in row blocks
+    assert len(iterate(inst.problem, max_iters=100, step_tol=0.0)) == 100
+    with pytest.raises(ValueError, match=r"max_iters=101 .*dimension 2 does not fit in memory"):
+        iterate(inst.problem, max_iters=101, step_tol=0.0)
     # 10 MB: the scenario's fixed-point searches (one orbit, one row block of
-    # records at a time) fit, a run of 10^6 records with its companion (96 MB)
-    # does not
+    # records at a time) fit, a run of 10^6 records (48 MB) does not
     monkeypatch.setattr(drsplit.splitting, "_physical_memory_bytes", lambda: 10**7)
     assert cli_main(["--scenario", "random-affine", "--dim", "2", "--iters", str(10**6)]) == 2
     assert "max_iters=1000000 records in dimension 2 does not fit in memory" in capsys.readouterr().err
     # where the budget is unknown nothing is refused before the allocation,
     # and an allocation numpy cannot make is still refused
     monkeypatch.setattr(drsplit.splitting, "_physical_memory_bytes", lambda: None)
-    assert len(iterate(inst.problem, max_iters=51, step_tol=0.0)) == 51
+    assert len(iterate(inst.problem, max_iters=101, step_tol=0.0)) == 101
     with pytest.raises(ValueError, match=r"max_iters=1000000000000000 .*does not fit in memory"):
         iterate(inst.problem, max_iters=10**15, step_tol=1e-12)
 
 
 def test_fixed_point_searches_fit_where_the_run_fits(monkeypatch):
-    # the run holds 3 arrays x 2 orbits x 10^4 records x 50 x 8 B = 24 MB; the
-    # build's searches, with max_iters 10^5, hold one chunk of records each
-    monkeypatch.setattr(drsplit.splitting, "_physical_memory_bytes", lambda: 64 * 2**20)
+    # the run holds 3 arrays x 10^4 records x 50 x 8 B = 12 MB (24 MB with a
+    # whole companion trace beside it); the build's searches, with max_iters
+    # 10^5, and the summability check's companion hold one row block each
+    monkeypatch.setattr(drsplit.splitting, "_physical_memory_bytes", lambda: 16 * 2**20)
     assert cli_main(["--scenario", "random-affine", "--dim", "50", "--seed", "1"]) == 0
 
 

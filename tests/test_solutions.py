@@ -28,6 +28,7 @@ from drsplit import (
     sweet_principle_check,
 )
 from drsplit.space import row_blocks
+from drsplit.splitting import _orbit_blocks
 
 
 def test_find_fixed_point_rotator_lands_on_ray():
@@ -53,8 +54,7 @@ def test_find_fixed_point_inconsistent_raises_with_estimate():
 
 
 def _search_problem(name, **kwargs):
-    p = build_scenario(name, **kwargs).problem
-    return DRProblem(p.A, p.B, p.x0)
+    return build_scenario(name, **kwargs).problem
 
 
 @pytest.mark.parametrize(
@@ -70,12 +70,18 @@ def _search_problem(name, **kwargs):
     ],
 )
 @pytest.mark.parametrize("tol", [1e-13, 0.0])
-def test_find_fixed_point_in_chunks_equals_one_run(monkeypatch, name, kwargs, tol):
+def test_find_fixed_point_in_chunks_equals_one_run(monkeypatch, join_blocks, name, kwargs, tol):
     # 3,000 records are 428 blocks of 7 and one of 4: a record stores three points
     problem = _search_problem(name, **kwargs)
     monkeypatch.setattr(drsplit.space, "BLOCK_NUMBERS", 21 * problem.dim)
     assert [rows.stop - rows.start for rows in row_blocks(3000, 3 * problem.dim)] == [7] * 428 + [4]
     ref = iterate(problem, 3000, tol)
+    # the orbit-streaming generator the search runs on: its blocks end after a
+    # tolerance stop and join to the one run, stationary fill included
+    joined = join_blocks(list(_orbit_blocks(problem, 3000, tol)))
+    assert (len(joined), joined.stop_reason, joined.stationary_at) == (len(ref), ref.stop_reason, ref.stationary_at)
+    for field in ("governing", "shadow", "b_shadow"):
+        assert getattr(joined, field).tobytes() == getattr(ref, field).tobytes(), field
     # a tol-0 orbit that turns stationary (random-affine d=2 at n = 27, d=5 at
     # 196, random-1d at 54, rotator-cone at 1) has reached an exact fixed point
     if ref.stop_reason is StopReason.STEP_CONVERGED or ref.stationary_at is not None:

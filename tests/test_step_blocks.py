@@ -7,7 +7,9 @@ step as soon as it is taken. The events that end or change a run (a
 tolerance stop, bitwise stationarity, a zero step from -0.0 to 0.0, a step
 norm that overflows while the next point is finite, a non-finite image and a
 resolvent's own exception) are placed at records on both sides of a block
-boundary, with and without a companion start.
+boundary. The summability check's companion orbit, streamed in row blocks of
+as many records, must match the same loop run for as many records as the
+lead, with the event one record earlier or later than in the lead.
 """
 
 import math
@@ -15,12 +17,16 @@ import math
 import numpy as np
 import pytest
 
+import drsplit.space
 from drsplit import DRProblem, MonotoneOperator, NonFiniteIterateError, StopReason, iterate
+from drsplit.scenarios import _summability_check
 from drsplit.splitting import STEP_TEST_RECORDS
 
 MAX_ITERS = 70  # two whole blocks and a partial one
 POSITIONS = [0, STEP_TEST_RECORDS - 1, STEP_TEST_RECORDS, STEP_TEST_RECORDS + 1, MAX_ITERS - 1]
 START = 5.0  # record n of the scripted orbit is (-0.0, START + n) until its event
+# row blocks of the companion stream: STEP_TEST_RECORDS records of 3 points in R^2
+COMPANION_BLOCK = 3 * 2 * STEP_TEST_RECORDS
 _MAX_FLOAT = float(np.finfo(float).max)
 
 
@@ -47,28 +53,6 @@ def _reference(A, B, x0, max_iters, step_tol):
                 return records + [records[-1]] * (max_iters - n - 1), StopReason.MAX_ITERS, n
             x = x_next
     return records, StopReason.MAX_ITERS, None
-
-
-def _reference_run(problem, max_iters, step_tol):
-    """(lead, companion) references, or the index of the first non-finite
-    record either orbit reaches before the lead stops."""
-    A, B = problem.A, problem.B
-    try:
-        lead = _reference(A, B, problem.x0, max_iters, step_tol)
-    except NonFiniteIterateError as err:
-        if problem.companion is None:
-            return err.iteration
-        try:
-            _reference(A, B, problem.companion, err.iteration + 1, 0.0)
-        except NonFiniteIterateError as first:
-            return first.iteration
-        return err.iteration
-    if problem.companion is None:
-        return lead, None
-    try:
-        return lead, _reference(A, B, problem.companion, len(lead[0]), 0.0)
-    except NonFiniteIterateError as err:
-        return err.iteration
 
 
 def _assert_trace_is(trace, reference):
@@ -122,19 +106,34 @@ def _scripted_pair(k: int, event, rejects_non_finite: bool, raises_at_event: boo
     )
 
 
-def _assert_matches_reference(problem, step_tol):
-    expected = _reference_run(problem, MAX_ITERS, step_tol)
-    if isinstance(expected, int):
+def _assert_matches_reference(problem, second, step_tol, streamed_companion, join_blocks):
+    """The lead run and, for a ``second`` start, the summability check's
+    companion blocks against the reference loop: a lead that breaks down
+    raises from ``iterate``, a companion that does raises from the check,
+    each at its own first non-finite record."""
+    A, B = problem.A, problem.B
+    try:
+        lead = _reference(A, B, problem.x0, MAX_ITERS, step_tol)
+    except NonFiniteIterateError as expected:
         with pytest.raises(NonFiniteIterateError) as err:
             iterate(problem, MAX_ITERS, step_tol)
-        assert err.value.iteration == expected
+        assert err.value.iteration == expected.iteration
         return
     trace = iterate(problem, MAX_ITERS, step_tol)
-    _assert_trace_is(trace, expected[0])
-    if expected[1] is None:
-        assert trace.companion is None
-    else:
-        _assert_trace_is(trace.companion, expected[1])
+    _assert_trace_is(trace, lead)
+    if second is None:
+        return
+    check = _summability_check(np.array(second))
+    try:
+        companion = _reference(A, B, np.array(second), len(trace), 0.0)
+    except NonFiniteIterateError as expected:
+        with pytest.raises(NonFiniteIterateError) as err:
+            streamed_companion(check, trace)
+        assert err.value.iteration == expected.iteration
+        return
+    _, blocks = streamed_companion(check, trace)
+    assert {len(b) for b in blocks[:-1]} <= {STEP_TEST_RECORDS}
+    _assert_trace_is(join_blocks(blocks), companion)
 
 
 # the companion meets the event value one record earlier, one record later,
@@ -145,15 +144,18 @@ _COMPANIONS = {"lead alone": None, "companion earlier": 1.0, "companion later": 
 @pytest.mark.parametrize("companion", list(_COMPANIONS))
 @pytest.mark.parametrize("rejects_non_finite", [False, True])
 @pytest.mark.parametrize("kind", list(_EVENTS))
-def test_block_step_test_equals_the_record_by_record_loop(kind, rejects_non_finite, companion):
+def test_block_step_test_equals_the_record_by_record_loop(
+    kind, rejects_non_finite, companion, streamed_companion, join_blocks, monkeypatch
+):
+    monkeypatch.setattr(drsplit.space, "BLOCK_NUMBERS", COMPANION_BLOCK)
     event, step_tols = _EVENTS[kind]
     offset = _COMPANIONS[companion]
     for k in POSITIONS:
         A, B = _scripted_pair(k, event, rejects_non_finite, raises_at_event=False)
         second = None if offset is None else [-0.0, START + offset]
-        problem = DRProblem(A, B, np.array([-0.0, START]), second)
+        problem = DRProblem(A, B, np.array([-0.0, START]))
         for step_tol in step_tols:
-            _assert_matches_reference(problem, step_tol)
+            _assert_matches_reference(problem, second, step_tol, streamed_companion, join_blocks)
 
 
 def test_the_events_land_where_they_are_placed():
@@ -172,13 +174,23 @@ def test_the_events_land_where_they_are_placed():
 
 
 @pytest.mark.parametrize("companion", list(_COMPANIONS))
-def test_a_resolvents_own_exception_passes_through(companion):
+def test_a_resolvents_own_exception_passes_through(companion, streamed_companion, join_blocks, monkeypatch):
+    monkeypatch.setattr(drsplit.space, "BLOCK_NUMBERS", COMPANION_BLOCK)
     offset = _COMPANIONS[companion]
     for k in POSITIONS:
         A, B = _scripted_pair(k, None, False, raises_at_event=True)
-        second = None if offset is None else [-0.0, START + offset]
         with pytest.raises(ResolventError, match="event"):
-            iterate(DRProblem(A, B, np.array([-0.0, START]), second), MAX_ITERS, 0.0)
+            iterate(DRProblem(A, B, np.array([-0.0, START])), MAX_ITERS, 0.0)
+        if offset is not None:
+            # a lead that starts past the event never meets it; a companion
+            # that meets it within the lead's records raises from the check
+            trace = iterate(DRProblem(A, B, np.array([-0.0, START + MAX_ITERS])), MAX_ITERS, 0.0)
+            check = _summability_check(np.array([-0.0, START + offset]))
+            if 0 <= k - offset < MAX_ITERS:
+                with pytest.raises(ResolventError, match="event"):
+                    streamed_companion(check, trace)
+            else:
+                assert len(join_blocks(streamed_companion(check, trace)[1])) == MAX_ITERS
         # a tolerance stop at record k - 1 ends the run, though the block may
         # already have made the call that fails at record k
         if k > 0:

@@ -84,10 +84,9 @@ _STOP_RULE_CASES = [
     ("points-1d", {}),
     ("random-affine", {"dim": 2, "seed": 1}),
     ("random-affine", {"dim": 5, "seed": 1}),
-    # the companion turns stationary at n = 169 and the lead goes on alone:
-    # at step_tol 5e-324 it stops on its zero step at n = 170
+    # stationary at n = 170 at step_tol 0; at 5e-324 it stops on its zero step there
     ("random-affine", {"dim": 5, "seed": 3}),
-    # the companion turns stationary at n = 749 and the lead goes on alone
+    # never stationary in 3,000 records (its summability companion is at n = 749)
     ("random-affine", {"dim": 5, "seed": 11}),
     ("random-affine", {"dim": 50, "seed": 1}),
     ("random-1d", {"seed": 1}),
@@ -98,14 +97,15 @@ _STOP_RULE_CASES = [
 @pytest.mark.parametrize("step_tol", [DEFAULT_STEP_TOL, 0.0, 1e-9, 5e-324])
 def test_stop_rule_agrees_with_the_step_norm_column(name, kwargs, step_tol):
     max_iters = 3000
-    tr = iterate(build_scenario(name, **kwargs).problem, max_iters=max_iters, step_tol=step_tol)
+    inst = build_scenario(name, **kwargs)
+    tr = iterate(inst.problem, max_iters=max_iters, step_tol=step_tol)
     norms = tr.step_norms
     if tr.stop_reason is StopReason.STEP_CONVERGED:
         assert len(tr) == 1 + int(np.flatnonzero(norms < step_tol)[0])
     else:
         assert len(tr) == max_iters and np.all(norms >= step_tol)
     if step_tol == 1e-9:  # both branches are taken: every consistent orbit here gets that close
-        assert (tr.stop_reason is StopReason.STEP_CONVERGED) == (tr.companion is not None)
+        assert (tr.stop_reason is StopReason.STEP_CONVERGED) == (inst.solutions is not None)
 
 
 def _breaks_at(k: int, value: float) -> MonotoneOperator:
@@ -147,7 +147,7 @@ def test_lone_zero_step_reaches_the_bytewise_stationarity_test():
     tr = iterate(DRProblem(A, A, [-0.0]), max_iters=10, step_tol=0.0)
     assert tr.stationary_at == 1 and len(tr) == 10
     assert tr.governing[0].tobytes() == _bits(-0.0) and tr.step_norms.tolist() == [0.0] * 10
-    # affine-consistent without its companion: the step norm is exactly 0.0
+    # affine-consistent: the step norm is exactly 0.0
     # from n = 1,074 on, yet no record repeats its predecessor
     inst = build_scenario("affine-consistent")
     p = inst.problem

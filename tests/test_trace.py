@@ -38,6 +38,7 @@ from drsplit import (
 )
 from drsplit.cli import main as cli_main
 from drsplit.runner import _json_number, write_trace_csv
+from drsplit.scenarios import _perturbed_start
 from drsplit.space import row_blocks
 
 FIELDS = ("governing", "shadow", "dual_shadow", "b_shadow", "b_dual_shadow", "steps")
@@ -384,13 +385,16 @@ def test_trace_too_large_for_memory_is_a_value_error(capsys):
 
 
 def _last_record_traces():
-    full = iterate(build_scenario("random-affine", dim=5, seed=1).problem, 3000, 0.0)
+    inst = build_scenario("random-affine", dim=5, seed=1)
+    full = iterate(inst.problem, 3000, 0.0)
+    # the orbit of the summability check's companion start, as many records long
+    second = _perturbed_start(inst.problem.x0, np.random.default_rng(1 + 7919))
     trimmed = iterate(build_scenario("affine-consistent").problem, 5000, 1e-12)
     filled = iterate(build_scenario("random-affine", dim=5, seed=3).problem, 10_000, 0.0)
     far = build_scenario("random-affine", dim=2, x0=(1e200, -1e200)).problem
     return {
         "full": full,
-        "companion": full.companion,
+        "companion": iterate(DRProblem(inst.problem.A, inst.problem.B, second), len(full), 0.0),
         "step_converged": trimmed,
         "stationary_filled": filled,
         "far_out": iterate(far, 200, 0.0),
@@ -438,7 +442,7 @@ def test_rows_are_the_slices_of_the_whole_trace_bitwise():
                 part = tr.rows(index)
                 got = {field: getattr(part, field) for field in FIELDS + ("step_norms",)}
                 want = {field: getattr(tr, field)[index] for field in FIELDS + ("step_norms",)}
-            assert part.problem is tr.problem and part.stationary_at is None and part.companion is None
+            assert part.problem is tr.problem and part.stationary_at is None
             for field in got:
                 assert got[field].shape == want[field].shape, (name, index, field)
                 assert got[field].tobytes() == want[field].tobytes(), (name, index, field)

@@ -88,6 +88,13 @@ def cli_runs() -> list[list[str]]:
     runs.append(["--scenario", "shifted-subspace", "--x0=2.5,-1.875", "--iters", "10000"])
     runs.append(["--scenario", "points-1d", "--x0=-3.25", "--iters", "10000"])
     runs.append(["--scenario", "random-affine", "--dim", "5", "--seed", "11", "--tol", "1e-10"])
+    # summability companions that cross the check's row blocks of 3 d-number
+    # records (8,738 at d=5, 21,845 at d=2): one that turns stationary at
+    # n = 749 while the lead goes on, one stationary at n = 169 and filled
+    # across blocks, and a d=2 one over three blocks
+    runs.append(["--scenario", "random-affine", "--dim", "5", "--seed", "11", "--iters", "20000"])
+    runs.append(["--scenario", "random-affine", "--dim", "5", "--seed", "3", "--iters", "20000"])
+    runs.append(["--scenario", "random-affine", "--dim", "2", "--seed", "4", "--iters", "50000"])
     return runs
 
 
