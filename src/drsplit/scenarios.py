@@ -372,7 +372,7 @@ def _finish_consistent_instance(
     rng = np.random.default_rng(seed + 104729)
     starts = [problem.x0] + [_perturbed_start(problem.x0, rng) for _ in range(2)]
     fix_sample = SetSample([find_fixed_point(DRProblem(A, B, s), tol=1e-13) for s in starts if s is not None])
-    sets = primal_dual_from_fix(A, B, fix_sample, tol=1e-9)
+    sets = primal_dual_from_fix(A, B, fix_sample)
     return ScenarioInstance(
         problem=problem,
         default_iters=10_000,

@@ -81,24 +81,19 @@ def find_fixed_point(problem: DRProblem, tol: float, max_iters: int = 100_000) -
     raise PossiblyInconsistentError(step_norm=trace.final_step_norm, v_estimate=trace.v_estimate)
 
 
-def primal_dual_from_fix(
-    A: MonotoneOperator,
-    B: MonotoneOperator,
-    fix_points: SetSample,
-    tol: float = 1e-8,
-) -> SolutionSets:
+def primal_dual_from_fix(A: MonotoneOperator, B: MonotoneOperator, fix_points: SetSample) -> SolutionSets:
     """Split certified fixed points into primal/dual solution samples through J_A.
 
     Each fixed point y yields z = J_A y and k = y - z, read off the step that
     certifies it; (z, k) then solves the primal and dual problems at once. A
-    point whose step norm ||y - Ty|| exceeds ``tol`` raises ``ValueError``.
+    point whose step norm ||y - Ty|| exceeds 1e-9 raises ``ValueError``.
     """
     y, z, k, _, _, ty = dr_step(A, B, fix_points.points)
     steps = row_norms(y - ty)
-    moving = np.flatnonzero(~(steps <= tol))  # a NaN step certifies nothing
+    moving = np.flatnonzero(~(steps <= 1e-9))  # a NaN step certifies nothing
     if moving.size:
         i = int(moving[0])
-        raise ValueError(f"point {i} is not fixed: step norm {steps[i]:.3e} exceeds {tol:.1e}")
+        raise ValueError(f"point {i} is not fixed: step norm {steps[i]:.3e} exceeds 1.0e-09")
     return SolutionSets(fix_t=fix_points, primal=SetSample(z), dual=SetSample(k))
 
 

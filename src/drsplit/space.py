@@ -68,9 +68,10 @@ def row_blocks(n: int, width: int, numbers: int | None = None) -> Iterator[slice
 
 def diameter(points: np.ndarray) -> float:
     """Max pairwise distance via the centered Gram matrix, formed one row block
-    of its upper triangle at a time (``row_blocks`` of N-number rows):
-    (sq_i + sq_j) - 2 g_ij is symmetric, so this is bitwise the full-matrix
-    value.
+    of its upper triangle at a time (``row_blocks`` of N-number rows). The
+    entries (sq_i + sq_j) - 2 g_ij are symmetric; the value matched the
+    full-matrix one bitwise where the blocks held at least 32 rows (N <= 4,096
+    points), and blocks of fewer rows can move its last bit.
 
     Exactly 0.0 when every row equals the first; NaN when the Gram entries
     overflow: such a set has no measured diameter.

@@ -219,7 +219,7 @@ def _orbit(
             g, s, b = governing[block], shadow[block], b_shadow[block]
             x_next = (g - s) + b  # row n is bitwise x - ja + jb
             step = g - x_next  # DRTrace.steps' expression
-            norms = np.sqrt(np.vecdot(step, step))  # bitwise each row's row_norms
+            norms = row_norms(step)
             if not np.all((step_tol < norms) & (norms <= _MAX_FLOAT)):
                 # each record before the first stop goes on to a finite point
                 broken = ~np.all(np.isfinite(x_next), axis=1)
@@ -248,17 +248,18 @@ def iterate(problem: DRProblem, max_iters: int, step_tol: float) -> DRTrace:
     Stops once the step norm drops below ``step_tol`` or after ``max_iters``
     records. Once T^(n+1) x is bitwise equal to T^n x, every later record is
     the same (resolvents are deterministic), so the rest of the trace is filled
-    without iterating and ``stationary_at`` is set to n. Divergence is not an
-    error; non-finite coordinates are, and so are resolvent images of the wrong
-    shape (``OperatorContractError``) and a ``max_iters`` whose trace arrays
-    exceed the memory the process can have (host or cgroup) or cannot be
-    allocated (``ValueError``). The trace's ``v_estimate`` is the last step
-    vector: step norms are nonincreasing (T is firmly nonexpansive), so it is
-    the best estimate of the minimal displacement vector the run offers.
+    without iterating and ``stationary_at`` is set to n: 0 from a fixed point,
+    as in each ``_orbit_blocks`` block after a stationary one. Divergence is
+    not an error; non-finite coordinates are, and so are resolvent images of
+    the wrong shape (``OperatorContractError``) and a ``max_iters`` whose
+    trace arrays exceed the memory the process can have (host or cgroup) or
+    cannot be allocated (``ValueError``). The trace's ``v_estimate`` is the
+    last step vector: step norms are nonincreasing (T is firmly nonexpansive),
+    so it is the run's best estimate of the minimal displacement vector.
 
     The loop computes blocks of ``STEP_TEST_RECORDS`` records and then tests
-    each step of a block in one vectorized pass, with ``DRTrace.steps``' and
-    ``row_norms``' expressions; it keeps the records up to the block's first
+    each step of a block in one vectorized pass, with ``DRTrace.steps``'
+    expression and ``row_norms``; it keeps the records up to the block's first
     stop and discards the rest, so up to 31 resolvent evaluations past a stop
     are made and thrown away.
     """
@@ -284,30 +285,22 @@ def iterate(problem: DRProblem, max_iters: int, step_tol: float) -> DRTrace:
 def _orbit_blocks(problem: DRProblem, max_iters: int, step_tol: float) -> Iterator[DRTrace]:
     """The orbit's first ``max_iters`` records (at most) as consecutive traces
     of ``space.row_blocks`` of records three points wide, bitwise the rows of
-    ``iterate(problem, max_iters, step_tol)``: each block is an ``iterate``
-    call from where the last block's loop would have gone on, the blocks end
-    after a ``STEP_CONVERGED`` one, a ``NonFiniteIterateError`` carries the
-    orbit-wide index, and the blocks after a stationary one repeat its last
-    record (``stationary_at`` 0) without iterating."""
+    ``iterate(problem, max_iters, step_tol)``: every block is an ``iterate``
+    call from where the last block's loop would have gone on (after a
+    stationary block, its fixed point: ``stationary_at`` 0), the blocks end
+    after a ``STEP_CONVERGED`` one, and a ``NonFiniteIterateError`` carries
+    the orbit-wide index."""
     A, B, x = problem.A, problem.B, problem.x0
-    fill = None  # a stationary block's last record
     for rows in row_blocks(max_iters, 3 * problem.dim):
-        size = rows.stop - rows.start
-        if fill is not None:
-            repeated = [np.broadcast_to(r, (size, len(r))) for r in fill]
-            yield DRTrace(DRProblem(A, B, x), *repeated, StopReason.MAX_ITERS, 0)
-            continue
         try:
-            trace = iterate(DRProblem(A, B, x), size, step_tol)
+            trace = iterate(DRProblem(A, B, x), rows.stop - rows.start, step_tol)
         except NonFiniteIterateError as exc:
             raise NonFiniteIterateError(rows.start + exc.iteration) from None
         yield trace
         if trace.stop_reason is StopReason.STEP_CONVERGED:
             return
-        last = [a[-1] for a in (trace.governing, trace.shadow, trace.b_shadow)]
-        fill = last if trace.stationary_at is not None else None
         # the loop's x_next, (x - J_A x) + J_B R_A x, bit for bit
-        x = last[0] - last[1] + last[2]
+        x = trace.governing[-1] - trace.shadow[-1] + trace.b_shadow[-1]
 
 
 def normal_problem(

@@ -2,7 +2,8 @@
 
 ``iterate`` runs one orbit. The summability check of a consistent scenario
 runs the orbit of its seeded second start itself, one ``space.row_blocks``
-block at a time: the blocks it streams, joined, must equal a solo run from
+block, and so one ``iterate`` call, at a time (the blocks after a stationary
+one included): the blocks it streams, joined, must equal a solo run from
 that start with ``step_tol=0`` for as many records as the checked trace, every
 array and ``stationary_at`` bitwise, and the check's result must equal that of
 ``summability_report`` on the whole solo trace.
@@ -60,14 +61,17 @@ def _assert_companion_contract(
     A, B = inst.problem.A, inst.problem.B
     # each block starts where the last one's loop would have gone on
     assert [len(b) for b in blocks] == [r.stop - r.start for r in row_blocks(len(tr), 3 * inst.problem.dim)]
-    # the blocks after a stationary one repeat its last record without iterating
+    # every block is an iterate call, those after a stationary one too: each
+    # starts at its fixed point, so iterate stops at record 0 and fills it
+    assert len(calls) == len(blocks)
     stationary = [i for i, b in enumerate(blocks) if b.stationary_at is not None]
-    iterated = stationary[0] + 1 if stationary else len(blocks)
-    assert len(calls) == iterated
-    assert all(b.stationary_at == 0 for b in blocks[iterated:])
+    after_stationary = blocks[stationary[0] + 1 :] if stationary else []
+    assert all(b.stationary_at == 0 for b in after_stationary)
     for block in blocks:
         assert block.problem.A is A and block.problem.B is B
         assert block.problem.x0.tobytes() == block.governing[0].tobytes()
+        # iterate's own arrays, never read-only views of another block's
+        assert all(getattr(block, name).flags.writeable for name in ("governing", "shadow", "b_shadow"))
     companion = join_blocks(blocks)
     solo = iterate(DRProblem(A, B, blocks[0].problem.x0), max_iters=len(tr), step_tol=0.0)
     _assert_same_trace(companion, solo)

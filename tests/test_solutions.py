@@ -187,6 +187,18 @@ def test_primal_dual_from_fix_names_the_first_moving_row():
         primal_dual_from_fix(inst.problem.A, inst.problem.B, fixes)
 
 
+def test_primal_dual_from_fix_certifies_at_one_tolerance():
+    # on affine-consistent the step norm of (0, t) is the gap t / sqrt(2):
+    # 1e-9 certifies the first point, and no argument can loosen it
+    inst = build_scenario("affine-consistent")
+    A, B = inst.problem.A, inst.problem.B
+    assert len(primal_dual_from_fix(A, B, SetSample([[0.0, 1.4e-9]])).primal) == 1
+    with pytest.raises(ValueError, match=r"^point 0 is not fixed: step norm 1\.556e-09 exceeds 1\.0e-09$"):
+        primal_dual_from_fix(A, B, SetSample([[0.0, 2.2e-9]]))
+    with pytest.raises(TypeError):
+        primal_dual_from_fix(A, B, SetSample([[0.0, 2.2e-9]]), tol=1e-8)
+
+
 def _reference_fix_points(name, inst, seed):
     """The fixed points each scenario samples, drawn as the scenarios do."""
     if name == "rotator-cone":
