@@ -68,15 +68,17 @@ def find_fixed_point(problem: DRProblem, tol: float, max_iters: int = 100_000) -
 
     A ``tol``-0 orbit that turns bitwise stationary returns its exact fixed
     point. Raises :class:`PossiblyInconsistentError` (carrying the displacement
-    estimate) after ``max_iters`` records with no step norm below ``tol``. It
-    streams the orbit (``splitting._orbit_blocks``), so it holds one block's
-    trace, and its results are bitwise one ``iterate(problem, max_iters, tol)``'s.
+    estimate) after ``max_iters`` records with no step norm below ``tol``; an
+    orbit that cycles with a longer period tiles its blocks to ``max_iters``
+    without iterating them. It streams the orbit (``splitting._orbit_blocks``),
+    so it holds one block's trace, and its results are bitwise one
+    ``iterate(problem, max_iters, tol)``'s.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     for trace in _orbit_blocks(problem, max_iters, tol):
         # a stationary orbit (tol 0) has reached T x = x bitwise; its last record is x
-        if trace.stop_reason is StopReason.STEP_CONVERGED or trace.stationary_at is not None:
+        if trace.stop_reason is StopReason.STEP_CONVERGED or trace.tail_period == 1:
             return trace.governing[-1].copy()
     raise PossiblyInconsistentError(step_norm=trace.final_step_norm, v_estimate=trace.v_estimate)
 
@@ -271,8 +273,11 @@ def summability_report(
             for rows in row_blocks(paired, px.dim):
                 at = slice(n + rows.start, n + rows.stop)
                 bx, by = trace_x.rows(at), block.rows(rows)
-                step_diff[at] = np.sum((bx.steps - by.steps) ** 2, axis=1)
-                pa[at] = np.sum((bx.shadow - by.shadow) * (bx.dual_shadow - by.dual_shadow), axis=1)
+                # each run's dual shadow once, and its steps from it by DRTrace.steps' expression
+                dx, dy = bx.dual_shadow, by.dual_shadow
+                steps_x, steps_y = bx.governing - (dx + bx.b_shadow), by.governing - (dy + by.b_shadow)
+                step_diff[at] = np.sum((steps_x - steps_y) ** 2, axis=1)
+                pa[at] = np.sum((bx.shadow - by.shadow) * (dx - dy), axis=1)
                 pb[at] = np.sum((bx.b_shadow - by.b_shadow) * (bx.b_dual_shadow - by.b_dual_shadow), axis=1)
             n += paired
     if not n:

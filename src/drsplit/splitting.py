@@ -61,8 +61,9 @@ class DRTrace:
     stored copy of the run. The other sequences are derived from them at each
     read, with the loop's own expressions, so every row is bitwise what the
     loop computed; only the O(N^2) ``trailing_shadow_diameter`` is kept.
-    ``stationary_at`` is the first n with T^(n+1) x bitwise equal to T^n x
-    (``None`` if there is none): every row from n on is then the same.
+    ``tail_start`` and ``tail_period`` are the first n and the least p with
+    T^(n+p) x bitwise equal to T^n x, both ``None`` where ``iterate`` found
+    none: every row from n on repeats rows n to n + p - 1.
     """
 
     problem: DRProblem
@@ -70,7 +71,8 @@ class DRTrace:
     shadow: np.ndarray
     b_shadow: np.ndarray
     stop_reason: StopReason
-    stationary_at: Optional[int]
+    tail_start: Optional[int]
+    tail_period: Optional[int]
 
     def __len__(self) -> int:
         return self.governing.shape[0]
@@ -109,10 +111,10 @@ class DRTrace:
 
     def rows(self, index: slice) -> "DRTrace":
         """The records in ``index`` as a trace of the same problem, with no
-        ``stationary_at``: each derived sequence of it is that slice of the
-        whole trace's, bitwise."""
+        tail: each derived sequence of it is that slice of the whole trace's,
+        bitwise."""
         stored = (self.governing[index], self.shadow[index], self.b_shadow[index])
-        return DRTrace(self.problem, *stored, self.stop_reason, None)
+        return DRTrace(self.problem, *stored, self.stop_reason, None, None)
 
     @property
     def v_estimate(self) -> np.ndarray:
@@ -194,13 +196,19 @@ STEP_TEST_RECORDS = 32
 
 def _orbit(
     problem: DRProblem, arrays: list[np.ndarray], step_tol: float
-) -> tuple[int, StopReason, Optional[int]]:
+) -> tuple[int, StopReason, Optional[int], Optional[int]]:
     """Iterate the orbit from ``problem.x0`` into ``arrays`` (governing, shadow
-    and b_shadow, as many records as they hold): its length, stop reason and
-    ``stationary_at``, as ``iterate`` describes them."""
+    and b_shadow, as many records as they hold): its length, stop reason,
+    ``tail_start`` and ``tail_period``, as ``iterate`` describes them."""
     A, B, x = problem.A, problem.B, problem.x0
     governing, shadow, b_shadow = arrays
     max_iters = len(governing)
+    bits = governing.view(np.int64)  # rows compared as the step test compares them
+    # Brent's cycle search: the rows of each window are compared with the row
+    # before it (the first window's with row 0), and each window is twice as
+    # long as the last, so a cycle is found at the end of the first window
+    # that starts inside it and holds a whole period
+    anchor, window, window_end = 0, STEP_TEST_RECORDS, STEP_TEST_RECORDS
     unchecked_maps = (A.resolvent_map, B.resolvent_map)
     # the images at n = 0 go through the shape check; later ones are trusted
     ja_map, jb_map = A._checked_map, B._checked_map
@@ -233,29 +241,52 @@ def _orbit(
                     if broken[k]:
                         raise NonFiniteIterateError(n)
                     if converged[k]:
-                        return n + 1, StopReason.STEP_CONVERGED, None
-                    rest = slice(n + 1, max_iters)
-                    governing[rest], shadow[rest], b_shadow[rest] = g[k], s[k], b[k]
-                    return max_iters, StopReason.MAX_ITERS, n
+                        return n + 1, StopReason.STEP_CONVERGED, None, None
+                    known, start, period = n + 1, n, 1
+                    break
             if failure is not None:
                 raise failure
-    return max_iters, StopReason.MAX_ITERS, None
+            if block.stop == window_end:
+                # the rows whose first coordinate matches, then their whole rows
+                hits = anchor + 1 + np.flatnonzero(bits[anchor + 1 : window_end, 0] == bits[anchor, 0])
+                hits = hits[np.all(bits[hits] == bits[anchor], axis=1)]
+                if hits.size:
+                    # the tail starts at the first row that the period repeats
+                    known, period = window_end, int(hits[0]) - anchor
+                    start = int(np.argmax(np.all(bits[: known - period] == bits[period:known], axis=1)))
+                    break
+                anchor, window = window_end - 1, 2 * window
+                window_end += window
+        else:
+            return max_iters, StopReason.MAX_ITERS, None, None
+    # tile the rows after the known ones from whole periods, each copy of
+    # rows that end where it begins and twice as many as the last
+    for a in arrays:
+        n, run = known, period * ((known - start) // period)
+        while n < max_iters:
+            count = min(run, max_iters - n)
+            a[n : n + count] = a[n - run : n - run + count]
+            n, run = n + count, 2 * run
+    return max_iters, StopReason.MAX_ITERS, start, period
 
 
 def iterate(problem: DRProblem, max_iters: int, step_tol: float) -> DRTrace:
     """Run the iteration from ``problem.x0`` and record every tracked sequence.
 
     Stops once the step norm drops below ``step_tol`` or after ``max_iters``
-    records. Once T^(n+1) x is bitwise equal to T^n x, every later record is
-    the same (resolvents are deterministic), so the rest of the trace is filled
-    without iterating and ``stationary_at`` is set to n: 0 from a fixed point,
-    as in each ``_orbit_blocks`` block after a stationary one. Divergence is
-    not an error; non-finite coordinates are, and so are resolvent images of
-    the wrong shape (``OperatorContractError``) and a ``max_iters`` whose
-    trace arrays exceed the memory the process can have (host or cgroup) or
-    cannot be allocated (``ValueError``). The trace's ``v_estimate`` is the
-    last step vector: step norms are nonincreasing (T is firmly nonexpansive),
-    so it is the run's best estimate of the minimal displacement vector.
+    records. Once T^(n+p) x is bitwise equal to T^n x, every later record
+    repeats records n to n + p - 1 (resolvents are deterministic), so the rest
+    of the trace is tiled from them without iterating and ``tail_start`` and
+    ``tail_period`` are n and p: p = 1 (a stationary orbit; n is 0 from a fixed
+    point) is found at the first repeat, a longer period by Brent's cycle
+    search at the end of windows of 32, 64, 128, ... records. Both come after
+    each block's step test, so a tail never skips a stop. Divergence is not an
+    error; non-finite coordinates are, and so are resolvent images of the
+    wrong shape (``OperatorContractError``) and a ``max_iters`` whose trace
+    arrays exceed the memory the process can have (host or cgroup) or cannot
+    be allocated (``ValueError``). The trace's ``v_estimate`` is the last step
+    vector: step norms are nonincreasing (T is firmly nonexpansive), so it is
+    the run's best estimate of the minimal displacement vector.
 
     The loop computes blocks of ``STEP_TEST_RECORDS`` records and then tests
     each step of a block in one vectorized pass, with ``DRTrace.steps``'
@@ -276,20 +307,21 @@ def iterate(problem: DRProblem, max_iters: int, step_tol: float) -> DRTrace:
     except (MemoryError, ValueError) as exc:
         message = f"a trace of max_iters={max_iters} records in dimension {d} does not fit in memory"
         raise ValueError(message) from exc
-    length, stop, stationary_at = _orbit(problem, arrays, step_tol)
+    length, stop, tail_start, tail_period = _orbit(problem, arrays, step_tol)
     if length < max_iters:
         arrays = [a[:length].copy() for a in arrays]
-    return DRTrace(problem, *arrays, stop, stationary_at)
+    return DRTrace(problem, *arrays, stop, tail_start, tail_period)
 
 
 def _orbit_blocks(problem: DRProblem, max_iters: int, step_tol: float) -> Iterator[DRTrace]:
     """The orbit's first ``max_iters`` records (at most) as consecutive traces
     of ``space.row_blocks`` of records three points wide, bitwise the rows of
     ``iterate(problem, max_iters, step_tol)``: every block is an ``iterate``
-    call from where the last block's loop would have gone on (after a
-    stationary block, its fixed point: ``stationary_at`` 0), the blocks end
+    call from where the last block's loop would have gone on, the blocks end
     after a ``STEP_CONVERGED`` one, and a ``NonFiniteIterateError`` carries
-    the orbit-wide index."""
+    the orbit-wide index. Each block's tail is its own: a block that starts
+    inside a cycle finds it again within its first windows (a fixed point at
+    its ``tail_start`` 0), and tiles the rest."""
     A, B, x = problem.A, problem.B, problem.x0
     for rows in row_blocks(max_iters, 3 * problem.dim):
         try:

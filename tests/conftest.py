@@ -12,12 +12,19 @@ def rng():
 
 def _joined(blocks):
     """Consecutive row-block traces as one trace: the stored arrays joined, the
-    last block's stop reason, and the first block's ``stationary_at`` offset
-    by the records before it (``None`` if no block has one)."""
-    starts = np.cumsum([0] + [len(b) for b in blocks])
-    at = next((int(s) + b.stationary_at for s, b in zip(starts, blocks) if b.stationary_at is not None), None)
+    last block's stop reason, and the tail of the first block that has one,
+    offset by the records before it (no tail if no block has one). A block
+    that starts inside a cycle finds it from its own first row, so the tail
+    starts at the first joined row that the period repeats, if that is earlier."""
     arrays = [np.concatenate([getattr(b, name) for b in blocks]) for name in ("governing", "shadow", "b_shadow")]
-    return DRTrace(blocks[0].problem, *arrays, blocks[-1].stop_reason, at)
+    starts = np.cumsum([0] + [len(b) for b in blocks])
+    tails = [(int(s) + b.tail_start, b.tail_period) for s, b in zip(starts, blocks) if b.tail_start is not None]
+    start, period = tails[0] if tails else (None, None)
+    if tails:
+        bits = arrays[0].view(np.int64)
+        repeats = np.flatnonzero(np.all(bits[:-period] == bits[period:], axis=1))
+        start = min(start, int(repeats[0])) if repeats.size else start
+    return DRTrace(blocks[0].problem, *arrays, blocks[-1].stop_reason, start, period)
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ them. ``tracemalloc`` sees numpy's buffers, so
 the memory tests bound what the checks allocate.
 """
 
+import collections
 import dataclasses
 import math
 import tracemalloc
@@ -26,6 +27,7 @@ import drsplit.space
 from drsplit import (
     CheckResult,
     DRProblem,
+    DRTrace,
     FejerResult,
     SetSample,
     build_scenario,
@@ -308,6 +310,20 @@ def test_checks_of_a_far_out_trace_equal_the_full_formulas_without_warnings(bloc
         assert not np.all(np.isfinite(trace.step_norms))
         _assert_checks_equal_the_full_formulas(inst, trace, other)
         inst.run_checks(trace)  # every check of the run, diameter included
+
+
+def test_summability_derives_each_dual_shadow_once_per_row_block(d50_trace, monkeypatch):
+    # each run's dual shadow once per row block, and its steps from it with
+    # DRTrace.steps' expression: no steps read, every term as before
+    _, trace, companion = d50_trace
+    expected = _fields(_full_summability(trace, companion))
+    reads = collections.Counter()
+    for name in ("dual_shadow", "steps"):
+        derive = getattr(DRTrace, name).fget
+        monkeypatch.setattr(DRTrace, name, property(lambda tr, f=derive, n=name: reads.update([n]) or f(tr)))
+    report = summability_report(trace, companion)
+    assert reads == {"dual_shadow": 2 * len(list(row_blocks(len(trace), trace.problem.dim)))}
+    assert _fields(report) == expected
 
 
 def test_diameter_of_a_long_window_stays_within_a_row_block():

@@ -2,11 +2,11 @@
 
 ``iterate`` runs one orbit. The summability check of a consistent scenario
 runs the orbit of its seeded second start itself, one ``space.row_blocks``
-block, and so one ``iterate`` call, at a time (the blocks after a stationary
-one included): the blocks it streams, joined, must equal a solo run from
-that start with ``step_tol=0`` for as many records as the checked trace, every
-array and ``stationary_at`` bitwise, and the check's result must equal that of
-``summability_report`` on the whole solo trace.
+block, and so one ``iterate`` call, at a time (the blocks after a tailed one
+included): the blocks it streams, joined, must equal a solo run from that
+start with ``step_tol=0`` for as many records as the checked trace, every
+array bitwise and the tails wherever both found one, and the check's result
+must equal that of ``summability_report`` on the whole solo trace.
 """
 
 import functools
@@ -32,6 +32,7 @@ from drsplit import (
 from drsplit.cli import main as cli_main
 from drsplit.scenarios import ScenarioInstance, _perturbed_start, _summability_check
 from drsplit.space import row_blocks
+from drsplit.splitting import STEP_TEST_RECORDS
 
 FIELDS = ("governing", "shadow", "b_shadow", "dual_shadow", "b_dual_shadow", "steps", "step_norms")
 
@@ -39,7 +40,12 @@ FIELDS = ("governing", "shadow", "b_shadow", "dual_shadow", "b_dual_shadow", "st
 def _assert_same_trace(got, want):
     assert len(got) == len(want)
     assert got.stop_reason is want.stop_reason
-    assert got.stationary_at == want.stationary_at
+    # a stationary tail is found at its first repeat in any block, a longer
+    # period by windows that restart at each block, so only one of two runs
+    # may have found it; where both did, the tails are equal
+    found = [t.tail_period for t in (got, want) if t.tail_period is not None]
+    if 1 in found or len(found) == 2:
+        assert (got.tail_start, got.tail_period) == (want.tail_start, want.tail_period)
     for name in FIELDS:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
@@ -61,12 +67,15 @@ def _assert_companion_contract(
     A, B = inst.problem.A, inst.problem.B
     # each block starts where the last one's loop would have gone on
     assert [len(b) for b in blocks] == [r.stop - r.start for r in row_blocks(len(tr), 3 * inst.problem.dim)]
-    # every block is an iterate call, those after a stationary one too: each
-    # starts at its fixed point, so iterate stops at record 0 and fills it
+    # every block is an iterate call, those after a tailed one too: each
+    # starts inside the cycle, so iterate finds it again from record 0 (a
+    # fixed point at once, a period below 32 at its first window) and tiles it
     assert len(calls) == len(blocks)
-    stationary = [i for i, b in enumerate(blocks) if b.stationary_at is not None]
-    after_stationary = blocks[stationary[0] + 1 :] if stationary else []
-    assert all(b.stationary_at == 0 for b in after_stationary)
+    tailed = [i for i, b in enumerate(blocks) if b.tail_start is not None]
+    period = blocks[tailed[0]].tail_period if tailed else None
+    for block in blocks[tailed[0] + 1 :] if tailed else []:
+        found = period == 1 or period < STEP_TEST_RECORDS <= len(block)
+        assert (block.tail_start, block.tail_period) in ({(0, period)} if found else {(0, period), (None, None)})
     for block in blocks:
         assert block.problem.A is A and block.problem.B is B
         assert block.problem.x0.tobytes() == block.governing[0].tobytes()
@@ -88,37 +97,41 @@ BLOCK_NUMBERS = drsplit.space.BLOCK_NUMBERS
 # companion blocks of 7 records, of 170 (so n = 169 is a block's last record)
 # and of the real size (873 records at d=50; the whole run at d <= 5)
 BLOCK_RECORDS = [7, 170, None]
+NO_TAIL = (None, None)
 
 
 @pytest.mark.parametrize(
-    "name, kwargs, step_tol, lead_at, companion_at, length",
+    "name, kwargs, step_tol, lead_tail, companion_tail, length",
     [
-        # the lead never turns stationary, the companion does at n = 749
-        ("random-affine", {"dim": 5, "seed": 11}, 0.0, None, 749, 3000),
-        # a tolerance stop truncates both orbits before the companion is stationary
-        ("random-affine", {"dim": 5, "seed": 11}, 1e-10, None, None, 465),
+        # the lead cycles with period 21 from n = 730, the companion turns
+        # stationary at n = 749
+        ("random-affine", {"dim": 5, "seed": 11}, 0.0, (730, 21), (749, 1), 3000),
+        # a tolerance stop truncates both orbits before either has a tail
+        ("random-affine", {"dim": 5, "seed": 11}, 1e-10, NO_TAIL, NO_TAIL, 465),
         # the companion turns stationary at n = 169, the lead at 170
-        ("random-affine", {"dim": 5, "seed": 3}, 0.0, 170, 169, 3000),
+        ("random-affine", {"dim": 5, "seed": 3}, 0.0, (170, 1), (169, 1), 3000),
         # the lead converges at the zero step of n = 170, one step after the
         # companion turned stationary
-        ("random-affine", {"dim": 5, "seed": 3}, 5e-324, None, 169, 171),
+        ("random-affine", {"dim": 5, "seed": 3}, 5e-324, NO_TAIL, (169, 1), 171),
         # the lead turns stationary at n = 86, the companion at 87
-        ("random-1d", {"seed": 2}, 0.0, 86, 87, 3000),
-        ("random-1d", {"seed": 4}, 1e-10, None, None, 39),
-        ("random-affine", {"dim": 2, "seed": 2}, 0.0, 94, 94, 3000),
-        ("random-affine", {"dim": 50, "seed": 1}, 0.0, None, None, 3000),
-        ("affine-consistent", {}, 1e-10, None, None, 67),
+        ("random-1d", {"seed": 2}, 0.0, (86, 1), (87, 1), 3000),
+        ("random-1d", {"seed": 4}, 1e-10, NO_TAIL, NO_TAIL, 39),
+        ("random-affine", {"dim": 2, "seed": 2}, 0.0, (94, 1), (94, 1), 3000),
+        ("random-affine", {"dim": 50, "seed": 1}, 0.0, NO_TAIL, NO_TAIL, 3000),
+        ("affine-consistent", {}, 1e-10, NO_TAIL, NO_TAIL, 67),
     ],
 )
 def test_companion_equals_solo_run(
-    streamed_companion, join_blocks, monkeypatch, name, kwargs, step_tol, lead_at, companion_at, length
+    streamed_companion, join_blocks, monkeypatch, name, kwargs, step_tol, lead_tail, companion_tail, length
 ):
     inst = build_scenario(name, **kwargs)
     for block_records in BLOCK_RECORDS:
         tr, companion = _assert_companion_contract(
             streamed_companion, join_blocks, inst, 3000, step_tol, monkeypatch, block_records
         )
-        assert (len(tr), tr.stationary_at, companion.stationary_at) == (length, lead_at, companion_at)
+        assert len(tr) == length
+        assert (tr.tail_start, tr.tail_period) == lead_tail
+        assert (companion.tail_start, companion.tail_period) == companion_tail
         assert companion.stop_reason is StopReason.MAX_ITERS
 
 
@@ -195,7 +208,7 @@ def test_companion_that_overflows_raises(streamed_companion, monkeypatch, capsys
     # at 0 turned stationary at n = 0
     monkeypatch.setattr(drsplit.space, "BLOCK_NUMBERS", 3 * 7)
     trace = iterate(DRProblem(_IDENTITY_RES, _TRIPLING, [0.0]), max_iters=10_000, step_tol=0.0)
-    assert trace.stationary_at == 0
+    assert (trace.tail_start, trace.tail_period) == (0, 1)
     with pytest.raises(NonFiniteIterateError) as paired:
         streamed_companion(_summability_check(np.array([1.0])), trace)
     assert paired.value.iteration == solo.value.iteration

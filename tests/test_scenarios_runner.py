@@ -8,7 +8,6 @@ from drsplit import (
     DimensionMismatchError,
     MonotoneOperator,
     OperatorContractError,
-    PossiblyInconsistentError,
     check_identities,
     build_scenario,
     iterate,
@@ -370,13 +369,10 @@ def test_cli_numerical_breakdown_exits_four(capsys):
     ]
 
 
-def test_cli_stagnated_fixed_point_search_exits_four(monkeypatch, capsys):
-    # a start of 1e200 makes the build's fixed-point search stagnate after
-    # 10^5 steps; raising at once keeps the test fast
-    def stagnated(problem, tol=1e-12, max_iters=100_000):
-        raise PossiblyInconsistentError(step_norm=float("inf"), v_estimate=np.zeros(problem.dim))
-
-    monkeypatch.setattr("drsplit.scenarios.find_fixed_point", stagnated)
+def test_cli_stagnated_fixed_point_search_exits_four(capsys):
+    # a start of 1e200 makes the build's fixed-point search cycle at an
+    # overflowing step norm; its 10^5 records are tiled from the cycle, so
+    # the real search runs here
     code = cli_main(["--scenario", "random-affine", "--dim", "3", "--x0=1e200,1e200,1e200"])
     assert code == 4
     captured = capsys.readouterr()

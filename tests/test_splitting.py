@@ -276,6 +276,57 @@ def test_subspace_rate_is_the_friedrichs_cosine(dim, seed):
     assert _fitted_rate(inst.problem) == pytest.approx(c_F, rel=FRIEDRICHS_RATE_RTOL)
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+def _affine_splitting_map(problem):
+    """M and c of the affine splitting map T x = M x + c, from one ``dr_apply``
+    on the stack [0; I], and from the SVD of N = I - M its Fix projector (onto
+    ker N, the directions of Fix T) and the pseudo-inverse of N."""
+    d = problem.dim
+    images = dr_apply(problem.A, problem.B, np.vstack([np.zeros(d), np.eye(d)]))
+    c = images[0]
+    M = (images[1:] - c).T
+    u, s, vt = np.linalg.svd(np.eye(d) - M)
+    # the singular values of N on ker N are at most 5.4e-15 here, the others at least 0.28
+    rank = int(np.sum(s > 1e-8 * s[0]))
+    p_fix = vt[rank:].T @ vt[rank:]
+    n_pinv = vt[:rank].T @ np.diag(1.0 / s[:rank]) @ u[:, :rank].T
+    return M, c, p_fix, n_pinv
+
+
+@pytest.mark.parametrize("dim", [2, 5, 50])
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_subspace_splitting_map_is_normal(dim, seed):
+    # for two subspaces T's linear part is a normal operator, and its distance
+    # to the Fix projector is the Friedrichs cosine (arXiv:1309.4709);
+    # measured: ||M M^T - M^T M|| <= 5.1e-15 and |c_F - cosine| <= 6.7e-16
+    M, _, p_fix, _ = _affine_splitting_map(build_scenario("random-affine", dim=dim, seed=seed).problem)
+    assert np.linalg.norm(M @ M.T - M.T @ M, 2) <= 4 * dim * _EPS
+    U, V, _ = random_affine_pair(dim, np.random.default_rng(seed))
+    cosines = np.linalg.svd(U.basis @ V.basis.T, compute_uv=False)
+    c_F = np.linalg.norm(M - p_fix, 2)
+    assert abs(c_F - np.max(cosines[cosines < 1.0 - 1e-12])) <= 8 * _EPS
+
+
+@pytest.mark.parametrize("dim", [2, 5, 50])
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_one_step_norm_bounds_the_distance_to_fix(dim, seed):
+    # T normal with ||T - P_Fix|| = c_F gives dist(x_n, Fix T) <= ||x_n - T x_n|| / (1 - c_F);
+    # it holds on every record whose distance is above the floor 64 eps max|x|
+    # (worst measured ratio 0.87, d=2 seed 8)
+    problem = build_scenario("random-affine", dim=dim, seed=seed).problem
+    M, c, p_fix, n_pinv = _affine_splitting_map(problem)
+    c_F = np.linalg.norm(M - p_fix, 2)
+    trace = iterate(problem, max_iters=10_000, step_tol=0.0)
+    x = trace.governing
+    # x - N^+ (N x - c) is the nearest point of Fix T = {y : N y = c}
+    distances = np.linalg.norm((x - x @ M.T - c) @ n_pinv.T, axis=1)
+    above = distances > 64 * _EPS * np.max(np.abs(x))
+    assert np.count_nonzero(above) >= 18
+    assert np.all(distances[above] <= trace.step_norms[above] / (1.0 - c_F))
+
+
 def test_affine_consistent_rate_is_cos_45_degrees():
     # the lines spanned by (1, 0) and (1, 1) meet at 45 degrees
     rate = _fitted_rate(build_scenario("affine-consistent").problem)

@@ -35,8 +35,8 @@ class ResolventError(RuntimeError):
 
 
 def _reference(A, B, x0, max_iters, step_tol):
-    """Records, stop reason and stationary_at of one orbit, each step tested
-    as soon as it is taken."""
+    """Records, stop reason and stationary tail of one orbit, each step tested
+    as soon as it is taken (no scripted orbit cycles with a longer period)."""
     records, x = [], x0
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(max_iters):
@@ -48,16 +48,16 @@ def _reference(A, B, x0, max_iters, step_tol):
             if not norm <= _MAX_FLOAT and not np.all(np.isfinite(x_next)):
                 raise NonFiniteIterateError(n)
             if norm < step_tol:
-                return records, StopReason.STEP_CONVERGED, None
+                return records, StopReason.STEP_CONVERGED, (None, None)
             if norm == 0.0 and x_next.tobytes() == x.tobytes():
-                return records + [records[-1]] * (max_iters - n - 1), StopReason.MAX_ITERS, n
+                return records + [records[-1]] * (max_iters - n - 1), StopReason.MAX_ITERS, (n, 1)
             x = x_next
-    return records, StopReason.MAX_ITERS, None
+    return records, StopReason.MAX_ITERS, (None, None)
 
 
 def _assert_trace_is(trace, reference):
-    records, stop, stationary_at = reference
-    assert (len(trace), trace.stop_reason, trace.stationary_at) == (len(records), stop, stationary_at)
+    records, stop, tail = reference
+    assert (len(trace), trace.stop_reason, (trace.tail_start, trace.tail_period)) == (len(records), stop, tail)
     for field, rows in zip(("governing", "shadow", "b_shadow"), zip(*records)):
         assert getattr(trace, field).tobytes() == np.array(rows).tobytes(), field
 
@@ -165,8 +165,8 @@ def test_the_events_land_where_they_are_placed():
         records, stop, _ = _reference(A, B, np.array([-0.0, START]), MAX_ITERS, 0.75)
         assert (len(records), stop) == (k + 1, StopReason.STEP_CONVERGED)
         A, B = _scripted_pair(k, _EVENTS["zero step"][0], False, False)
-        *_, stationary_at = _reference(A, B, np.array([-0.0, START]), MAX_ITERS, 0.0)
-        assert stationary_at == (None if k == MAX_ITERS - 1 else k + 1)
+        *_, tail = _reference(A, B, np.array([-0.0, START]), MAX_ITERS, 0.0)
+        assert tail == ((None, None) if k == MAX_ITERS - 1 else (k + 1, 1))
         A, B = _scripted_pair(k, _EVENTS["nan image"][0], True, False)
         with pytest.raises(NonFiniteIterateError) as err:
             _reference(A, B, np.array([-0.0, START]), MAX_ITERS, 0.0)

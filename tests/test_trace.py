@@ -4,8 +4,9 @@
 iteration and CSV writer that ``iterate`` and ``write_trace_csv`` used before
 the trace became ``(n, d)`` arrays; every array, the displacement estimate,
 the stop reason and the CSV bytes must match them bitwise. The reference loop
-never stops at a stationary point, so it also pins the rows ``iterate`` fills
-without iterating once the orbit is bitwise stationary.
+never stops at a repeated point, so it also pins the rows ``iterate`` tiles
+without iterating once the orbit repeats bitwise, and it finds the tail as the
+first stored record that repeats an earlier one (or whose successor repeats it).
 """
 
 import json
@@ -48,8 +49,7 @@ def _reference_iterate(problem, max_iters, step_tol):
     A, B = problem.A, problem.B
     x = problem.x0.copy()
     records = []
-    stop = StopReason.MAX_ITERS
-    stationary_at = None
+    first_seen, tail = {}, None
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(max_iters):
             ja = A.resolvent_map(x)
@@ -70,12 +70,14 @@ def _reference_iterate(problem, max_iters, step_tol):
                 }
             )
             if float(np.linalg.norm(step)) < step_tol:
-                stop = StopReason.STEP_CONVERGED
-                break
-            if stationary_at is None and x_next.tobytes() == x.tobytes():
-                stationary_at = n
+                return records, StopReason.STEP_CONVERGED, None
+            seen = first_seen.setdefault(x.tobytes(), n)
+            if tail is None and seen < n:
+                tail = (seen, n - seen)
+            if tail is None and x_next.tobytes() == x.tobytes():
+                tail = (n, 1)
             x = x_next
-    return records, stop, stationary_at
+    return records, StopReason.MAX_ITERS, tail
 
 
 def _cell(x):
@@ -106,10 +108,10 @@ def _reference_csv(records, d):
 def _assert_matches_reference(problem, max_iters, step_tol, path):
     """Compare one run with the reference loop; returns the trace."""
     tr = iterate(problem, max_iters=max_iters, step_tol=step_tol)
-    records, stop, stationary_at = _reference_iterate(problem, max_iters, step_tol)
+    records, stop, tail = _reference_iterate(problem, max_iters, step_tol)
     assert len(tr) == len(records)
     assert tr.stop_reason is stop
-    assert tr.stationary_at == stationary_at
+    assert (tr.tail_start, tr.tail_period) == (tail or (None, None))
     for name in FIELDS:
         got = getattr(tr, name)
         assert got.shape == (len(records), problem.dim), name
@@ -139,23 +141,23 @@ def test_trace_equals_reference_loop_on_scenarios(name, seed, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name, kwargs, stationary_at",
+    "name, kwargs, tail",
     [
-        ("random-affine", {"dim": 5, "seed": 3}, 170),
-        ("random-1d", {"seed": 2}, 86),
-        ("random-affine", {"dim": 2, "seed": 518788}, 1164),
+        ("random-affine", {"dim": 5, "seed": 3}, (170, 1)),
+        ("random-1d", {"seed": 2}, (86, 1)),
+        ("random-affine", {"dim": 2, "seed": 518788}, (1164, 1)),
         # enters an exact period-6 cycle at n = 2147: never stationary
-        ("affine-consistent", {"seed": 0}, None),
+        ("affine-consistent", {"seed": 0}, (2147, 6)),
     ],
 )
-def test_full_default_runs_equal_reference_loop(name, kwargs, stationary_at, tmp_path):
+def test_full_default_runs_equal_reference_loop(name, kwargs, tail, tmp_path):
     inst = build_scenario(name, **kwargs)
     tr = _assert_matches_reference(
         inst.problem, inst.default_iters, inst.default_step_tol, tmp_path / "t.csv"
     )
     assert len(tr) == inst.default_iters == 10_000
     assert tr.stop_reason is StopReason.MAX_ITERS
-    assert tr.stationary_at == stationary_at
+    assert (tr.tail_start, tr.tail_period) == tail
 
 
 def test_positive_step_tol_stops_before_the_stationary_fill(tmp_path):
@@ -164,7 +166,7 @@ def test_positive_step_tol_stops_before_the_stationary_fill(tmp_path):
     tr = _assert_matches_reference(inst.problem, 10_000, 5e-324, tmp_path / "t.csv")
     assert tr.stop_reason is StopReason.STEP_CONVERGED
     assert len(tr) == 171
-    assert tr.stationary_at is None
+    assert (tr.tail_start, tr.tail_period) == (None, None)
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -234,7 +236,7 @@ def _written_traces(draw):
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=3 * n * d, max_size=3 * n * d))
     governing, shadow, b_shadow = np.array(pool)[picks].reshape(3, n, d)
     cone = normal_cone(NonnegativeOrthant(d))
-    return DRTrace(DRProblem(cone, cone, np.zeros(d)), governing, shadow, b_shadow, StopReason.MAX_ITERS, None)
+    return DRTrace(DRProblem(cone, cone, np.zeros(d)), governing, shadow, b_shadow, StopReason.MAX_ITERS, None, None)
 
 
 @settings(max_examples=200, deadline=None)
@@ -321,7 +323,7 @@ def test_summary_numbers_equal_the_last_csv_row_as_text(args, tmp_path, capsys):
     "name, kwargs, gram_calls",
     [
         ("random-affine", {"dim": 5, "seed": 3}, 0),  # stationary at n = 170
-        ("affine-consistent", {"seed": 0}, 1),  # never stationary
+        ("affine-consistent", {"seed": 0}, 1),  # period 6 from n = 2,147: rows differ
     ],
 )
 def test_window_diameter_evaluated_once_per_trace(name, kwargs, gram_calls, monkeypatch):
@@ -404,7 +406,7 @@ def _last_record_traces():
 def test_final_facts_equal_the_last_rows_bitwise():
     traces = _last_record_traces()
     assert traces["step_converged"].stop_reason is StopReason.STEP_CONVERGED
-    assert traces["stationary_filled"].stationary_at == 170
+    assert (traces["stationary_filled"].tail_start, traces["stationary_filled"].tail_period) == (170, 1)
     for name, tr in traces.items():
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the overflowing norm stays silent
@@ -442,7 +444,7 @@ def test_rows_are_the_slices_of_the_whole_trace_bitwise():
                 part = tr.rows(index)
                 got = {field: getattr(part, field) for field in FIELDS + ("step_norms",)}
                 want = {field: getattr(tr, field)[index] for field in FIELDS + ("step_norms",)}
-            assert part.problem is tr.problem and part.stationary_at is None
+            assert part.problem is tr.problem and (part.tail_start, part.tail_period) == (None, None)
             for field in got:
                 assert got[field].shape == want[field].shape, (name, index, field)
                 assert got[field].tobytes() == want[field].tobytes(), (name, index, field)

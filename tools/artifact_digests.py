@@ -64,7 +64,7 @@ def cli_runs() -> list[list[str]]:
     runs.append(["--scenario", "random-affine", "--dim", "1"])
     runs.append(["--scenario", "random-affine", "--dim", "0"])
     runs.append(["--scenario", "parallel-lines", "--x0=1,2,3"])
-    # a far-out start, a search that stagnates at an overflowing step norm, and
+    # a far-out start, a search that cycles at an overflowing step norm, and
     # a stationary stop
     runs.append(["--scenario", "random-affine", "--dim", "2", "--x0=1e200,-1e200", "--iters", "200"])
     runs.append(["--scenario", "random-affine", "--dim", "3", "--x0=1e200,1e200,1e200"])
@@ -99,6 +99,13 @@ def cli_runs() -> list[list[str]]:
     # turns stationary at n = 45 (the lead at n = 112), so 11 of its 12 blocks
     # start at its fixed point
     runs.append(["--scenario", "random-affine", "--dim", "50", "--seed", "10"])
+    # orbits that end in an exact cycle and are tiled from it: period 12 from
+    # n = 217, period 30 from n = 656 (found at the 2,016-record window), and
+    # period 5 from n = 102, whose companion (period 3 from n = 111) cycles
+    # across its blocks of 8,738 records
+    runs.append(["--scenario", "random-affine", "--dim", "2", "--seed", "994794"])
+    runs.append(["--scenario", "random-affine", "--dim", "2", "--seed", "98827"])
+    runs.append(["--scenario", "random-affine", "--dim", "5", "--seed", "5351", "--iters", "20000"])
     return runs
 
 
