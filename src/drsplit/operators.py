@@ -42,7 +42,9 @@ class MonotoneOperator:
     shape, and row i of a stack's image must be bitwise equal to the image of
     row i alone. Every public evaluation checks the shape of its first image
     (``OperatorContractError``) and trusts later ones: ``iterate`` checks it at
-    the start point only.
+    the start point only. ``iterate`` relies on the row contract: it takes a
+    translating orbit's records from stacked calls on guessed points, so a map
+    whose stacked rows differ from its lone images gives a different trace.
     """
 
     resolvent_map: Callable[[np.ndarray], np.ndarray]

@@ -212,11 +212,27 @@ def _orbit(
     unchecked_maps = (A.resolvent_map, B.resolvent_map)
     # the images at n = 0 go through the shape check; later ones are trusted
     ja_map, jb_map = A._checked_map, B._checked_map
+    delta = None  # minus the last block's last step where its last two are bitwise equal
     with np.errstate(over="ignore", invalid="ignore"):
         for block in row_blocks(max_iters, 1, STEP_TEST_RECORDS):
-            failure = None
+            failure, took = None, 0
+            if delta is not None:
+                # guess the block as the translation of x by delta, and keep the
+                # rows up to the first whose image misses the next guess: by the
+                # row contract each kept row is the loop's record, bit for bit
+                try:
+                    guess = np.cumsum(np.vstack((x, np.tile(delta, (block.stop - block.start - 1, 1)))), axis=0)
+                    guess, ja, _, jb, _, nxt = dr_step(A, B, guess)  # the loop's expressions
+                    misses = np.flatnonzero(np.any(nxt[:-1].view(np.int64) != guess[1:].view(np.int64), axis=1))
+                    took = int(misses[0]) + 1 if misses.size else len(guess)
+                except Exception:  # a rejected guess or an image of the wrong shape: the loop does it all
+                    pass
+                else:
+                    rows = slice(block.start, block.start + took)
+                    governing[rows], shadow[rows], b_shadow[rows] = guess[:took], ja[:took], jb[:took]
+                    x = nxt[took - 1]
             try:
-                for n in range(block.start, block.stop):
+                for n in range(block.start + took, block.stop):
                     ja = ja_map(x)
                     jb = jb_map((ja + ja) - x)  # bitwise 2.0 * ja - x, and cheaper
                     governing[n], shadow[n], b_shadow[n] = x, ja, jb
@@ -246,6 +262,7 @@ def _orbit(
                     break
             if failure is not None:
                 raise failure
+            delta = -step[-1] if len(step) > 1 and step[-1].tobytes() == step[-2].tobytes() else None
             if block.stop == window_end:
                 # the rows whose first coordinate matches, then their whole rows
                 hits = anchor + 1 + np.flatnonzero(bits[anchor + 1 : window_end, 0] == bits[anchor, 0])
@@ -291,8 +308,15 @@ def iterate(problem: DRProblem, max_iters: int, step_tol: float) -> DRTrace:
     The loop computes blocks of ``STEP_TEST_RECORDS`` records and then tests
     each step of a block in one vectorized pass, with ``DRTrace.steps``'
     expression and ``row_norms``; it keeps the records up to the block's first
-    stop and discards the rest, so up to 31 resolvent evaluations past a stop
-    are made and thrown away.
+    stop and discards the rest, so up to 31 records past a stop are computed
+    and thrown away. Where a block's last two steps are bitwise equal (an
+    orbit that translates, as the zero-free affine ones do), the next block is
+    guessed as x, x + delta, x + 2 delta, ... with delta minus that step, and
+    each resolvent is called once on the stacked guess through ``dr_step``,
+    whose expressions are the loop's: the rows up to the first whose T-image misses the next guess
+    are the loop's records, by the row contract of ``MonotoneOperator``, and
+    the record-by-record loop computes the rest of the block, or all of it
+    where a stacked call raises or returns the wrong shape.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")

@@ -81,7 +81,9 @@ _EVENTS = {
 def _scripted_pair(k: int, event, rejects_non_finite: bool, raises_at_event: bool):
     """A = N_{0} in R^2 and a B whose image is (-0.0, 1.0), so T x = x + (0, 1),
     except ``event`` (or a ``ResolventError``) at the input of record k; with
-    ``rejects_non_finite`` both raise ``ResolventError`` on a non-finite input."""
+    ``rejects_non_finite`` both raise ``ResolventError`` on a non-finite input.
+    Both map a stack row by row, so ``iterate`` takes the translation's blocks
+    from stacked guesses up to the event."""
     trigger = -(START + k)
 
     def check(y):
@@ -94,11 +96,10 @@ def _scripted_pair(k: int, event, rejects_non_finite: bool, raises_at_event: boo
 
     def jb(y):
         check(y)
-        if y[1] == trigger:
-            if raises_at_event:
-                raise ResolventError("event")
-            return np.array(event)
-        return np.array([-0.0, 1.0])
+        at_event = y[..., 1:] == trigger
+        if raises_at_event and np.any(at_event):
+            raise ResolventError("event")
+        return np.where(at_event, event or np.nan, [-0.0, 1.0])
 
     return (
         MonotoneOperator(resolvent_map=ja, dim=2, label="zero"),
@@ -203,8 +204,8 @@ def _stops_then_fails(n: int) -> MonotoneOperator:
     ``ResolventError`` at every later record."""
 
     def jb(y):
-        if y[1] < -(START + n):
+        if np.any(y[..., 1] < -(START + n)):
             raise ResolventError("event")
-        return np.array([-0.0, 0.5 if y[1] == -(START + n) else 1.0])
+        return np.where(y[..., 1:] == -(START + n), [-0.0, 0.5], [-0.0, 1.0])
 
     return MonotoneOperator(resolvent_map=jb, dim=2, label="stops-then-fails")

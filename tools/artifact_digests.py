@@ -106,6 +106,12 @@ def cli_runs() -> list[list[str]]:
     runs.append(["--scenario", "random-affine", "--dim", "2", "--seed", "994794"])
     runs.append(["--scenario", "random-affine", "--dim", "2", "--seed", "98827"])
     runs.append(["--scenario", "random-affine", "--dim", "5", "--seed", "5351", "--iters", "20000"])
+    # translating orbits whose records iterate takes a block at a time: steps
+    # that change where a coordinate crosses a power of two (parallel-lines,
+    # shifted-subspace) and one constant step (points-1d)
+    runs.append(["--scenario", "parallel-lines", "--x0=1.2,-2.1", "--iters", "10000"])
+    runs.append(["--scenario", "shifted-subspace", "--x0=1.2,-2.1", "--iters", "10000"])
+    runs.append(["--scenario", "points-1d", "--x0=1.25", "--iters", "10000"])
     return runs
 
 
