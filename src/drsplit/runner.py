@@ -48,7 +48,7 @@ from .scenarios import (
     random_affine_pair,
     random_pw1d_pair,
 )
-from .space import AffineSubspace, Ball, Box, NonnegativeOrthant, Singleton, row_blocks
+from .space import AffineSubspace, Ball, Box, NonnegativeOrthant, Singleton, row_blocks, row_norms
 from .splitting import DRTrace, dr_apply, dr_step, iterate
 
 # ---------------------------------------------------------------------------
@@ -176,9 +176,13 @@ def _csv_block(part: DRTrace, first: int) -> str:
     bit pattern formatted once: bits, not values, so that -0.0 and 0.0 keep
     their own texts. The texts are freed on return, before the next block
     makes its own, so the writer never holds two blocks' texts."""
-    block = np.hstack(
-        [part.governing, part.shadow, part.dual_shadow, part.b_shadow, part.step_norms[:, None], part.steps]
-    )
+    # the dual shadow once, and the steps and their norms from it by
+    # DRTrace.steps' and DRTrace.step_norms' expressions
+    dual = part.dual_shadow
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = part.governing - (dual + part.b_shadow)
+        norms = row_norms(steps)
+    block = np.hstack([part.governing, part.shadow, dual, part.b_shadow, norms[:, None], steps])
     bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
     # one format call for every pattern: no FLOAT_FORMAT text holds a comma
     texts = ((FLOAT_FORMAT + ",") * len(bits))[:-1] % tuple(bits.view(float).tolist())

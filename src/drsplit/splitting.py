@@ -189,9 +189,30 @@ def _physical_memory_bytes() -> Optional[int]:
 _MAX_FLOAT = float(np.finfo(float).max)
 
 
-# records of one orbit computed between two step tests: one vectorized pass
-# then tests each step of the block (32 measured fastest; 64 runs the same)
+# records the loop computes between two step tests: one vectorized pass then
+# tests each step of the block (32 measured fastest; 64 runs the same), so
+# the loop computes at most 31 records past a stop. A block guessed as a
+# translation starts at this length and doubles with each guess kept whole;
+# its rows past a stop come from its one stacked call and are discarded
 STEP_TEST_RECORDS = 32
+
+
+def _guessed_rows(
+    A: MonotoneOperator, B: MonotoneOperator, arrays: list[np.ndarray], first: int, m: int, x, delta
+) -> tuple[int, np.ndarray]:
+    """Guess the m records from row ``first`` as x, x + delta, x + 2 delta, ...,
+    evaluate the guess with one ``dr_step`` (one stacked call per resolvent,
+    the loop's expressions) and write into ``arrays`` the rows up to the first
+    whose T-image misses the next guess: by the row contract each is the
+    loop's record, bit for bit. Returns how many rows it wrote and the last
+    one's T-image; the guess's temporaries are freed on return."""
+    guess = np.cumsum(np.vstack((x, np.tile(delta, (m - 1, 1)))), axis=0)
+    guess, ja, _, jb, _, nxt = dr_step(A, B, guess)
+    misses = np.flatnonzero(np.any(nxt[:-1].view(np.int64) != guess[1:].view(np.int64), axis=1))
+    took = int(misses[0]) + 1 if misses.size else m
+    for a, images in zip(arrays, (guess, ja, jb)):
+        a[first : first + took] = images[:took]
+    return took, nxt[took - 1].copy()
 
 
 def _orbit(
@@ -209,37 +230,43 @@ def _orbit(
     # long as the last, so a cycle is found at the end of the first window
     # that starts inside it and holds a whole period
     anchor, window, window_end = 0, STEP_TEST_RECORDS, STEP_TEST_RECORDS
+    # the most rows one guess holds: one row block of rows of 9 d numbers, d in
+    # each of dr_step's six images and its reflection, and in the last block's
+    # next points and steps, still held while the guess is evaluated
+    budget = next(row_blocks(max_iters, 9 * problem.dim)).stop
     unchecked_maps = (A.resolvent_map, B.resolvent_map)
     # the images at n = 0 go through the shape check; later ones are trusted
     ja_map, jb_map = A._checked_map, B._checked_map
     delta = None  # minus the last block's last step where its last two are bitwise equal
+    first, guess_rows = 0, STEP_TEST_RECORDS  # the next block's first row and longest guess
     with np.errstate(over="ignore", invalid="ignore"):
-        for block in row_blocks(max_iters, 1, STEP_TEST_RECORDS):
-            failure, took = None, 0
+        while first < max_iters:
+            failure, took, whole = None, 0, False
+            end = min(window_end, max_iters)  # no block crosses the end of a window
             if delta is not None:
-                # guess the block as the translation of x by delta, and keep the
-                # rows up to the first whose image misses the next guess: by the
-                # row contract each kept row is the loop's record, bit for bit
+                m = min(guess_rows, budget, end - first)
                 try:
-                    guess = np.cumsum(np.vstack((x, np.tile(delta, (block.stop - block.start - 1, 1)))), axis=0)
-                    guess, ja, _, jb, _, nxt = dr_step(A, B, guess)  # the loop's expressions
-                    misses = np.flatnonzero(np.any(nxt[:-1].view(np.int64) != guess[1:].view(np.int64), axis=1))
-                    took = int(misses[0]) + 1 if misses.size else len(guess)
+                    took, x = _guessed_rows(A, B, arrays, first, m, x, delta)
                 except Exception:  # a rejected guess or an image of the wrong shape: the loop does it all
                     pass
                 else:
-                    rows = slice(block.start, block.start + took)
-                    governing[rows], shadow[rows], b_shadow[rows] = guess[:took], ja[:took], jb[:took]
-                    x = nxt[took - 1]
+                    whole = took == m
+            # a guess kept whole is the block, and the next may be twice as long;
+            # else the loop finishes the 32-record block of the last row kept (of
+            # the first row, where none was), and the next guess is 32 rows again
+            last = first + max(took - 1, 0)
+            stop = first + took if whole else min(end, last - last % STEP_TEST_RECORDS + STEP_TEST_RECORDS)
+            guess_rows = 2 * guess_rows if whole else STEP_TEST_RECORDS
+            block = slice(first, stop)
             try:
-                for n in range(block.start + took, block.stop):
+                for n in range(first + took, stop):
                     ja = ja_map(x)
                     jb = jb_map((ja + ja) - x)  # bitwise 2.0 * ja - x, and cheaper
                     governing[n], shadow[n], b_shadow[n] = x, ja, jb
                     x = x - ja + jb
                     ja_map, jb_map = unchecked_maps
             except Exception as exc:  # a resolvent may reject a point past a breakdown
-                failure, block = exc, slice(block.start, n)
+                failure, block = exc, slice(first, n)
             g, s, b = governing[block], shadow[block], b_shadow[block]
             x_next = (g - s) + b  # row n is bitwise x - ja + jb
             step = g - x_next  # DRTrace.steps' expression
@@ -253,7 +280,7 @@ def _orbit(
                 stops = np.flatnonzero(broken | converged | repeats)
                 if stops.size:
                     k = int(stops[0])
-                    n = block.start + k
+                    n = first + k
                     if broken[k]:
                         raise NonFiniteIterateError(n)
                     if converged[k]:
@@ -263,7 +290,7 @@ def _orbit(
             if failure is not None:
                 raise failure
             delta = -step[-1] if len(step) > 1 and step[-1].tobytes() == step[-2].tobytes() else None
-            if block.stop == window_end:
+            if stop == window_end:
                 # the rows whose first coordinate matches, then their whole rows
                 hits = anchor + 1 + np.flatnonzero(bits[anchor + 1 : window_end, 0] == bits[anchor, 0])
                 hits = hits[np.all(bits[hits] == bits[anchor], axis=1)]
@@ -274,6 +301,7 @@ def _orbit(
                     break
                 anchor, window = window_end - 1, 2 * window
                 window_end += window
+            first = stop
         else:
             return max_iters, StopReason.MAX_ITERS, None, None
     # tile the rows after the known ones from whole periods, each copy of
@@ -308,15 +336,21 @@ def iterate(problem: DRProblem, max_iters: int, step_tol: float) -> DRTrace:
     The loop computes blocks of ``STEP_TEST_RECORDS`` records and then tests
     each step of a block in one vectorized pass, with ``DRTrace.steps``'
     expression and ``row_norms``; it keeps the records up to the block's first
-    stop and discards the rest, so up to 31 records past a stop are computed
-    and thrown away. Where a block's last two steps are bitwise equal (an
+    stop and discards the rest, so the loop computes and throws away up to 31
+    records past a stop. Where a block's last two steps are bitwise equal (an
     orbit that translates, as the zero-free affine ones do), the next block is
     guessed as x, x + delta, x + 2 delta, ... with delta minus that step, and
     each resolvent is called once on the stacked guess through ``dr_step``,
-    whose expressions are the loop's: the rows up to the first whose T-image misses the next guess
-    are the loop's records, by the row contract of ``MonotoneOperator``, and
-    the record-by-record loop computes the rest of the block, or all of it
-    where a stacked call raises or returns the wrong shape.
+    whose expressions are the loop's: the rows up to the first whose T-image
+    misses the next guess are the loop's records, by the row contract of
+    ``MonotoneOperator``. A guess kept whole is the block, and the next guess
+    is twice as long (32, 64, 128, ... rows), but never crosses the end of a
+    Brent window or ``max_iters`` and holds at most one ``space.row_blocks``
+    block of rows of 9 d numbers; a guessed block discards its rows past a
+    stop, all from its one stacked call. After a miss the record-by-record
+    loop finishes the 32-record block of the last row kept, or computes a
+    whole 32-record block where a stacked call raises or returns the wrong
+    shape, and the next guess is 32 rows again.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")

@@ -9,6 +9,7 @@ without iterating once the orbit repeats bitwise, and it finds the tail as the
 first stored record that repeats an earlier one (or whose successor repeats it).
 """
 
+import collections
 import json
 import math
 import pathlib
@@ -293,6 +294,25 @@ def test_csv_writer_holds_one_block_of_numbers(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_csv_writer_derives_each_dual_shadow_once_per_block(tmp_path, monkeypatch):
+    # each block's dual shadow once, and its steps and their norms from it by
+    # DRTrace.steps' and DRTrace.step_norms' expressions: no steps read, the
+    # same bytes
+    tr = iterate(build_scenario("random-affine", dim=50, seed=1).problem, 3000, 0.0)
+    path = tmp_path / "t.csv"
+    write_trace_csv(tr, str(path))
+    expected = path.read_bytes()
+    reads = collections.Counter()
+    for name in ("dual_shadow", "steps", "step_norms"):
+        derive = getattr(DRTrace, name).fget
+        monkeypatch.setattr(DRTrace, name, property(lambda t, f=derive, n=name: reads.update([n]) or f(t)))
+    write_trace_csv(tr, str(path))
+    blocks = list(row_blocks(len(tr), 5 * 50 + 1, drsplit.runner.CSV_BLOCK))
+    assert len(blocks) > 1
+    assert reads == {"dual_shadow": len(blocks)}
+    assert path.read_bytes() == expected
 
 
 @pytest.mark.parametrize(

@@ -112,6 +112,14 @@ def cli_runs() -> list[list[str]]:
     runs.append(["--scenario", "parallel-lines", "--x0=1.2,-2.1", "--iters", "10000"])
     runs.append(["--scenario", "shifted-subspace", "--x0=1.2,-2.1", "--iters", "10000"])
     runs.append(["--scenario", "points-1d", "--x0=1.25", "--iters", "10000"])
+    # guesses that double to whole Brent windows and to the row-block cap
+    # (7,281 rows at d = 2, 14,563 at d = 1), several to a window: 10^5
+    # records from parallel-lines' default start, and 40,000 from a start
+    # whose first 1,075 records halve a coordinate (shifted-subspace) and
+    # from one with a constant step (points-1d)
+    runs.append(["--scenario", "parallel-lines", "--iters", "100000"])
+    runs.append(["--scenario", "shifted-subspace", "--x0=1.2,-2.1", "--iters", "40000"])
+    runs.append(["--scenario", "points-1d", "--x0=-3.75", "--iters", "40000"])
     return runs
 
 
