@@ -112,12 +112,13 @@ def _shifted_fejer_check(v: np.ndarray, sample: SetSample) -> CheckFn:
 
 def _pair_fejer_check(sets: SolutionSets) -> CheckFn:
     """The (shadow, dual shadow) sequence is Fejer monotone w.r.t. the solution
-    pairs, both as points of the product space."""
+    pairs, both as points of the product space, over the trace's
+    ``defining_rows``."""
     pairs = sets.pairs
 
     def check(trace: DRTrace) -> CheckResult:
         # the product-space rows, built one row block at a time
-        parts = map(trace.rows, row_blocks(len(trace), 2 * trace.problem.dim))
+        parts = map(trace.rows, row_blocks(trace.defining_rows, 2 * trace.problem.dim))
         res = fejer_check((np.hstack([p.shadow, p.dual_shadow]) for p in parts), pairs, slack=1e-10)
         return CheckResult(res.passed, res.max_sq_increase, res.witness_index)
 
@@ -338,6 +339,7 @@ def _consistent_checks(sets: SolutionSets, companion: Optional[np.ndarray]) -> l
             sets.primal,
             tol=1e-6,
             cauchy=trace.trailing_shadow_diameter,
+            tail=(trace.tail_start, trace.tail_period),
         )
         worst = max(rep.pairing_max, rep.cauchy)
         return CheckResult(rep.verdict, worst)

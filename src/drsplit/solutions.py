@@ -12,6 +12,7 @@ same problem.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -20,7 +21,16 @@ import numpy as np
 from .errors import DimensionMismatchError, PossiblyInconsistentError
 from .operators import MonotoneOperator
 from .space import as_point, as_points, diameter, row_blocks, row_norms
-from .splitting import DRProblem, DRTrace, StopReason, _orbit_blocks, dr_step, trailing_quarter
+from .splitting import (
+    DRProblem,
+    DRTrace,
+    StopReason,
+    _orbit_blocks,
+    _tile_periods,
+    distinct_rows_stop,
+    dr_step,
+    trailing_quarter,
+)
 
 
 @dataclass(eq=False)
@@ -192,6 +202,7 @@ def sweet_principle_check(
     E: SetSample,
     tol: float,
     cauchy: Optional[float] = None,
+    tail: tuple[Optional[int], Optional[int]] = (None, None),
 ) -> SweetPrincipleReport:
     """Check the three hypotheses/conclusions of the coupled Fejer principle.
 
@@ -199,16 +210,23 @@ def sweet_principle_check(
     whose limit is claimed to land in the set sampled by ``E``, both (n, d)
     arrays with n >= 1 (one row is its own trailing window). ``cauchy`` is
     the trailing-quarter diameter of ``u_seq`` when the caller already has it
-    (a trace caches its shadow's); otherwise it is computed here.
+    (a trace caches its shadow's); otherwise it is computed here. ``tail`` is
+    the sequences' ``(tail_start, tail_period)`` when their rows from
+    tail_start on repeat with that period, as a trace's do: the Fejer part
+    then reads the first ``DRTrace.defining_rows`` rows and the pairings the
+    first period of the trailing quarter (with the rows before the tail in
+    it), every result bitwise as over all rows.
     """
     if not (isinstance(u_seq, np.ndarray) and u_seq.shape == np.shape(x_seq)):
         raise ValueError(f"sequence shapes differ: {np.shape(x_seq)} vs {np.shape(u_seq)}")
-    fejer = fejer_check(x_seq, E, slack=1e-10)
-    window = trailing_quarter(x_seq.shape[0])
-    u_win = u_seq[window]
-    pairing_max = float(np.max(np.abs(_sample_pairings(u_win, x_seq[window], E.points))))
+    n = x_seq.shape[0]
+    # DRTrace.defining_rows' rule
+    fejer = fejer_check(x_seq[: distinct_rows_stop(0, n - 1, *tail) + 1], E, slack=1e-10)
+    window = trailing_quarter(n)
+    distinct = slice(window.start, distinct_rows_stop(window.start, n, *tail))
+    pairing_max = float(np.max(np.abs(_sample_pairings(u_seq[distinct], x_seq[distinct], E.points))))
     if cauchy is None:
-        cauchy = diameter(u_win)
+        cauchy = diameter(u_seq[window])
     verdict = bool(fejer.passed and pairing_max <= tol and cauchy <= tol)
     return SweetPrincipleReport(
         fejer=fejer,
@@ -259,18 +277,30 @@ def summability_report(
     step-difference series has square-summable terms; the two pairing series
     have nonnegative terms (graph monotonicity) whose sums are bounded by the
     initial squared gap of the starts.
+
+    Where both runs end in a tail, the lead's (t_x, p_x) and the second run's
+    (t_y, p_y) from its first row-block trace that has one (offset by the rows
+    before that block), every term from max(t_x, t_y) on repeats with period
+    lcm(p_x, p_y). The terms are computed up to one such period and the rest
+    is copied from it, so every sum, minimum and last term is bitwise the one
+    over all terms; every block of ``trace_y`` is still read.
     """
     px = trace_x.problem
     # the three (n,) term vectors, each block's from that block's rows alone
     step_diff, pa, pb = (np.empty(len(trace_x)) for _ in range(3))
     n = 0  # records of both runs paired so far
+    computed, tail = len(trace_x), None  # terms past computed repeat with tail = (start, period)
     # an overflowing orbit gives inf or NaN terms, which fail the verdicts
     with np.errstate(over="ignore", invalid="ignore"):
         for block in [trace_y] if isinstance(trace_y, DRTrace) else trace_y:
             if block.problem.A is not px.A or block.problem.B is not px.B:
                 raise ValueError("traces come from different problems")
+            if tail is None and trace_x.tail_start is not None and block.tail_start is not None:
+                start = max(trace_x.tail_start, n + block.tail_start)
+                tail = start, math.lcm(trace_x.tail_period, block.tail_period)
+                computed = min(computed, sum(tail))
             paired = min(len(block), len(trace_x) - n)
-            for rows in row_blocks(paired, px.dim):
+            for rows in row_blocks(max(0, min(paired, computed - n)), px.dim):
                 at = slice(n + rows.start, n + rows.stop)
                 bx, by = trace_x.rows(at), block.rows(rows)
                 # each run's dual shadow once, and its steps from it by DRTrace.steps' expression
@@ -283,6 +313,9 @@ def summability_report(
     if not n:
         raise ValueError("expected a nonempty second run")
     step_diff, pa, pb = step_diff[:n], pa[:n], pb[:n]
+    if computed < n:
+        for terms in (step_diff, pa, pb):
+            _tile_periods(terms, *tail, computed)
     return SummabilityReport(
         step_diff_sum=float(step_diff.sum()),
         pairing_a_sum=float(pa.sum()),
@@ -303,14 +336,15 @@ def decoupled_1d_fejer_check(problem: DRProblem, z, k, trace: DRTrace) -> bool:
     """On the line, shadows and dual shadows are separately Fejer monotone.
 
     Checks |shadow[n+1] - z| <= |shadow[n] - z| + 1e-12 and the analogous
-    inequality of the dual shadows against k. Only valid in dimension 1; in
-    the plane the coupled check is the best possible (see the quarter-turn
-    counterexample).
+    inequality of the dual shadows against k, over the trace's
+    ``defining_rows``. Only valid in dimension 1; in the plane the coupled
+    check is the best possible (see the quarter-turn counterexample).
     """
     if problem.dim != 1:
         raise DimensionMismatchError("decoupled Fejer monotonicity is a 1-d statement")
     zv = as_point(z, 1)
     kv = as_point(k, 1)
-    shadow_ok = fejer_check(trace.shadow, SetSample([zv]), slack=1e-12).passed
-    dual_ok = fejer_check(trace.dual_shadow, SetSample([kv]), slack=1e-12).passed
+    part = trace.rows(slice(0, trace.defining_rows))
+    shadow_ok = fejer_check(part.shadow, SetSample([zv]), slack=1e-12).passed
+    dual_ok = fejer_check(part.dual_shadow, SetSample([kv]), slack=1e-12).passed
     return bool(shadow_ok and dual_ok)

@@ -63,7 +63,8 @@ class DRTrace:
     loop computed; only the O(N^2) ``trailing_shadow_diameter`` is kept.
     ``tail_start`` and ``tail_period`` are the first n and the least p with
     T^(n+p) x bitwise equal to T^n x, both ``None`` where ``iterate`` found
-    none: every row from n on repeats rows n to n + p - 1.
+    none: every row from n on repeats rows n to n + p - 1, so a reduction over
+    the rows needs only the first ``defining_rows``.
     """
 
     problem: DRProblem
@@ -104,6 +105,15 @@ class DRTrace:
         with np.errstate(over="ignore", invalid="ignore"):
             return row_norms(self.steps)
 
+    @property
+    def defining_rows(self) -> int:
+        """How many leading rows fix every row's values and every difference of
+        consecutive rows: min(N, t + p + 1) for a tail (t, p), else N. A
+        reduction that reads only them (a max, an argmax or a first violation,
+        each a first occurrence) is bitwise the one over all N rows."""
+        # the rows of the distinct consecutive differences, and the row after the last
+        return distinct_rows_stop(0, len(self) - 1, self.tail_start, self.tail_period) + 1
+
     @cached_property
     def trailing_shadow_diameter(self) -> float:
         """Diameter of the shadow over the trailing quarter of the trace."""
@@ -125,6 +135,27 @@ class DRTrace:
     def final_step_norm(self) -> float:
         """The last step's norm, bitwise ``step_norms[-1]``."""
         return float(self.rows(slice(-1, None)).step_norms[0])
+
+
+def distinct_rows_stop(first: int, length: int, tail_start: Optional[int], tail_period: Optional[int]) -> int:
+    """Where the shortest run of rows from ``first`` that holds every distinct
+    row of rows ``first`` to ``length - 1`` ends, for a sequence whose rows
+    from ``tail_start`` on repeat with period ``tail_period``: min(length,
+    max(first, t) + p), or ``length`` without a tail."""
+    if tail_start is None:
+        return length
+    return min(length, max(first, tail_start) + tail_period)
+
+
+def _tile_periods(a: np.ndarray, start: int, period: int, known: int) -> None:
+    """Fill ``a[known:]`` from the rows before it, whose rows from ``start`` on
+    repeat with ``period``: each copy is of whole periods that end where it
+    begins, and twice as many as the last."""
+    n, run = known, period * ((known - start) // period)
+    while n < len(a):
+        count = min(run, len(a) - n)
+        a[n : n + count] = a[n - run : n - run + count]
+        n, run = n + count, 2 * run
 
 
 def trailing_quarter(length: int) -> slice:
@@ -304,14 +335,8 @@ def _orbit(
             first = stop
         else:
             return max_iters, StopReason.MAX_ITERS, None, None
-    # tile the rows after the known ones from whole periods, each copy of
-    # rows that end where it begins and twice as many as the last
     for a in arrays:
-        n, run = known, period * ((known - start) // period)
-        while n < max_iters:
-            count = min(run, max_iters - n)
-            a[n : n + count] = a[n - run : n - run + count]
-            n, run = n + count, 2 * run
+        _tile_periods(a, start, period, known)
     return max_iters, StopReason.MAX_ITERS, start, period
 
 

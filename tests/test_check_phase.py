@@ -6,7 +6,10 @@ distance or pairing column per sample point, one row block at a time, and
 ``summability_report`` derives its terms one row block at a time, from a
 whole second trace or from its consecutive row blocks. Each must be
 bitwise equal to the formula that forms the whole N x N Gram matrix, the
-(n, m, d) differences or the whole derived sequences at once. Bitwise
+(n, m, d) differences or the whole derived sequences at once. On a trace
+that ends in an exact periodic tail (t, p) the checks read only the rows up
+to t + p and the terms up to one common period of both summability runs,
+and every result must still be bitwise the one over all rows. Bitwise
 equality of a block product with the same entries of ``a @ a.T`` is an
 assumption about the BLAS, which these tests check on whatever numpy runs
 them. ``tracemalloc`` sees numpy's buffers, so
@@ -29,7 +32,9 @@ from drsplit import (
     DRProblem,
     DRTrace,
     FejerResult,
+    MonotoneOperator,
     SetSample,
+    SolutionSets,
     build_scenario,
     diameter,
     fejer_check,
@@ -41,8 +46,9 @@ from drsplit import (
     sweet_principle_check,
     trailing_quarter,
 )
-from drsplit.scenarios import ScenarioInstance, _perturbed_start
+from drsplit.scenarios import ScenarioInstance, _pair_fejer_check, _perturbed_start
 from drsplit.space import row_blocks
+from drsplit.splitting import _orbit_blocks, _tile_periods
 
 MIB = 2**20
 BLOCK = drsplit.space.BLOCK_NUMBERS
@@ -209,25 +215,46 @@ def matrix_spy(monkeypatch):
     return made
 
 
+def _sweet_check(trace, sample, cauchy=0.0):
+    # the sequential-principle check as the scenario makes it, tail included
+    tail = (trace.tail_start, trace.tail_period)
+    return sweet_principle_check(trace.governing, trace.shadow, sample, tol=1e-6, cauchy=cauchy, tail=tail)
+
+
 @pytest.mark.parametrize("name, kwargs", TRACES)
 def test_fejer_distances_and_pairings_equal_the_full_formulas(name, kwargs, matrix_spy):
-    inst, trace = _consistent_trace(name, **kwargs)
+    # a tailed trace's checks form the first rows of the full matrices, and a
+    # trace without a tail (rows() carries none) every row; either way each
+    # result is the one from every row
+    inst, tailed = _consistent_trace(name, **kwargs)
     sets = inst.solutions
-    pair_seq = np.hstack([trace.shadow, trace.dual_shadow])
-    full_pair_dists = _full_distances(pair_seq, sets.pairs.points).tobytes()
-    fejer_check(pair_seq, sets.pairs, slack=1e-10)
-    # the scenario check builds the product-space rows one block at a time
-    dict(inst.checks)["pair_fejer_wrt_solution_pairs"](trace)
-    from_array, from_blocks = matrix_spy["distances"]
-    assert from_array.tobytes() == from_blocks.tobytes() == full_pair_dists
+    for trace in (tailed, tailed.rows(slice(None))):
+        matrix_spy["distances"].clear(), matrix_spy["pairings"].clear()
+        rows = trace.defining_rows
+        assert rows == (len(trace) if trace.tail_start is None else trace.tail_start + trace.tail_period + 1)
+        pair_seq = np.hstack([trace.shadow, trace.dual_shadow])
+        full_pair_dists = _full_distances(pair_seq, sets.pairs.points)
+        fejer_check(pair_seq, sets.pairs, slack=1e-10)
+        # the scenario check builds the product-space rows one block at a time
+        pair_check = dict(inst.checks)["pair_fejer_wrt_solution_pairs"](trace)
+        from_array, from_blocks = matrix_spy["distances"]
+        assert from_array.tobytes() == full_pair_dists.tobytes()
+        assert from_blocks.tobytes() == full_pair_dists[:rows].tobytes()
+        full_pair = _full_fejer(pair_seq, sets.pairs.points, 1e-10)
+        expected = CheckResult(full_pair.passed, full_pair.max_sq_increase, full_pair.witness_index)
+        assert _fields(pair_check) == _fields(expected)
 
-    matrix_spy["distances"].clear()
-    sweet_principle_check(trace.governing, trace.shadow, sets.primal, tol=1e-6, cauchy=0.0)
-    [dists], [pairings] = matrix_spy["distances"], matrix_spy["pairings"]
-    assert dists.tobytes() == _full_distances(trace.governing, sets.primal.points).tobytes()
-    window = trailing_quarter(len(trace))
-    expected = _full_pairings(trace.shadow[window], trace.governing[window], sets.primal.points)
-    assert pairings.tobytes() == expected.tobytes()
+        matrix_spy["distances"].clear()
+        sweet = _sweet_check(trace, sets.primal)
+        [dists], [pairings] = matrix_spy["distances"], matrix_spy["pairings"]
+        assert dists.tobytes() == _full_distances(trace.governing, sets.primal.points)[:rows].tobytes()
+        window = trailing_quarter(len(trace))
+        expected = _full_pairings(trace.shadow[window], trace.governing[window], sets.primal.points)
+        assert pairings.tobytes() == expected[: len(pairings)].tobytes()
+        assert len(pairings) == (len(expected) if trace.tail_start is None else trace.tail_period)
+        assert _fields(sweet.fejer) == _fields(_full_fejer(trace.governing, sets.primal.points, 1e-10))
+        assert _bits(sweet.pairing_max) == _bits(np.max(np.abs(expected)))
+    assert tailed.tail_start is not None or name == "random-affine" and kwargs["dim"] == 50
 
 
 def test_fejer_distances_of_an_overflowing_sequence_equal_the_full_formula(stack_spy):
@@ -324,6 +351,167 @@ def test_summability_derives_each_dual_shadow_once_per_row_block(d50_trace, monk
     report = summability_report(trace, companion)
     assert reads == {"dual_shadow": 2 * len(list(row_blocks(len(trace), trace.problem.dim)))}
     assert _fields(report) == expected
+
+
+# traces that end in an exact periodic tail: the scenario, its parameters,
+# the records run, the lead's tail and the summability companion's orbit-wide
+# tail (start, period)
+TAILED = {
+    "random-affine d=5 seed 3": ("random-affine", {"dim": 5, "seed": 3}, 10_000, (170, 1), (169, 1)),
+    # lead period 5, companion period 3: the terms repeat every 15 records
+    "random-affine d=5 seed 5351": ("random-affine", {"dim": 5, "seed": 5351}, 10_000, (102, 5), (111, 3)),
+    "random-affine d=2 seed 994794": ("random-affine", {"dim": 2, "seed": 994794}, 10_000, (217, 12), (217, 12)),
+    "random-affine d=2 seed 98827": ("random-affine", {"dim": 2, "seed": 98827}, 10_000, (656, 30), (645, 30)),
+    # 12 companion blocks of 873 records
+    "random-affine d=50 seed 953097": ("random-affine", {"dim": 50, "seed": 953097}, 10_000, (57, 1), (73, 1)),
+    # lead period 9, companion period 6 from before the lead's tail: every 18
+    "random-affine d=4 seed 64": ("random-affine", {"dim": 4, "seed": 64}, 10_000, (1229, 9), (330, 6)),
+    "affine-consistent": ("affine-consistent", {}, 10_000, (2147, 6), (2147, 6)),
+    "random-1d seed 2": ("random-1d", {"seed": 2}, 10_000, (86, 1), (87, 1)),
+    # the tail starts inside the trailing quarter, [150, 200)
+    "random-affine d=5 seed 3, 200 records": ("random-affine", {"dim": 5, "seed": 3}, 200, (170, 1), (169, 1)),
+}
+
+
+def _tailed_case(case):
+    name, kwargs, records, lead_tail, companion_tail = TAILED[case]
+    inst = build_scenario(name, **kwargs)
+    trace = iterate(inst.problem, records, inst.default_step_tol)
+    assert (trace.tail_start, trace.tail_period) == lead_tail
+    # the summability check's second start
+    start = _perturbed_start(inst.problem.x0, np.random.default_rng(inst.seed + 7919))
+    return inst, trace, DRProblem(inst.problem.A, inst.problem.B, start), companion_tail
+
+
+def _full_checks(inst, trace, companion):
+    # the results of the consistent checks that reduce over rows, each from
+    # every row of the trace and of the whole companion trace
+    sets = inst.solutions
+    pair = _full_fejer(np.hstack([trace.shadow, trace.dual_shadow]), sets.pairs.points, 1e-10)
+    fejer = _full_fejer(trace.governing, sets.primal.points, 1e-10)
+    window = trailing_quarter(len(trace))
+    pairings = _full_pairings(trace.shadow[window], trace.governing[window], sets.primal.points)
+    pairing_max, cauchy = float(np.max(np.abs(pairings))), trace.trailing_shadow_diameter
+    report = _full_summability(trace, companion)
+    results = {
+        "pair_fejer_wrt_solution_pairs": CheckResult(pair.passed, pair.max_sq_increase, pair.witness_index),
+        "sequential_principle_evidence": CheckResult(
+            bool(fejer.passed and pairing_max <= 1e-6 and cauchy <= 1e-6), max(pairing_max, cauchy)
+        ),
+        "summability": CheckResult(
+            report.pairings_nonnegative and report.final_terms_small,
+            min(report.pairing_a_min, report.pairing_b_min),
+        ),
+    }
+    if inst.problem.dim == 1:
+        shadow_ok = _full_fejer(trace.shadow, inst.z[None], 1e-12).passed
+        ok = shadow_ok and _full_fejer(trace.dual_shadow, inst.k[None], 1e-12).passed
+        results["decoupled_fejer"] = CheckResult(ok, 0.0 if ok else 1.0)
+    return results
+
+
+@pytest.mark.parametrize("case", list(TAILED))
+def test_checks_of_a_tailed_trace_equal_the_full_formulas(case):
+    inst, trace, second, companion_tail = _tailed_case(case)
+    companion = iterate(second, len(trace), 0.0)
+    assert (companion.tail_start, companion.tail_period) == companion_tail
+    results = inst.run_checks(trace)
+    for name, expected in _full_checks(inst, trace, companion).items():
+        assert _fields(results[name]) == _fields(expected), name
+    sets = inst.solutions
+    sweet = sweet_principle_check(
+        trace.governing, trace.shadow, sets.primal, tol=1e-6, tail=(trace.tail_start, trace.tail_period)
+    )
+    assert _fields(sweet.fejer) == _fields(_full_fejer(trace.governing, sets.primal.points, 1e-10))
+    assert _bits(sweet.cauchy) == _bits(trace.trailing_shadow_diameter)
+    # every field, the second run whole and as the stream's row blocks
+    expected = _fields(_full_summability(trace, companion))
+    assert _fields(summability_report(trace, companion)) == expected
+    assert _fields(summability_report(trace, _orbit_blocks(second, len(trace), 0.0))) == expected
+
+
+@pytest.mark.parametrize(
+    "case, records", [("random-affine d=5 seed 5351", 100), ("random-affine d=50 seed 953097", 50)]
+)
+def test_summability_takes_the_second_run_tail_orbit_wide(case, records, monkeypatch):
+    # with short blocks the second run's tail, after the lead's, is found in
+    # its second block, at a start relative to that block; the terms still
+    # repeat only from the orbit-wide start
+    inst, trace, second, (start, _) = _tailed_case(case)
+    monkeypatch.setattr(drsplit.space, "BLOCK_NUMBERS", 3 * second.dim * records)
+    blocks = list(_orbit_blocks(second, len(trace), 0.0))
+    assert blocks[0].tail_start is None and records + blocks[1].tail_start == start > trace.tail_start
+    expected = _fields(_full_summability(trace, iterate(second, len(trace), 0.0)))
+    assert _fields(summability_report(trace, iter(blocks))) == expected
+
+
+def _cyclic_shift_trace(d, records):
+    # J_A = Id and J_B a cyclic shift of R^d, so T x is the shift of x: an
+    # orbit from (0, 1, ..., d - 1) with period d from its start
+    identity = MonotoneOperator(resolvent_map=lambda x: x.copy(), dim=d, label="identity")
+    shift = MonotoneOperator(resolvent_map=lambda x: np.roll(x, 1, axis=-1), dim=d, label="cyclic shift")
+    return iterate(DRProblem(identity, shift, np.arange(float(d))), records, 0.0)
+
+
+def test_a_violation_and_witness_in_the_first_period_are_kept():
+    # the sample point is the orbit's second row: the distance falls to 0 at
+    # n = 1 and grows again, so the first violation and the worst increase
+    # both lie in the first period, and every later period repeats them
+    trace = _cyclic_shift_trace(5, 100)
+    assert (trace.tail_start, trace.tail_period, trace.defining_rows) == (0, 5, 6)
+    e = trace.governing[1:2]
+    sets = SolutionSets(SetSample(e), SetSample(e), SetSample(np.zeros_like(e)))
+    full = _full_fejer(np.hstack([trace.shadow, trace.dual_shadow]), sets.pairs.points, 1e-10)
+    assert not full.passed and full.first_violation == 1 and full.witness_index < 5
+    pair = _pair_fejer_check(sets)(trace)
+    assert _fields(pair) == _fields(CheckResult(full.passed, full.max_sq_increase, full.witness_index))
+    sweet = _sweet_check(trace, sets.primal)
+    assert _fields(sweet.fejer) == _fields(_full_fejer(trace.governing, e, 1e-10))
+    window = trailing_quarter(len(trace))
+    pairings = _full_pairings(trace.shadow[window], trace.governing[window], e)
+    assert _bits(sweet.pairing_max) == _bits(np.max(np.abs(pairings)))
+
+
+@pytest.mark.parametrize("case", list(TAILED))
+def test_checks_of_a_tailed_trace_read_one_period(case, matrix_spy, monkeypatch):
+    # the distance matrices hold at most t + p + 1 rows, the pairings one
+    # period of the trailing quarter (with its rows before the tail), and the
+    # summability terms end one common period after both tails start
+    inst, trace, second, (companion_start, companion_period) = _tailed_case(case)
+    start, period = trace.tail_start, trace.tail_period
+    inst.run_checks(trace)
+    assert all(len(m) <= start + period + 1 for m in matrix_spy["distances"])
+    first = trailing_quarter(len(trace)).start
+    [pairings] = matrix_spy["pairings"]
+    assert len(pairings) == max(first, start) + period - first
+    assert len(pairings) == period or start > first
+    # the term rows summability_report derives, counted by its row blocks
+    term_rows = []
+    blocks = drsplit.solutions.row_blocks
+    monkeypatch.setattr(drsplit.solutions, "row_blocks", lambda n, *a: term_rows.append(n) or blocks(n, *a))
+    summability_report(trace, _orbit_blocks(second, len(trace), 0.0))
+    assert sum(term_rows) <= max(start, companion_start) + math.lcm(period, companion_period)
+
+
+def test_tail_copies_double():
+    # tiling 10^4 rows from a period of one copies about log2(10^4) runs, not
+    # one period at a time
+    class CountingCopies(np.ndarray):
+        copies = 0
+
+        def __setitem__(self, index, value):
+            CountingCopies.copies += 1
+            super().__setitem__(index, value)
+
+    values = np.random.default_rng(5).standard_normal(10_000)
+    for start, period in [(100, 1), (37, 12)]:
+        known = start + period
+        expected = np.concatenate([values[:start], np.resize(values[start:known], 10_000 - start)])
+        tiled = np.where(np.arange(10_000) < known, values, np.nan).view(CountingCopies)
+        CountingCopies.copies = 0
+        _tile_periods(tiled, start, period, known)
+        assert tiled.tobytes() == expected.tobytes()
+        assert CountingCopies.copies <= math.ceil(math.log2(10_000 / period)) + 1
 
 
 def test_diameter_of_a_long_window_stays_within_a_row_block():

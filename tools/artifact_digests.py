@@ -120,6 +120,12 @@ def cli_runs() -> list[list[str]]:
     runs.append(["--scenario", "parallel-lines", "--iters", "100000"])
     runs.append(["--scenario", "shifted-subspace", "--x0=1.2,-2.1", "--iters", "40000"])
     runs.append(["--scenario", "points-1d", "--x0=-3.75", "--iters", "40000"])
+    # checks that read a tailed trace up to one period: a d=50 lead stationary
+    # from n = 57 whose companion (stationary from n = 73) streams all 12
+    # blocks, and a lead with period 9 from n = 1,229 whose companion has
+    # period 6 from n = 330, so the summability terms repeat every 18 records
+    runs.append(["--scenario", "random-affine", "--dim", "50", "--seed", "953097"])
+    runs.append(["--scenario", "random-affine", "--dim", "4", "--seed", "64"])
     return runs
 
 
