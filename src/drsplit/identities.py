@@ -266,15 +266,19 @@ def skew_residuals(A: MonotoneOperator, B: MonotoneOperator, x, y, *, steps=None
     return rep
 
 
+def _affine_map(A: MonotoneOperator, B: MonotoneOperator) -> tuple[np.ndarray, np.ndarray]:
+    """(M, c) with T x = M x + c, for a pair whose splitting map T is affine."""
+    d = A.dim
+    # images of the origin and of the unit vectors, in one call
+    images = dr_apply(A, B, np.vstack([np.zeros(d), np.eye(d)]))
+    c = images[0]
+    return np.ascontiguousarray((images[1:] - c).T), c
+
+
 def _materialize_affine_fixed_point(A: MonotoneOperator, B: MonotoneOperator) -> np.ndarray:
     """Fixed point of the (affine) splitting map via direct linear algebra."""
-    d = A.dim
-    eye = np.eye(d)
-    # images of the origin and of the unit vectors, in one call
-    images = dr_apply(A, B, np.vstack([np.zeros(d), eye]))
-    c = images[0]
-    m = np.ascontiguousarray((images[1:] - c).T)
-    sol, *_ = np.linalg.lstsq(eye - m, c, rcond=None)
+    m, c = _affine_map(A, B)
+    sol, *_ = np.linalg.lstsq(np.eye(A.dim) - m, c, rcond=None)
     if np.linalg.norm(sol - (m @ sol + c)) > 1e-8 * (1.0 + np.linalg.norm(sol)):
         raise ValueError("the affine pair has no fixed point (sets do not intersect)")
     return sol

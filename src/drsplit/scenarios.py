@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .identities import affine_gap_residuals
+from .identities import _affine_map, affine_gap_residuals
 from .operators import (
     MonotoneOperator,
     inner_shift,
@@ -25,6 +25,7 @@ from .operators import (
     scaled_id_plus_normal_cone,
 )
 from .solutions import (
+    _CERTIFIED_STEP,
     SetSample,
     SolutionSets,
     decoupled_1d_fejer_check,
@@ -353,6 +354,26 @@ def _consistent_checks(sets: SolutionSets, companion: Optional[np.ndarray]) -> l
     ]
 
 
+def _affine_fix_points(A: MonotoneOperator, B: MonotoneOperator, starts: np.ndarray) -> list[Optional[np.ndarray]]:
+    """P_Fix s for each row s of ``starts``, where T x = M x + c is affine.
+
+    With N = I - M, P_Fix s = s - N^+(N s - c), all rows from one
+    least-squares call; for two affine subspaces the orbit from s converges
+    to it (Bauschke, Bello Cruz, Nghia, Phan and Wang, arXiv:1309.4709). A
+    point whose step norm ||y - T y|| is not finite or exceeds
+    ``primal_dual_from_fix``'s certificate is ``None``.
+    """
+    m, c = _affine_map(A, B)
+    n = np.eye(A.dim) - m
+    # a start far out may overflow, in its residual, its point or its step
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = starts - np.linalg.lstsq(n, (starts @ n.T - c).T, rcond=None)[0].T
+        if not np.all(np.isfinite(y)):  # a non-finite residual turns every point NaN
+            return [None] * len(starts)
+        y, *_, ty = dr_step(A, B, y)
+        return [row if step <= _CERTIFIED_STEP else None for row, step in zip(y, row_norms(y - ty))]
+
+
 def _finish_consistent_instance(
     A: MonotoneOperator,
     B: MonotoneOperator,
@@ -361,19 +382,28 @@ def _finish_consistent_instance(
     extra_checks: list[tuple[str, CheckFn]] | None = None,
     z: Optional[np.ndarray] = None,
     k: Optional[np.ndarray] = None,
+    *,
+    affine: bool = False,
 ) -> ScenarioInstance:
     """Build the problem from ``start``, and attach solution samples
-    (computed from converged runs) and checkers.
+    (certified fixed points of T) and checkers.
 
     The summability check's companion start is a seeded perturbation of the
     start (none if it rounds away). The fixed points come from the start and
     two more perturbed starts; a perturbation that rounds away adds no row.
+    For an ``affine`` pair each point is P_Fix of its start, by linear
+    algebra (``_affine_fix_points``); any start whose point is not certified
+    there, and every start of any other pair, is searched by
+    ``find_fixed_point`` (tolerance 1e-13) from the start itself.
     """
     companion = _perturbed_start(start, np.random.default_rng(seed + 7919))
     problem = DRProblem(A, B, start)
     rng = np.random.default_rng(seed + 104729)
-    starts = [problem.x0] + [_perturbed_start(problem.x0, rng) for _ in range(2)]
-    fix_sample = SetSample([find_fixed_point(DRProblem(A, B, s), tol=1e-13) for s in starts if s is not None])
+    starts = [s for s in [problem.x0] + [_perturbed_start(problem.x0, rng) for _ in range(2)] if s is not None]
+    found = _affine_fix_points(A, B, np.stack(starts)) if affine else [None] * len(starts)
+    fix_sample = SetSample(
+        [find_fixed_point(DRProblem(A, B, s), tol=1e-13) if y is None else y for s, y in zip(starts, found)]
+    )
     sets = primal_dual_from_fix(A, B, fix_sample)
     return ScenarioInstance(
         problem=problem,
@@ -393,7 +423,7 @@ def _build_affine_consistent(dim, x0=None, seed=0) -> ScenarioInstance:
     A = normal_cone(U, label="normal_cone(horizontal line)")
     B = normal_cone(V, label="normal_cone(diagonal line)")
     start = as_point(x0, dim) if x0 is not None else np.array([0.0, 1.0])
-    return _finish_consistent_instance(A, B, start, seed)
+    return _finish_consistent_instance(A, B, start, seed, affine=True)
 
 
 def _build_points_1d(dim, x0=None, seed=0) -> ScenarioInstance:
@@ -475,7 +505,7 @@ def _build_random_affine(dim, x0=None, seed=0) -> ScenarioInstance:
         return CheckResult(worst <= 1e-10, worst)
 
     return _finish_consistent_instance(
-        A, B, start, seed, extra_checks=[("gap_identity", check_gap_identity)]
+        A, B, start, seed, extra_checks=[("gap_identity", check_gap_identity)], affine=True
     )
 
 

@@ -72,6 +72,9 @@ class SolutionSets:
 # ---------------------------------------------------------------------------
 # fixed points and solution samples
 
+# the step norm ||y - T y|| up to which a point counts as a certified fixed point
+_CERTIFIED_STEP = 1e-9
+
 
 def find_fixed_point(problem: DRProblem, tol: float, max_iters: int = 100_000) -> np.ndarray:
     """Iterate until the step norm drops below ``tol`` and return that point.
@@ -98,14 +101,15 @@ def primal_dual_from_fix(A: MonotoneOperator, B: MonotoneOperator, fix_points: S
 
     Each fixed point y yields z = J_A y and k = y - z, read off the step that
     certifies it; (z, k) then solves the primal and dual problems at once. A
-    point whose step norm ||y - Ty|| exceeds 1e-9 raises ``ValueError``.
+    point whose step norm ||y - Ty|| exceeds ``_CERTIFIED_STEP`` (1e-9) raises
+    ``ValueError``.
     """
     y, z, k, _, _, ty = dr_step(A, B, fix_points.points)
     steps = row_norms(y - ty)
-    moving = np.flatnonzero(~(steps <= 1e-9))  # a NaN step certifies nothing
+    moving = np.flatnonzero(~(steps <= _CERTIFIED_STEP))  # a NaN step certifies nothing
     if moving.size:
         i = int(moving[0])
-        raise ValueError(f"point {i} is not fixed: step norm {steps[i]:.3e} exceeds 1.0e-09")
+        raise ValueError(f"point {i} is not fixed: step norm {steps[i]:.3e} exceeds {_CERTIFIED_STEP:.1e}")
     return SolutionSets(fix_t=fix_points, primal=SetSample(z), dual=SetSample(k))
 
 

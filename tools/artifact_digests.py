@@ -28,7 +28,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from drsplit.cli import main as cli_main  # noqa: E402
-from drsplit.scenarios import list_scenarios  # noqa: E402
+from drsplit.scenarios import build_scenario, list_scenarios  # noqa: E402
 
 
 def _sha(data: bytes | None) -> str:
@@ -126,6 +126,11 @@ def cli_runs() -> list[list[str]]:
     # period 6 from n = 330, so the summability terms repeat every 18 records
     runs.append(["--scenario", "random-affine", "--dim", "50", "--seed", "953097"])
     runs.append(["--scenario", "random-affine", "--dim", "4", "--seed", "64"])
+    # 1e3 times a d=50 default start: a fixed-point search from it stalls
+    # above its absolute 1e-13 (exit 4), P_Fix by linear algebra is certified
+    x0 = 1e3 * build_scenario("random-affine", dim=50, seed=1).problem.x0
+    x0_arg = "--x0=" + ",".join(map(repr, x0.tolist()))
+    runs.append(["--scenario", "random-affine", "--dim", "50", "--seed", "1", x0_arg])
     return runs
 
 
