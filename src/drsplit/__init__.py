@@ -16,8 +16,8 @@ from .errors import (
     NonFiniteIterateError,
     OperatorContractError,
     OperatorFamilyError,
-    PossiblyInconsistentError,
     RankDeficiencyError,
+    UncertifiedFixedPointError,
 )
 from .identities import (
     ResidualReport,
@@ -75,7 +75,6 @@ from .solutions import (
     SweetPrincipleReport,
     decoupled_1d_fejer_check,
     fejer_check,
-    find_fixed_point,
     primal_dual_from_fix,
     summability_report,
     sweet_principle_check,

@@ -7,7 +7,7 @@ Exit codes:
   3  operator-contract violation (a resolvent returned an image of the
      wrong shape)
   4  numerical breakdown (the iteration produced non-finite coordinates, or
-     the fixed-point search of a scenario's reference data stagnated)
+     a reference fixed point cannot be certified at this start's scale)
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .errors import NonFiniteIterateError, OperatorContractError, PossiblyInconsistentError
+from .errors import NonFiniteIterateError, OperatorContractError, UncertifiedFixedPointError
 from .runner import REL_TOL, SLACK_TOL, check_identities, make_config, parse_config_file, run
 from .scenarios import list_scenarios
 
@@ -116,13 +116,13 @@ def main(argv=None) -> int:
     except OperatorContractError as exc:
         print(f"operator contract violated: {exc}", file=sys.stderr)
         return 3
+    except (NonFiniteIterateError, UncertifiedFixedPointError) as exc:
+        print(f"numerical breakdown: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         # ConfigError and DimensionMismatchError are ValueErrors too
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (NonFiniteIterateError, PossiblyInconsistentError) as exc:
-        print(f"numerical breakdown: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -34,20 +34,10 @@ class NonFiniteIterateError(FloatingPointError):
         super().__init__(f"non-finite values encountered at iteration {iteration}")
 
 
-class PossiblyInconsistentError(RuntimeError):
-    """A fixed point was requested but the step norm stagnated above tolerance.
-
-    Carries the displacement estimate accumulated before giving up, which is
-    the natural diagnostic when the underlying sum problem has no zeros.
-    """
-
-    def __init__(self, step_norm: float, v_estimate):
-        self.step_norm = step_norm
-        self.v_estimate = v_estimate
-        super().__init__(
-            f"no fixed point found: step norm stagnated at {step_norm:.3e}; "
-            "the problem is possibly inconsistent (see v_estimate)"
-        )
+class UncertifiedFixedPointError(ValueError):
+    """A reference fixed point could not be certified: it has non-finite
+    coordinates, or its step norm exceeds the certificate, as a closed form
+    evaluated at a start far out can."""
 
 
 class ConfigError(ValueError):

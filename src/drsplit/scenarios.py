@@ -25,12 +25,10 @@ from .operators import (
     scaled_id_plus_normal_cone,
 )
 from .solutions import (
-    _CERTIFIED_STEP,
     SetSample,
     SolutionSets,
     decoupled_1d_fejer_check,
     fejer_check,
-    find_fixed_point,
     primal_dual_from_fix,
     summability_report,
     sweet_principle_check,
@@ -169,8 +167,7 @@ def _build_rotator_cone(dim, x0=None, seed=0, a=1.0) -> ScenarioInstance:
     k = np.array([0.0, -a])
     # J_A maps the fixed ray t(1, -1) onto the primal ray (t, 0) and the dual
     # ray (0, -t)
-    fix_sample = SetSample([t * np.array([1.0, -1.0]) for t in (0.0, 0.5 * a, a, 2.0 * a)])
-    sets = primal_dual_from_fix(A, B, fix_sample)
+    sets = primal_dual_from_fix(A, B, [t * np.array([1.0, -1.0]) for t in (0.0, 0.5 * a, a, 2.0 * a)])
     # the counterexample values are pinned to the canonical start (a, 0),
     # not to the configured orbit: T x and the shadows of x and T x
     x, ja_x, _, _, _, tx = dr_step(A, B, np.array([a, 0.0]))
@@ -198,7 +195,8 @@ def _build_rotator_cone(dim, x0=None, seed=0, a=1.0) -> ScenarioInstance:
         return CheckResult(ok, res.max_sq_increase, res.first_violation)
 
     def check_fixed_ray(trace):
-        y = find_fixed_point(DRProblem(A, B, trace.problem.x0), tol=1e-12)
+        # Fix T is the ray t(1, -1), t >= 0: the run ends on it
+        y = trace.governing[-1]
         off_ray = abs(y[0] + y[1]) + max(0.0, -y[0])
         return CheckResult(off_ray <= 1e-10, off_ray)
 
@@ -354,24 +352,23 @@ def _consistent_checks(sets: SolutionSets, companion: Optional[np.ndarray]) -> l
     ]
 
 
-def _affine_fix_points(A: MonotoneOperator, B: MonotoneOperator, starts: np.ndarray) -> list[Optional[np.ndarray]]:
-    """P_Fix s for each row s of ``starts``, where T x = M x + c is affine.
+def _affine_fix_points(A: MonotoneOperator, B: MonotoneOperator, start: np.ndarray, seed: int) -> np.ndarray:
+    """P_Fix s for s the start and each of two seeded perturbations of it (a
+    perturbation that rounds away adds no row), where T x = M x + c is affine.
 
     With N = I - M, P_Fix s = s - N^+(N s - c), all rows from one
     least-squares call; for two affine subspaces the orbit from s converges
     to it (Bauschke, Bello Cruz, Nghia, Phan and Wang, arXiv:1309.4709). A
-    point whose step norm ||y - T y|| is not finite or exceeds
-    ``primal_dual_from_fix``'s certificate is ``None``.
+    start far out can give rows that are not finite, or that
+    ``primal_dual_from_fix`` does not certify.
     """
+    rng = np.random.default_rng(seed + 104729)
+    starts = np.stack([s for s in [start] + [_perturbed_start(start, rng) for _ in range(2)] if s is not None])
     m, c = _affine_map(A, B)
     n = np.eye(A.dim) - m
-    # a start far out may overflow, in its residual, its point or its step
+    # a start far out may overflow in its residual or its point
     with np.errstate(over="ignore", invalid="ignore"):
-        y = starts - np.linalg.lstsq(n, (starts @ n.T - c).T, rcond=None)[0].T
-        if not np.all(np.isfinite(y)):  # a non-finite residual turns every point NaN
-            return [None] * len(starts)
-        y, *_, ty = dr_step(A, B, y)
-        return [row if step <= _CERTIFIED_STEP else None for row, step in zip(y, row_norms(y - ty))]
+        return starts - np.linalg.lstsq(n, (starts @ n.T - c).T, rcond=None)[0].T
 
 
 def _finish_consistent_instance(
@@ -379,32 +376,21 @@ def _finish_consistent_instance(
     B: MonotoneOperator,
     start: np.ndarray,
     seed: int,
+    fix_points: np.ndarray,
     extra_checks: list[tuple[str, CheckFn]] | None = None,
     z: Optional[np.ndarray] = None,
     k: Optional[np.ndarray] = None,
-    *,
-    affine: bool = False,
 ) -> ScenarioInstance:
-    """Build the problem from ``start``, and attach solution samples
-    (certified fixed points of T) and checkers.
+    """Build the problem from ``start``, and attach the solution samples of
+    the closed-form ``fix_points`` (certified by ``primal_dual_from_fix``) and
+    the checkers.
 
     The summability check's companion start is a seeded perturbation of the
-    start (none if it rounds away). The fixed points come from the start and
-    two more perturbed starts; a perturbation that rounds away adds no row.
-    For an ``affine`` pair each point is P_Fix of its start, by linear
-    algebra (``_affine_fix_points``); any start whose point is not certified
-    there, and every start of any other pair, is searched by
-    ``find_fixed_point`` (tolerance 1e-13) from the start itself.
+    start (none if it rounds away).
     """
     companion = _perturbed_start(start, np.random.default_rng(seed + 7919))
     problem = DRProblem(A, B, start)
-    rng = np.random.default_rng(seed + 104729)
-    starts = [s for s in [problem.x0] + [_perturbed_start(problem.x0, rng) for _ in range(2)] if s is not None]
-    found = _affine_fix_points(A, B, np.stack(starts)) if affine else [None] * len(starts)
-    fix_sample = SetSample(
-        [find_fixed_point(DRProblem(A, B, s), tol=1e-13) if y is None else y for s, y in zip(starts, found)]
-    )
-    sets = primal_dual_from_fix(A, B, fix_sample)
+    sets = primal_dual_from_fix(A, B, fix_points)
     return ScenarioInstance(
         problem=problem,
         default_iters=10_000,
@@ -423,7 +409,7 @@ def _build_affine_consistent(dim, x0=None, seed=0) -> ScenarioInstance:
     A = normal_cone(U, label="normal_cone(horizontal line)")
     B = normal_cone(V, label="normal_cone(diagonal line)")
     start = as_point(x0, dim) if x0 is not None else np.array([0.0, 1.0])
-    return _finish_consistent_instance(A, B, start, seed, affine=True)
+    return _finish_consistent_instance(A, B, start, seed, _affine_fix_points(A, B, start, seed))
 
 
 def _build_points_1d(dim, x0=None, seed=0) -> ScenarioInstance:
@@ -504,8 +490,9 @@ def _build_random_affine(dim, x0=None, seed=0) -> ScenarioInstance:
         worst = rep.raw["gap_identity"]
         return CheckResult(worst <= 1e-10, worst)
 
+    fix_points = _affine_fix_points(A, B, start, seed)
     return _finish_consistent_instance(
-        A, B, start, seed, extra_checks=[("gap_identity", check_gap_identity)], affine=True
+        A, B, start, seed, fix_points, extra_checks=[("gap_identity", check_gap_identity)]
     )
 
 
@@ -562,8 +549,9 @@ def _build_random_1d(dim, x0=None, seed=0) -> ScenarioInstance:
         ok = decoupled_1d_fejer_check(trace.problem, z, k, trace)
         return CheckResult(ok, 0.0 if ok else 1.0)
 
+    # A is strongly monotone, so Fix T is the one point z (k = 0)
     return _finish_consistent_instance(
-        A, B, start, seed, extra_checks=[("decoupled_fejer", check_decoupled)], z=z, k=k
+        A, B, start, seed, z[None, :], extra_checks=[("decoupled_fejer", check_decoupled)], z=z, k=k
     )
 
 

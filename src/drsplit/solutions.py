@@ -18,14 +18,12 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PossiblyInconsistentError
+from .errors import DimensionMismatchError, UncertifiedFixedPointError
 from .operators import MonotoneOperator
 from .space import as_point, as_points, diameter, row_blocks, row_norms
 from .splitting import (
     DRProblem,
     DRTrace,
-    StopReason,
-    _orbit_blocks,
     _tile_periods,
     distinct_rows_stop,
     dr_step,
@@ -70,47 +68,39 @@ class SolutionSets:
 
 
 # ---------------------------------------------------------------------------
-# fixed points and solution samples
+# solution samples
 
 # the step norm ||y - T y|| up to which a point counts as a certified fixed point
 _CERTIFIED_STEP = 1e-9
 
 
-def find_fixed_point(problem: DRProblem, tol: float, max_iters: int = 100_000) -> np.ndarray:
-    """Iterate until the step norm drops below ``tol`` and return that point.
+def primal_dual_from_fix(A: MonotoneOperator, B: MonotoneOperator, points) -> SolutionSets:
+    """Certify candidate fixed points and split them into primal/dual solution
+    samples through J_A.
 
-    A ``tol``-0 orbit that turns bitwise stationary returns its exact fixed
-    point. Raises :class:`PossiblyInconsistentError` (carrying the displacement
-    estimate) after ``max_iters`` records with no step norm below ``tol``; an
-    orbit that cycles with a longer period tiles its blocks to ``max_iters``
-    without iterating them. It streams the orbit (``splitting._orbit_blocks``),
-    so it holds one block's trace, and its results are bitwise one
-    ``iterate(problem, max_iters, tol)``'s.
+    ``points`` is an (m, d) stack of candidate fixed points. Each point y
+    yields z = J_A y and k = y - z, read off the step that certifies it; (z, k)
+    then solves the primal and dual problems at once. A point whose step norm
+    ||y - Ty|| exceeds ``_CERTIFIED_STEP`` (1e-9), or is not finite (so a point
+    with non-finite coordinates, whose step is NaN), raises
+    :class:`UncertifiedFixedPointError`, a ``ValueError``.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    for trace in _orbit_blocks(problem, max_iters, tol):
-        # a stationary orbit (tol 0) has reached T x = x bitwise; its last record is x
-        if trace.stop_reason is StopReason.STEP_CONVERGED or trace.tail_period == 1:
-            return trace.governing[-1].copy()
-    raise PossiblyInconsistentError(step_norm=trace.final_step_norm, v_estimate=trace.v_estimate)
-
-
-def primal_dual_from_fix(A: MonotoneOperator, B: MonotoneOperator, fix_points: SetSample) -> SolutionSets:
-    """Split certified fixed points into primal/dual solution samples through J_A.
-
-    Each fixed point y yields z = J_A y and k = y - z, read off the step that
-    certifies it; (z, k) then solves the primal and dual problems at once. A
-    point whose step norm ||y - Ty|| exceeds ``_CERTIFIED_STEP`` (1e-9) raises
-    ``ValueError``.
-    """
-    y, z, k, _, _, ty = dr_step(A, B, fix_points.points)
-    steps = row_norms(y - ty)
+    y = np.asarray(points, dtype=float)
+    finite = np.all(np.isfinite(y), axis=-1)
+    # a point far out may overflow in its step
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.all(finite):
+            y, z, k, _, _, ty = dr_step(A, B, y)
+            steps = row_norms(y - ty)
+        else:
+            steps = np.where(finite, 0.0, np.nan)
     moving = np.flatnonzero(~(steps <= _CERTIFIED_STEP))  # a NaN step certifies nothing
     if moving.size:
         i = int(moving[0])
-        raise ValueError(f"point {i} is not fixed: step norm {steps[i]:.3e} exceeds {_CERTIFIED_STEP:.1e}")
-    return SolutionSets(fix_t=fix_points, primal=SetSample(z), dual=SetSample(k))
+        raise UncertifiedFixedPointError(
+            f"point {i} is not fixed: step norm {steps[i]:.3e} exceeds {_CERTIFIED_STEP:.1e}"
+        )
+    return SolutionSets(fix_t=SetSample(y), primal=SetSample(z), dual=SetSample(k))
 
 
 # ---------------------------------------------------------------------------

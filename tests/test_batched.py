@@ -22,7 +22,6 @@ from drsplit import (
     MonotoneOperator,
     NonnegativeOrthant,
     OperatorContractError,
-    SetSample,
     Singleton,
     as_points,
     check_identities,
@@ -300,7 +299,7 @@ STEP_EVALUATIONS = {
     "dr_decomposition_residuals": lambda A, B, x: dr_decomposition_residuals(A, B, x[..., :2], x),
     "fixed_point_step_residuals": fixed_point_step_residuals,
     "linear_relation_residual": linear_relation_residual,
-    "primal_dual_from_fix": lambda A, B, x: primal_dual_from_fix(A, B, SetSample(np.atleast_2d(x))),
+    "primal_dual_from_fix": lambda A, B, x: primal_dual_from_fix(A, B, np.atleast_2d(x)),
 }
 OPERATOR_DIMS_ERROR = r"^operator dimensions differ: 2 vs 1$"
 POINT_DIM_ERROR = r"^expected dimension 2, got 3$"
@@ -333,7 +332,7 @@ def test_certificate_rejects_points_the_maps_cannot_see():
     # points from being certified as fixed points of a 2-d pair
     relu = MonotoneOperator(lambda x: np.maximum(x, 0.0), 2, label="relu")
     with pytest.raises(DimensionMismatchError, match=POINT_DIM_ERROR):
-        primal_dual_from_fix(relu, relu, SetSample([[1.0, 2.0, 3.0]]))
+        primal_dual_from_fix(relu, relu, [[1.0, 2.0, 3.0]])
 
 
 # ---------------------------------------------------------------------------

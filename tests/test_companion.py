@@ -160,7 +160,7 @@ def test_consistent_scenarios_carry_the_seeded_companion(streamed_companion):
     assert not hasattr(inst.problem, "companion") and not hasattr(iterate(inst.problem, 10, 0.0), "companion")
     # a perturbation that rounds back to the start gives no companion: the
     # check streams nothing
-    inst = build_scenario("random-affine", dim=2, x0=(1e200, -1e200))
+    inst = build_scenario("random-1d", x0=(1e200,))
     result, blocks = streamed_companion(dict(inst.checks)["summability"], iterate(inst.problem, 200, 0.0))
     assert blocks == [] and result.verdict is False
     # infeasible scenarios have no summability check
@@ -169,7 +169,7 @@ def test_consistent_scenarios_carry_the_seeded_companion(streamed_companion):
 
 def test_summability_fails_without_a_companion():
     # the far-out start's perturbation rounds away: equal orbits certify nothing
-    inst = build_scenario("random-affine", dim=2, x0=(1e200, -1e200))
+    inst = build_scenario("random-1d", x0=(1e200,))
     check = inst.run_checks(iterate(inst.problem, 200, 0.0))["summability"]
     assert check.verdict is False and np.isnan(check.worst_value)
     inst = build_scenario("random-affine", dim=2, seed=1)
@@ -248,8 +248,7 @@ def test_trace_beyond_physical_memory_is_refused(monkeypatch, capsys):
     assert len(iterate(inst.problem, max_iters=100, step_tol=0.0)) == 100
     with pytest.raises(ValueError, match=r"max_iters=101 .*dimension 2 does not fit in memory"):
         iterate(inst.problem, max_iters=101, step_tol=0.0)
-    # 10 MB: the scenario's fixed-point searches (one orbit, one row block of
-    # records at a time) fit, a run of 10^6 records (48 MB) does not
+    # 10 MB: a run of 10^6 records (48 MB) does not fit
     monkeypatch.setattr(drsplit.splitting, "_physical_memory_bytes", lambda: 10**7)
     assert cli_main(["--scenario", "random-affine", "--dim", "2", "--iters", str(10**6)]) == 2
     assert "max_iters=1000000 records in dimension 2 does not fit in memory" in capsys.readouterr().err
@@ -261,10 +260,10 @@ def test_trace_beyond_physical_memory_is_refused(monkeypatch, capsys):
         iterate(inst.problem, max_iters=10**15, step_tol=1e-12)
 
 
-def test_fixed_point_searches_fit_where_the_run_fits(monkeypatch):
+def test_the_streamed_companion_fits_where_the_run_fits(monkeypatch):
     # the run holds 3 arrays x 10^4 records x 50 x 8 B = 12 MB (24 MB with a
-    # whole companion trace beside it); the build's searches, with max_iters
-    # 10^5, and the summability check's companion hold one row block each
+    # whole companion trace beside it); the summability check's companion
+    # holds one row block
     monkeypatch.setattr(drsplit.splitting, "_physical_memory_bytes", lambda: 16 * 2**20)
     assert cli_main(["--scenario", "random-affine", "--dim", "50", "--seed", "1"]) == 0
 

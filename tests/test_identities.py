@@ -8,7 +8,6 @@ from drsplit import (
     MonotoneOperator,
     NonnegativeOrthant,
     OperatorFamilyError,
-    SetSample,
     affine_gap_residuals,
     dr_decomposition_residuals,
     eight_point_residual,
@@ -352,7 +351,7 @@ def test_linear_relation_and_certificate_evaluate_j_a_once():
     linear_relation_residual(A, B, POINTS)
     assert len(a_calls) == 1
     a_calls.clear()
-    sets = primal_dual_from_fix(A, B, SetSample(np.zeros((3, 2))))
+    sets = primal_dual_from_fix(A, B, np.zeros((3, 2)))
     assert len(a_calls) == 1
     assert np.array_equal(sets.primal.points, np.zeros((3, 2)))
 

@@ -23,7 +23,7 @@ import drsplit.cli
 import drsplit.runner
 from drsplit.cli import main as cli_main
 from drsplit.runner import REL_TOL, SLACK_TOL, PairEntry
-from drsplit.scenarios import _perturbed_start, get_scenario
+from drsplit.scenarios import _affine_fix_points, _perturbed_start, get_scenario
 from drsplit.space import NonnegativeOrthant
 
 REQUIRED = {
@@ -369,20 +369,6 @@ def test_cli_numerical_breakdown_exits_four(capsys):
     ]
 
 
-def test_cli_stagnated_fixed_point_search_exits_four(capsys):
-    # a start of 1e200 makes the build's fixed-point search cycle at an
-    # overflowing step norm; its 10^5 records are tiled from the cycle, so
-    # the real search runs here
-    code = cli_main(["--scenario", "random-affine", "--dim", "3", "--x0=1e200,1e200,1e200"])
-    assert code == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.strip().splitlines() == [
-        "numerical breakdown: no fixed point found: step norm stagnated at inf; "
-        "the problem is possibly inconsistent (see v_estimate)"
-    ]
-
-
 def test_cli_misshapen_operator_exits_three(monkeypatch, capsys):
     # a resolvent whose image has the wrong shape breaks the operator
     # contract: exit 3, not a configuration error
@@ -421,7 +407,7 @@ def test_overflowing_run_passes_no_check_on_nan():
     # the orbit stays finite, but its distances overflow to NaN: every check
     # that reads them must fail, not pass; under filterwarnings = error the
     # run also proves that the library emits no RuntimeWarning
-    summary, _ = run(make_config(scenario="random-affine", dim=2, x0="1e200,-1e200", iters=200))
+    summary, _ = run(make_config(scenario="random-1d", x0="1e200", iters=200))
     checks = summary.checks
     for name in ("shadow_trailing_diameter", "pair_fejer_wrt_solution_pairs"):
         assert np.isnan(checks[name].worst_value)
@@ -432,7 +418,7 @@ def test_overflowing_run_passes_no_check_on_nan():
 def test_summability_fails_when_the_second_start_equals_the_first():
     # x0 + uniform(-1, 1) rounds back to a start of size 1e200: the two orbits
     # coincide, every series vanishes, and that certifies nothing
-    summary, _ = run(make_config(scenario="random-affine", dim=2, x0="1e200,-1e200", iters=200))
+    summary, _ = run(make_config(scenario="random-1d", x0="1e200", iters=200))
     check = summary.checks["summability"]
     assert check.verdict is False
     assert np.isnan(check.worst_value)
@@ -443,10 +429,10 @@ def test_perturbed_start_that_rounds_away_is_dropped():
     assert _perturbed_start(x0, np.random.default_rng(0)) is None
     moved = _perturbed_start(np.array([1.0, -1.0]), np.random.default_rng(0))
     assert moved is not None and not np.array_equal(moved, [1.0, -1.0])
-    # the fixed-point sample keeps only the orbit from x0 itself, instead of
+    # the fixed-point sample keeps only the point of x0 itself, instead of
     # three copies of one row
-    fix_t = build_scenario("random-affine", dim=2, x0=tuple(x0)).solutions.fix_t
-    assert len(fix_t) == 1
+    problem = build_scenario("random-affine", dim=2).problem
+    assert len(_affine_fix_points(problem.A, problem.B, x0, 0)) == 1
 
 
 def test_cli_x0_override(tmp_path):

@@ -9,16 +9,15 @@ from drsplit import (
     DRProblem,
     MonotoneOperator,
     NonFiniteIterateError,
-    PossiblyInconsistentError,
     SetSample,
     Singleton,
     StopReason,
+    UncertifiedFixedPointError,
     build_scenario,
     decoupled_1d_fejer_check,
     diameter,
     dr_apply,
     fejer_check,
-    find_fixed_point,
     iterate,
     normal_cone,
     primal_dual_from_fix,
@@ -29,28 +28,6 @@ from drsplit import (
 )
 from drsplit.space import row_blocks
 from drsplit.splitting import _orbit_blocks
-
-
-def test_find_fixed_point_rotator_lands_on_ray():
-    inst = build_scenario("rotator-cone")
-    y = find_fixed_point(inst.problem, tol=1e-12)
-    assert abs(y[0] + y[1]) <= 1e-10 and y[0] >= -1e-10
-
-
-def test_find_fixed_point_affine():
-    inst = build_scenario("affine-consistent")
-    y = find_fixed_point(inst.problem, tol=1e-12)
-    from drsplit import dr_apply
-
-    assert np.linalg.norm(y - dr_apply(inst.problem.A, inst.problem.B, y)) <= 1e-12
-
-
-def test_find_fixed_point_inconsistent_raises_with_estimate():
-    inst = build_scenario("parallel-lines")
-    with pytest.raises(PossiblyInconsistentError) as err:
-        find_fixed_point(inst.problem, tol=1e-10, max_iters=500)
-    assert np.allclose(err.value.v_estimate, [0.0, 2.0], atol=1e-6)
-    assert err.value.step_norm > 1.0
 
 
 def _search_problem(name, **kwargs):
@@ -70,60 +47,52 @@ def _search_problem(name, **kwargs):
     ],
 )
 @pytest.mark.parametrize("tol", [1e-13, 0.0])
-def test_find_fixed_point_in_chunks_equals_one_run(monkeypatch, join_blocks, name, kwargs, tol):
+def test_orbit_blocks_in_chunks_equal_one_run(monkeypatch, join_blocks, name, kwargs, tol):
     # 3,000 records are 428 blocks of 7 and one of 4: a record stores three points
     problem = _search_problem(name, **kwargs)
     monkeypatch.setattr(drsplit.space, "BLOCK_NUMBERS", 21 * problem.dim)
     assert [rows.stop - rows.start for rows in row_blocks(3000, 3 * problem.dim)] == [7] * 428 + [4]
     ref = iterate(problem, 3000, tol)
-    # the orbit-streaming generator the search runs on: its blocks end after a
-    # tolerance stop and join to the one run, stationary fill included; blocks
-    # of 7 records end before any cycle search's window, so only a stationary
-    # tail is found in them
+    # the orbit-streaming generator: its blocks end after a tolerance stop and
+    # join to the one run, stationary fill included; blocks of 7 records end
+    # before any cycle search's window, so only a stationary tail is found in
+    # them (random-affine d=2 at n = 27, d=5 at 196, random-1d at 54,
+    # rotator-cone at 1, at tol 0)
     joined = join_blocks(list(_orbit_blocks(problem, 3000, tol)))
     assert (len(joined), joined.stop_reason) == (len(ref), ref.stop_reason)
     stationary = (ref.tail_start, 1) if ref.tail_period == 1 else (None, None)
     assert (joined.tail_start, joined.tail_period) == stationary
     for field in ("governing", "shadow", "b_shadow"):
         assert getattr(joined, field).tobytes() == getattr(ref, field).tobytes(), field
-    # a tol-0 orbit that turns stationary (random-affine d=2 at n = 27, d=5 at
-    # 196, random-1d at 54, rotator-cone at 1) has reached an exact fixed point
-    if ref.stop_reason is StopReason.STEP_CONVERGED or ref.tail_period == 1:
-        assert find_fixed_point(problem, tol, 3000).tobytes() == ref.governing[-1].tobytes()
-        return
-    with pytest.raises(PossiblyInconsistentError) as err:
-        find_fixed_point(problem, tol, 3000)
-    assert np.float64(err.value.step_norm).tobytes() == ref.step_norms[-1].tobytes()
-    assert err.value.v_estimate.tobytes() == ref.v_estimate.tobytes()
 
 
-def test_find_fixed_point_at_the_real_block_size_equals_one_run():
+def test_orbit_blocks_at_the_real_block_size_equal_one_run(join_blocks):
     # nothing patched: 3,000 d=50 records cross blocks at 873, 1,746 and 2,619
     problem = _search_problem("random-affine", dim=50, seed=1)
     assert [rows.start for rows in row_blocks(3000, 3 * 50)] == [0, 873, 1746, 2619]
     ref = iterate(problem, 3000, 0.0)
-    with pytest.raises(PossiblyInconsistentError) as err:
-        find_fixed_point(problem, 0.0, 3000)
-    assert np.float64(err.value.step_norm).tobytes() == ref.step_norms[-1].tobytes()
-    assert err.value.v_estimate.tobytes() == ref.v_estimate.tobytes()
+    joined = join_blocks(list(_orbit_blocks(problem, 3000, 0.0)))
+    assert (len(joined), joined.stop_reason) == (3000, StopReason.MAX_ITERS)
+    for field in ("governing", "shadow", "b_shadow"):
+        assert getattr(joined, field).tobytes() == getattr(ref, field).tobytes(), field
+    assert joined.v_estimate.tobytes() == ref.v_estimate.tobytes()
 
 
-def test_find_fixed_point_returns_a_stationary_point():
+def test_orbit_blocks_reach_a_bitwise_fixed_point(join_blocks):
     # at tol 0 this orbit turns bitwise stationary at n = 170: T y = y exactly
     problem = _search_problem("random-affine", dim=5, seed=3)
     ref = iterate(problem, 1000, 0.0)
     assert (ref.tail_start, ref.tail_period) == (170, 1)
-    y = find_fixed_point(problem, 0.0)
+    joined = join_blocks(list(_orbit_blocks(problem, 1000, 0.0)))
+    assert (joined.tail_start, joined.tail_period) == (170, 1)
+    y = joined.governing[-1]
     assert y.tobytes() == ref.governing[170].tobytes()
     assert dr_apply(problem.A, problem.B, y).tobytes() == y.tobytes()
 
 
-def test_find_fixed_point_counts_records_across_chunks(monkeypatch):
+def test_orbit_blocks_carry_the_orbit_wide_index_of_a_breakdown(monkeypatch):
     # blocks of 7 one-dimensional records
     monkeypatch.setattr(drsplit.space, "BLOCK_NUMBERS", 21)
-    problem = _search_problem("rotator-cone")
-    with pytest.raises(ValueError, match="max_iters must be >= 1"):
-        find_fixed_point(problem, 1e-12, max_iters=0)
 
     def breaks_at_record_20():
         # N_{0} in R^1, whose 21st resolvent call returns NaN; T x = x + 1
@@ -136,16 +105,18 @@ def test_find_fixed_point_counts_records_across_chunks(monkeypatch):
         return DRProblem(MonotoneOperator(resolvent, 1), normal_cone(Singleton([1.0])), [3.0])
 
     with pytest.raises(NonFiniteIterateError) as err:
-        find_fixed_point(breaks_at_record_20(), 1e-12, 100)
+        list(_orbit_blocks(breaks_at_record_20(), 100, 1e-12))
     assert err.value.iteration == 20
 
 
-def test_find_fixed_point_holds_one_chunk_of_records():
-    # 10^5 records of d = 50 would take 3 * 10^5 * 50 * 8 B = 114 MiB
+def test_orbit_blocks_hold_one_block_of_records():
+    # 10^5 records of d = 50 would take 3 * 10^5 * 50 * 8 B = 114 MiB; the
+    # stream allocates one block of 873 records (1 MiB) at a time
     problem = _search_problem("random-affine", dim=50, seed=1)
     tracemalloc.start()
     try:
-        find_fixed_point(problem, 1e-13)
+        for _ in _orbit_blocks(problem, 100_000, 1e-13):
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -154,18 +125,18 @@ def test_find_fixed_point_holds_one_chunk_of_records():
 
 def test_primal_dual_from_fix_rotator_ray():
     inst = build_scenario("rotator-cone")
-    fixes = SetSample([t * np.array([1.0, -1.0]) for t in (0.25, 1.0, 3.0)])
+    fixes = np.array([t * np.array([1.0, -1.0]) for t in (0.25, 1.0, 3.0)])
     sets = primal_dual_from_fix(inst.problem.A, inst.problem.B, fixes)
     for t, zp, kp in zip((0.25, 1.0, 3.0), sets.primal.points, sets.dual.points):
         assert np.allclose(zp, [t, 0.0], atol=0)
         assert np.allclose(kp, [0.0, -t], atol=0)
     assert len(sets.primal) == len(sets.dual) == len(sets.pairs) == 3
-    assert sets.fix_t is fixes
+    assert sets.fix_t.points.tobytes() == fixes.tobytes()
 
 
 def test_primal_dual_from_fix_common_point_gives_zero_dual():
     inst = build_scenario("affine-consistent")
-    sets = primal_dual_from_fix(inst.problem.A, inst.problem.B, SetSample([np.zeros(2)]))
+    sets = primal_dual_from_fix(inst.problem.A, inst.problem.B, [np.zeros(2)])
     assert np.allclose(sets.primal.points[0], 0.0, atol=0)
     assert np.allclose(sets.dual.points[0], 0.0, atol=0)
 
@@ -173,7 +144,7 @@ def test_primal_dual_from_fix_common_point_gives_zero_dual():
 def test_primal_dual_from_fix_1d_intervals():
     A = normal_cone(Box([0.0], [2.0]))
     B = normal_cone(Box([1.0], [3.0]))
-    sets = primal_dual_from_fix(A, B, SetSample([np.array([1.5])]))
+    sets = primal_dual_from_fix(A, B, [np.array([1.5])])
     assert sets.primal.points[0][0] == 1.5 and sets.dual.points[0][0] == 0.0
     assert sets.pairs.points.tolist() == [[1.5, 0.0]]
 
@@ -181,12 +152,12 @@ def test_primal_dual_from_fix_1d_intervals():
 def test_primal_dual_from_fix_rejects_moving_point():
     inst = build_scenario("parallel-lines")
     with pytest.raises(ValueError, match="step norm"):
-        primal_dual_from_fix(inst.problem.A, inst.problem.B, SetSample([np.array([0.0, 0.0])]))
+        primal_dual_from_fix(inst.problem.A, inst.problem.B, [np.array([0.0, 0.0])])
 
 
 def test_primal_dual_from_fix_names_the_first_moving_row():
     inst = build_scenario("affine-consistent")
-    fixes = SetSample([np.zeros(2), np.array([0.0, 1.0]), np.array([0.0, 2.0])])
+    fixes = [np.zeros(2), np.array([0.0, 1.0]), np.array([0.0, 2.0])]
     with pytest.raises(ValueError, match="point 1 is not fixed"):
         primal_dual_from_fix(inst.problem.A, inst.problem.B, fixes)
 
@@ -196,33 +167,40 @@ def test_primal_dual_from_fix_certifies_at_one_tolerance():
     # 1e-9 certifies the first point, and no argument can loosen it
     inst = build_scenario("affine-consistent")
     A, B = inst.problem.A, inst.problem.B
-    assert len(primal_dual_from_fix(A, B, SetSample([[0.0, 1.4e-9]])).primal) == 1
+    assert len(primal_dual_from_fix(A, B, [[0.0, 1.4e-9]]).primal) == 1
     with pytest.raises(ValueError, match=r"^point 0 is not fixed: step norm 1\.556e-09 exceeds 1\.0e-09$"):
-        primal_dual_from_fix(A, B, SetSample([[0.0, 2.2e-9]]))
+        primal_dual_from_fix(A, B, [[0.0, 2.2e-9]])
     with pytest.raises(TypeError):
-        primal_dual_from_fix(A, B, SetSample([[0.0, 2.2e-9]]), tol=1e-8)
+        primal_dual_from_fix(A, B, [[0.0, 2.2e-9]], tol=1e-8)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_primal_dual_from_fix_refuses_a_non_finite_point_as_uncertified(bad):
+    # a closed form evaluated far out can overflow: its point has no step,
+    # and it is refused as the moving points are, not as a malformed sample
+    inst = build_scenario("affine-consistent")
+    A, B = inst.problem.A, inst.problem.B
+    with pytest.raises(UncertifiedFixedPointError, match=r"^point 1 is not fixed: step norm nan exceeds 1\.0e-09$"):
+        primal_dual_from_fix(A, B, [[0.0, 0.0], [bad, 0.0]])
 
 
 def _reference_fix_points(name, inst, seed):
-    """The fixed points each scenario samples, drawn as the scenarios do: on
-    the affine scenarios P_Fix s = s - N^+(N s - c) of each start s, with
-    T x = M x + c and N = I - M (one least-squares call for all starts), and
-    elsewhere, or where that point moves by more than 1e-9, a search from s."""
+    """The fixed points each scenario samples, in closed form: the rays of
+    rotator-cone, random-1d's zero z (A is strongly monotone, so Fix T = {z}),
+    and on the affine scenarios P_Fix s = s - N^+(N s - c) of each start s,
+    with T x = M x + c and N = I - M (one least-squares call for all starts)."""
     if name == "rotator-cone":
         return [t * np.array([1.0, -1.0]) for t in (0.0, 0.5, 1.0, 2.0)]
+    if name == "random-1d":
+        return [inst.z]
     problem = inst.problem
     A, B, d = problem.A, problem.B, problem.dim
     rng = np.random.default_rng(seed + 104729)
-    starts = [problem.x0] + [problem.x0 + rng.uniform(-1, 1, d) for _ in range(2)]
-    points = [None] * len(starts)
-    if name in ("affine-consistent", "random-affine"):
-        images = dr_apply(A, B, np.vstack([np.zeros(d), np.eye(d)]))
-        c = images[0]
-        n = np.eye(d) - (images[1:] - c).T
-        s = np.stack(starts)
-        points = s - np.linalg.lstsq(n, (s @ n.T - c).T, rcond=None)[0].T
-    certified = [y is not None and np.linalg.norm(y - dr_apply(A, B, y)) <= 1e-9 for y in points]
-    return [y if ok else find_fixed_point(DRProblem(A, B, x), tol=1e-13) for x, y, ok in zip(starts, points, certified)]
+    s = np.stack([problem.x0] + [problem.x0 + rng.uniform(-1, 1, d) for _ in range(2)])
+    images = dr_apply(A, B, np.vstack([np.zeros(d), np.eye(d)]))
+    c = images[0]
+    n = np.eye(d) - (images[1:] - c).T
+    return list(s - np.linalg.lstsq(n, (s @ n.T - c).T, rcond=None)[0].T)
 
 
 def _reference_primal_dual(A, B, fix_points, tol):
@@ -459,10 +437,12 @@ def test_decoupled_check_rejects_higher_dimension():
 
 @pytest.mark.parametrize("name", ["shifted-subspace", "parallel-lines", "points-1d", "disjoint-balls"])
 def test_shifted_pair_admits_fixed_point(name):
-    # wherever a displacement vector is declared, the shifted problem is solvable
+    # wherever a displacement vector is declared, the shifted problem is
+    # solvable: its orbit stops on a step norm below 1e-10 at a finite point
     from drsplit import normal_problem
 
     inst = build_scenario(name)
     sa, sb = normal_problem(inst.problem.A, inst.problem.B, inst.v)
-    y = find_fixed_point(DRProblem(sa, sb, inst.problem.x0), tol=1e-10)
-    assert np.all(np.isfinite(y))
+    trace = iterate(DRProblem(sa, sb, inst.problem.x0), max_iters=100_000, step_tol=1e-10)
+    assert trace.stop_reason is StopReason.STEP_CONVERGED
+    assert np.all(np.isfinite(trace.governing[-1]))

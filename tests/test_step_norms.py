@@ -29,7 +29,7 @@ from drsplit.space import row_norms
 from drsplit.splitting import STEP_TEST_RECORDS
 
 _TINY = float(np.finfo(float).smallest_subnormal)
-DEFAULT_STEP_TOL = 1e-12  # rotator-cone's fixed-point search tolerance
+DEFAULT_STEP_TOL = 1e-12  # the tolerance rotator-cone's fixed-point search had
 _NORMAL_MIN = float(np.finfo(float).tiny)
 
 # magnitudes from 1e-300 to 1e150, subnormals, signed zeros and non-finite entries

@@ -413,7 +413,8 @@ def _last_record_traces():
     second = _perturbed_start(inst.problem.x0, np.random.default_rng(1 + 7919))
     trimmed = iterate(build_scenario("affine-consistent").problem, 5000, 1e-12)
     filled = iterate(build_scenario("random-affine", dim=5, seed=3).problem, 10_000, 0.0)
-    far = build_scenario("random-affine", dim=2, x0=(1e200, -1e200)).problem
+    d2 = build_scenario("random-affine", dim=2).problem
+    far = DRProblem(d2.A, d2.B, np.array([1e200, -1e200]))
     return {
         "full": full,
         "companion": iterate(DRProblem(inst.problem.A, inst.problem.B, second), len(full), 0.0),

@@ -64,8 +64,8 @@ def cli_runs() -> list[list[str]]:
     runs.append(["--scenario", "random-affine", "--dim", "1"])
     runs.append(["--scenario", "random-affine", "--dim", "0"])
     runs.append(["--scenario", "parallel-lines", "--x0=1,2,3"])
-    # a far-out start, a search that cycles at an overflowing step norm, and
-    # a stationary stop
+    # two far-out starts whose closed-form fixed points overflow in their step
+    # norms, so none is certified (exit 4), and a stationary stop
     runs.append(["--scenario", "random-affine", "--dim", "2", "--x0=1e200,-1e200", "--iters", "200"])
     runs.append(["--scenario", "random-affine", "--dim", "3", "--x0=1e200,1e200,1e200"])
     runs.append(["--scenario", "random-affine", "--dim", "5", "--seed", "3", "--tol", "1e-9"])
@@ -126,8 +126,8 @@ def cli_runs() -> list[list[str]]:
     # period 6 from n = 330, so the summability terms repeat every 18 records
     runs.append(["--scenario", "random-affine", "--dim", "50", "--seed", "953097"])
     runs.append(["--scenario", "random-affine", "--dim", "4", "--seed", "64"])
-    # 1e3 times a d=50 default start: a fixed-point search from it stalls
-    # above its absolute 1e-13 (exit 4), P_Fix by linear algebra is certified
+    # 1e3 times a d=50 default start: P_Fix by linear algebra is certified
+    # there, where an iterated search stalled above an absolute 1e-13
     x0 = 1e3 * build_scenario("random-affine", dim=50, seed=1).problem.x0
     x0_arg = "--x0=" + ",".join(map(repr, x0.tolist()))
     runs.append(["--scenario", "random-affine", "--dim", "50", "--seed", "1", x0_arg])
