@@ -246,98 +246,123 @@ def _guessed_rows(
     return took, nxt[took - 1].copy()
 
 
-def _orbit(
-    problem: DRProblem, arrays: list[np.ndarray], step_tol: float
-) -> tuple[int, StopReason, Optional[int], Optional[int]]:
-    """Iterate the orbit from ``problem.x0`` into ``arrays`` (governing, shadow
-    and b_shadow, as many records as they hold): its length, stop reason,
-    ``tail_start`` and ``tail_period``, as ``iterate`` describes them."""
-    A, B, x = problem.A, problem.B, problem.x0
-    governing, shadow, b_shadow = arrays
-    max_iters = len(governing)
-    bits = governing.view(np.int64)  # rows compared as the step test compares them
-    # Brent's cycle search: the rows of each window are compared with the row
-    # before it (the first window's with row 0), and each window is twice as
-    # long as the last, so a cycle is found at the end of the first window
-    # that starts inside it and holds a whole period
-    anchor, window, window_end = 0, STEP_TEST_RECORDS, STEP_TEST_RECORDS
+def _orbit(problem: DRProblem, max_iters: int, step_tol: float, rows: int) -> Iterator[DRTrace]:
+    """The orbit from ``problem.x0`` (``max_iters`` records at most) as traces
+    of ``rows`` records, each after the first of a problem that starts at its
+    first record, from one running state as ``iterate`` describes it. A
+    block's ``tail_start`` is the first of its rows that the period repeats,
+    and each later block is tiled from a copy of the last period."""
+    A, B, x, d = problem.A, problem.B, problem.x0, problem.dim
+    # Brent's cycle search: each window's rows are compared with the row before
+    # it (the first window's with row 0), each twice as long as the last, at its
+    # end and at each block end, so a cycle is found by the end of the first
+    # window that starts inside it and holds a whole period
+    anchor, anchor_bits, compared = 0, x.view(np.int64).copy(), 1
+    window = window_end = STEP_TEST_RECORDS
     # the most rows one guess holds: one row block of rows of 9 d numbers, d in
     # each of dr_step's six images and its reflection, and in the last block's
     # next points and steps, still held while the guess is evaluated
-    budget = next(row_blocks(max_iters, 9 * problem.dim)).stop
+    budget = next(row_blocks(max_iters, 9 * d)).stop
     unchecked_maps = (A.resolvent_map, B.resolvent_map)
     # the images at n = 0 go through the shape check; later ones are trusted
     ja_map, jb_map = A._checked_map, B._checked_map
-    delta = None  # minus the last block's last step where its last two are bitwise equal
-    first, guess_rows = 0, STEP_TEST_RECORDS  # the next block's first row and longest guess
-    with np.errstate(over="ignore", invalid="ignore"):
-        while first < max_iters:
-            failure, took, whole = None, 0, False
-            end = min(window_end, max_iters)  # no block crosses the end of a window
-            if delta is not None:
-                m = min(guess_rows, budget, end - first)
-                try:
-                    took, x = _guessed_rows(A, B, arrays, first, m, x, delta)
-                except Exception:  # a rejected guess or an image of the wrong shape: the loop does it all
-                    pass
-                else:
-                    whole = took == m
-            # a guess kept whole is the block, and the next may be twice as long;
-            # else the loop finishes the 32-record block of the last row kept (of
-            # the first row, where none was), and the next guess is 32 rows again
-            last = first + max(took - 1, 0)
-            stop = first + took if whole else min(end, last - last % STEP_TEST_RECORDS + STEP_TEST_RECORDS)
-            guess_rows = 2 * guess_rows if whole else STEP_TEST_RECORDS
-            block = slice(first, stop)
-            try:
-                for n in range(first + took, stop):
-                    ja = ja_map(x)
-                    jb = jb_map((ja + ja) - x)  # bitwise 2.0 * ja - x, and cheaper
-                    governing[n], shadow[n], b_shadow[n] = x, ja, jb
-                    x = x - ja + jb
-                    ja_map, jb_map = unchecked_maps
-            except Exception as exc:  # a resolvent may reject a point past a breakdown
-                failure, block = exc, slice(first, n)
-            g, s, b = governing[block], shadow[block], b_shadow[block]
-            x_next = (g - s) + b  # row n is bitwise x - ja + jb
-            step = g - x_next  # DRTrace.steps' expression
-            norms = row_norms(step)
-            if not np.all((step_tol < norms) & (norms <= _MAX_FLOAT)):
-                # each record before the first stop goes on to a finite point
-                broken = ~np.all(np.isfinite(x_next), axis=1)
-                converged = norms < step_tol
-                # bytes, not ==: a -0.0 that turns into 0.0 can change later rows
-                repeats = (norms == 0.0) & np.all(x_next.view(np.int64) == g.view(np.int64), axis=1)
-                stops = np.flatnonzero(broken | converged | repeats)
-                if stops.size:
-                    k = int(stops[0])
-                    n = first + k
-                    if broken[k]:
-                        raise NonFiniteIterateError(n)
-                    if converged[k]:
-                        return n + 1, StopReason.STEP_CONVERGED, None, None
-                    known, start, period = n + 1, n, 1
-                    break
-            if failure is not None:
-                raise failure
-            delta = -step[-1] if len(step) > 1 and step[-1].tobytes() == step[-2].tobytes() else None
-            if stop == window_end:
-                # the rows whose first coordinate matches, then their whole rows
-                hits = anchor + 1 + np.flatnonzero(bits[anchor + 1 : window_end, 0] == bits[anchor, 0])
-                hits = hits[np.all(bits[hits] == bits[anchor], axis=1)]
-                if hits.size:
-                    # the tail starts at the first row that the period repeats
-                    known, period = window_end, int(hits[0]) - anchor
-                    start = int(np.argmax(np.all(bits[: known - period] == bits[period:known], axis=1)))
-                    break
-                anchor, window = window_end - 1, 2 * window
-                window_end += window
-            first = stop
+    delta = None  # minus the last chunk's last step where its last two are bitwise equal
+    guess_rows = STEP_TEST_RECORDS  # the next chunk's longest guess
+    period = tail = None  # the least period once found, and a copy of the last one once tiled
+    for block in row_blocks(max_iters, 1, rows):
+        first, last, reason, start = block.start, block.stop, StopReason.MAX_ITERS, None
+        if tail is not None:  # orbit row tail_at + i repeats row i of the copy
+            index = (np.arange(first, last) - tail_at) % period
+            arrays, start = [t[index] for t in tail], first
         else:
-            return max_iters, StopReason.MAX_ITERS, None, None
-    for a in arrays:
-        _tile_periods(a, start, period, known)
-    return max_iters, StopReason.MAX_ITERS, start, period
+            try:
+                memory = _physical_memory_bytes()
+                if memory is not None and 3 * (last - first) * d * 8 > memory:
+                    raise MemoryError  # numpy would reserve it, and the writes would fail
+                arrays = [np.empty((last - first, d)) for _ in range(3)]
+            except (MemoryError, ValueError) as exc:
+                message = f"a trace of max_iters={last - first} records in dimension {d} does not fit in memory"
+                raise ValueError(message) from exc
+            governing, shadow, b_shadow = arrays
+            bits = governing.view(np.int64)  # rows compared as the step test compares them
+            at = first  # the next chunk's first row, orbit-wide; no chunk crosses a window or block end
+            with np.errstate(over="ignore", invalid="ignore"):
+                while at < last:
+                    failure, took, whole, end = None, 0, False, min(window_end, last)
+                    if delta is not None:
+                        m = min(guess_rows, budget, end - at)
+                        try:
+                            took, x = _guessed_rows(A, B, arrays, at - first, m, x, delta)
+                        except Exception:  # a rejected guess or an image of the wrong shape: the loop does it all
+                            pass
+                        else:
+                            whole = took == m
+                    # a guess kept whole is the chunk, and the next may be twice as long;
+                    # else the loop finishes the 32-record block of the last row kept (of
+                    # the first row, where none was), and the next guess is 32 rows again
+                    kept = at + max(took - 1, 0)
+                    stop = at + took if whole else min(end, kept - kept % STEP_TEST_RECORDS + STEP_TEST_RECORDS)
+                    guess_rows = 2 * guess_rows if whole else STEP_TEST_RECORDS
+                    chunk = slice(at - first, stop - first)
+                    try:
+                        for n in range(chunk.start + took, chunk.stop):
+                            ja = ja_map(x)
+                            jb = jb_map((ja + ja) - x)  # bitwise 2.0 * ja - x, and cheaper
+                            governing[n], shadow[n], b_shadow[n] = x, ja, jb
+                            x = x - ja + jb
+                            ja_map, jb_map = unchecked_maps
+                    except Exception as exc:  # a resolvent may reject a point past a breakdown
+                        failure, chunk = exc, slice(chunk.start, n)
+                    g, s, b = governing[chunk], shadow[chunk], b_shadow[chunk]
+                    x_next = (g - s) + b  # row n is bitwise x - ja + jb
+                    step = g - x_next  # DRTrace.steps' expression
+                    norms = row_norms(step)
+                    if not np.all((step_tol < norms) & (norms <= _MAX_FLOAT)):
+                        # each record before the first stop goes on to a finite point
+                        broken = ~np.all(np.isfinite(x_next), axis=1)
+                        converged = norms < step_tol
+                        # bytes, not ==: a -0.0 that turns into 0.0 can change later rows
+                        repeats = (norms == 0.0) & np.all(x_next.view(np.int64) == g.view(np.int64), axis=1)
+                        stops = np.flatnonzero(broken | converged | repeats)
+                        if stops.size:
+                            k = int(stops[0])
+                            n = at + k
+                            if broken[k]:
+                                raise NonFiniteIterateError(n)
+                            if converged[k]:
+                                arrays = [a[: n + 1 - first].copy() for a in arrays]
+                                reason = StopReason.STEP_CONVERGED
+                            else:
+                                start, known, period = n, n + 1, 1
+                            break
+                    if failure is not None:
+                        raise failure
+                    delta = -step[-1] if len(step) > 1 and step[-1].tobytes() == step[-2].tobytes() else None
+                    if period is None and stop in (window_end, last):
+                        # the rows whose first coordinate matches, then their whole rows
+                        hits = compared + np.flatnonzero(bits[compared - first : stop - first, 0] == anchor_bits[0])
+                        hits = hits[np.all(bits[hits - first] == anchor_bits, axis=1)]
+                        compared = stop
+                        if hits.size:  # and the windows end: the chunks run to the block end
+                            period, window_end = int(hits[0]) - anchor, max_iters
+                        elif stop == window_end:
+                            anchor, window = window_end - 1, 2 * window
+                            anchor_bits, window_end = bits[anchor - first].copy(), window_end + window
+                    if period is not None:
+                        # the tail starts at the first row held that the period repeats
+                        same = np.all(bits[: max(stop - first - period, 0)] == bits[period : stop - first], axis=1)
+                        if same.any():
+                            start, known = first + int(np.argmax(same)), stop
+                            break
+                    at = stop
+            if start is not None:
+                for a in arrays:
+                    _tile_periods(a, start - first, period, known - first)
+                tail, tail_at = [a[-period:].copy() for a in arrays], last - period
+        owner = problem if first == 0 else DRProblem(A, B, arrays[0][0])
+        yield DRTrace(owner, *arrays, reason, *((None, None) if start is None else (start - first, period)))
+        if reason is StopReason.STEP_CONVERGED:
+            return
 
 
 def iterate(problem: DRProblem, max_iters: int, step_tol: float) -> DRTrace:
@@ -349,14 +374,15 @@ def iterate(problem: DRProblem, max_iters: int, step_tol: float) -> DRTrace:
     of the trace is tiled from them without iterating and ``tail_start`` and
     ``tail_period`` are n and p: p = 1 (a stationary orbit; n is 0 from a fixed
     point) is found at the first repeat, a longer period by Brent's cycle
-    search at the end of windows of 32, 64, 128, ... records. Both come after
-    each block's step test, so a tail never skips a stop. Divergence is not an
-    error; non-finite coordinates are, and so are resolvent images of the
-    wrong shape (``OperatorContractError``) and a ``max_iters`` whose trace
-    arrays exceed the memory the process can have (host or cgroup) or cannot
-    be allocated (``ValueError``). The trace's ``v_estimate`` is the last step
-    vector: step norms are nonincreasing (T is firmly nonexpansive), so it is
-    the run's best estimate of the minimal displacement vector.
+    search at the end of windows of 32, 64, 128, ... records, and at the
+    trace's last record. Both come after each block's step test, so a tail
+    never skips a stop. Divergence is not an error; non-finite coordinates
+    are, and so are resolvent images of the wrong shape
+    (``OperatorContractError``) and a ``max_iters`` whose trace arrays exceed
+    the memory the process can have (host or cgroup) or cannot be allocated
+    (``ValueError``). The trace's ``v_estimate`` is the last step vector: step
+    norms are nonincreasing (T is firmly nonexpansive), so it is the run's
+    best estimate of the minimal displacement vector.
 
     The loop computes blocks of ``STEP_TEST_RECORDS`` records and then tests
     each step of a block in one vectorized pass, with ``DRTrace.steps``'
@@ -381,41 +407,14 @@ def iterate(problem: DRProblem, max_iters: int, step_tol: float) -> DRTrace:
         raise ValueError("max_iters must be >= 1")
     if not step_tol >= 0:  # also rejects NaN
         raise ValueError(f"step_tol must be >= 0, got {step_tol}")
-    d = problem.dim
-    try:
-        budget = _physical_memory_bytes()
-        if budget is not None and 3 * max_iters * d * 8 > budget:
-            raise MemoryError  # numpy would reserve it, and the writes would fail
-        arrays = [np.empty((max_iters, d)) for _ in range(3)]
-    except (MemoryError, ValueError) as exc:
-        message = f"a trace of max_iters={max_iters} records in dimension {d} does not fit in memory"
-        raise ValueError(message) from exc
-    length, stop, tail_start, tail_period = _orbit(problem, arrays, step_tol)
-    if length < max_iters:
-        arrays = [a[:length].copy() for a in arrays]
-    return DRTrace(problem, *arrays, stop, tail_start, tail_period)
+    (trace,) = _orbit(problem, max_iters, step_tol, max_iters)
+    return trace
 
 
 def _orbit_blocks(problem: DRProblem, max_iters: int, step_tol: float) -> Iterator[DRTrace]:
-    """The orbit's first ``max_iters`` records (at most) as consecutive traces
-    of ``space.row_blocks`` of records three points wide, bitwise the rows of
-    ``iterate(problem, max_iters, step_tol)``: every block is an ``iterate``
-    call from where the last block's loop would have gone on, the blocks end
-    after a ``STEP_CONVERGED`` one, and a ``NonFiniteIterateError`` carries
-    the orbit-wide index. Each block's tail is its own: a block that starts
-    inside a cycle finds it again within its first windows (a fixed point at
-    its ``tail_start`` 0), and tiles the rest."""
-    A, B, x = problem.A, problem.B, problem.x0
-    for rows in row_blocks(max_iters, 3 * problem.dim):
-        try:
-            trace = iterate(DRProblem(A, B, x), rows.stop - rows.start, step_tol)
-        except NonFiniteIterateError as exc:
-            raise NonFiniteIterateError(rows.start + exc.iteration) from None
-        yield trace
-        if trace.stop_reason is StopReason.STEP_CONVERGED:
-            return
-        # the loop's x_next, (x - J_A x) + J_B R_A x, bit for bit
-        x = trace.governing[-1] - trace.shadow[-1] + trace.b_shadow[-1]
+    """``_orbit`` in ``space.row_blocks`` of records three points wide (``max_iters``
+    >= 1): joined, bitwise the rows of ``iterate(problem, max_iters, step_tol)``."""
+    return _orbit(problem, max_iters, step_tol, next(row_blocks(max_iters, 3 * problem.dim)).stop)
 
 
 def normal_problem(

@@ -1,8 +1,17 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import drsplit.scenarios
 from drsplit import DRTrace
+
+# on CI (GitHub Actions sets CI) every property test runs the same examples
+# on every run; a test's own settings still set its number of examples
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture
@@ -14,8 +23,10 @@ def _joined(blocks):
     """Consecutive row-block traces as one trace: the stored arrays joined, the
     last block's stop reason, and the tail of the first block that has one,
     offset by the records before it (no tail if no block has one). A block
-    that starts inside a cycle finds it from its own first row, so the tail
-    starts at the first joined row that the period repeats, if that is earlier."""
+    reports a tail from the first of its own rows that the period repeats,
+    which is later than the orbit's tail start where that lies in an earlier
+    block, so the tail starts at the first joined row that the period
+    repeats."""
     arrays = [np.concatenate([getattr(b, name) for b in blocks]) for name in ("governing", "shadow", "b_shadow")]
     starts = np.cumsum([0] + [len(b) for b in blocks])
     tails = [(int(s) + b.tail_start, b.tail_period) for s, b in zip(starts, blocks) if b.tail_start is not None]

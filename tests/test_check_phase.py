@@ -434,16 +434,30 @@ def test_checks_of_a_tailed_trace_equal_the_full_formulas(case):
 
 
 @pytest.mark.parametrize(
-    "case, records", [("random-affine d=5 seed 5351", 100), ("random-affine d=50 seed 953097", 50)]
+    "case, records, block, block_tail",
+    [
+        # the period 3 is found at the end of the block of rows 200-299, the
+        # first that holds the anchor of Brent's search (row 223) and the row
+        # that repeats it; all its rows repeat, so its tail starts at its first
+        # row, later than the orbit-wide start 111
+        pytest.param("random-affine d=5 seed 5351", 100, 2, (0, 3), id="random-affine d=5 seed 5351-100"),
+        # a stationary tail is found at its first repeat, n = 50 + 23
+        pytest.param("random-affine d=50 seed 953097", 50, 1, (23, 1), id="random-affine d=50 seed 953097-50"),
+    ],
 )
-def test_summability_takes_the_second_run_tail_orbit_wide(case, records, monkeypatch):
-    # with short blocks the second run's tail, after the lead's, is found in
-    # its second block, at a start relative to that block; the terms still
-    # repeat only from the orbit-wide start
-    inst, trace, second, (start, _) = _tailed_case(case)
+def test_summability_takes_the_second_run_tail_orbit_wide(case, records, block, block_tail, monkeypatch, join_blocks):
+    # with short blocks the second run's tail, after the lead's, is reported
+    # by a later block, at a start relative to that block and at or after the
+    # orbit-wide one; the terms from there on repeat, so the report's tiling
+    # gives every term bitwise
+    inst, trace, second, (start, period) = _tailed_case(case)
     monkeypatch.setattr(drsplit.space, "BLOCK_NUMBERS", 3 * second.dim * records)
     blocks = list(_orbit_blocks(second, len(trace), 0.0))
-    assert blocks[0].tail_start is None and records + blocks[1].tail_start == start > trace.tail_start
+    assert [(b.tail_start, b.tail_period) for b in blocks[:block]] == [(None, None)] * block
+    assert (blocks[block].tail_start, blocks[block].tail_period) == block_tail
+    assert block * records + block_tail[0] >= start > trace.tail_start
+    joined = join_blocks(blocks)
+    assert (joined.tail_start, joined.tail_period) == (start, period)
     expected = _fields(_full_summability(trace, iterate(second, len(trace), 0.0)))
     assert _fields(summability_report(trace, iter(blocks))) == expected
 

@@ -1,12 +1,14 @@
 """The companion orbit that the summability check streams in row blocks.
 
 ``iterate`` runs one orbit. The summability check of a consistent scenario
-runs the orbit of its seeded second start itself, one ``space.row_blocks``
-block, and so one ``iterate`` call, at a time (the blocks after a tailed one
-included): the blocks it streams, joined, must equal a solo run from that
-start with ``step_tol=0`` for as many records as the checked trace, every
-array bitwise and the tails wherever both found one, and the check's result
-must equal that of ``summability_report`` on the whole solo trace.
+streams the orbit of its seeded second start itself, one ``space.row_blocks``
+block at a time, from the one running orbit engine that ``iterate`` runs as a
+single block: no block is an ``iterate`` call, and every block after the one
+that reports a tail is tiled from it without a resolvent call. The blocks it
+streams, joined, must equal a solo run from that start with ``step_tol=0`` for
+as many records as the checked trace, every array bitwise and the tails
+wherever both reported one, and the check's result must equal that of
+``summability_report`` on the whole solo trace.
 """
 
 import functools
@@ -32,7 +34,6 @@ from drsplit import (
 from drsplit.cli import main as cli_main
 from drsplit.scenarios import ScenarioInstance, _perturbed_start, _summability_check
 from drsplit.space import row_blocks
-from drsplit.splitting import STEP_TEST_RECORDS
 
 FIELDS = ("governing", "shadow", "b_shadow", "dual_shadow", "b_dual_shadow", "steps", "step_norms")
 
@@ -41,13 +42,22 @@ def _assert_same_trace(got, want):
     assert len(got) == len(want)
     assert got.stop_reason is want.stop_reason
     # a stationary tail is found at its first repeat in any block, a longer
-    # period by windows that restart at each block, so only one of two runs
-    # may have found it; where both did, the tails are equal
+    # period only by a block that holds a whole period of it after Brent's
+    # search finds it, so only one of two runs may have found it; where both
+    # did, the tails are equal
     found = [t.tail_period for t in (got, want) if t.tail_period is not None]
     if 1 in found or len(found) == 2:
         assert (got.tail_start, got.tail_period) == (want.tail_start, want.tail_period)
     for name in FIELDS:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def _counting(op, calls):
+    def resolvent(x):
+        calls.append(1)
+        return op.resolvent_map(x)
+
+    return MonotoneOperator(resolvent_map=resolvent, dim=op.dim, label=op.label)
 
 
 def _assert_companion_contract(
@@ -59,27 +69,31 @@ def _assert_companion_contract(
     if block_records is not None:
         monkeypatch.setattr(drsplit.space, "BLOCK_NUMBERS", 3 * inst.problem.dim * block_records)
     tr = iterate(inst.problem, max_iters=max_iters, step_tol=step_tol)
-    # every block the check iterates is a call of the public iterate
+    # no block the check streams is a call of the public iterate
     calls, real_iterate = [], drsplit.splitting.iterate
     monkeypatch.setattr(drsplit.splitting, "iterate", lambda *args: calls.append(args) or real_iterate(*args))
     result, blocks = streamed_companion(dict(inst.checks)["summability"], tr)
     monkeypatch.setattr(drsplit.splitting, "iterate", real_iterate)
+    assert calls == []
     A, B = inst.problem.A, inst.problem.B
     # each block starts where the last one's loop would have gone on
     assert [len(b) for b in blocks] == [r.stop - r.start for r in row_blocks(len(tr), 3 * inst.problem.dim)]
-    # every block is an iterate call, those after a tailed one too: each
-    # starts inside the cycle, so iterate finds it again from record 0 (a
-    # fixed point at once, a period below 32 at its first window) and tiles it
-    assert len(calls) == len(blocks)
+    # the same stream with counting resolvents: every block after the first
+    # that reports a tail reports it from its first row, and is tiled from it
+    # with no resolvent call
+    made, calls_by_block = [], []
+    counted = DRProblem(_counting(A, made), _counting(B, made), blocks[0].problem.x0)
+    for block, same in zip(drsplit.splitting._orbit_blocks(counted, len(tr), 0.0), blocks, strict=True):
+        assert (block.tail_start, block.tail_period) == (same.tail_start, same.tail_period)
+        calls_by_block.append(len(made))
     tailed = [i for i, b in enumerate(blocks) if b.tail_start is not None]
-    period = blocks[tailed[0]].tail_period if tailed else None
-    for block in blocks[tailed[0] + 1 :] if tailed else []:
-        found = period == 1 or period < STEP_TEST_RECORDS <= len(block)
-        assert (block.tail_start, block.tail_period) in ({(0, period)} if found else {(0, period), (None, None)})
+    for i in range(tailed[0] + 1, len(blocks)) if tailed else []:
+        assert (blocks[i].tail_start, blocks[i].tail_period) == (0, blocks[tailed[0]].tail_period)
+        assert calls_by_block[i] == calls_by_block[i - 1]
     for block in blocks:
         assert block.problem.A is A and block.problem.B is B
         assert block.problem.x0.tobytes() == block.governing[0].tobytes()
-        # iterate's own arrays, never read-only views of another block's
+        # the block's own arrays, never read-only views of another block's
         assert all(getattr(block, name).flags.writeable for name in ("governing", "shadow", "b_shadow"))
     companion = join_blocks(blocks)
     solo = iterate(DRProblem(A, B, blocks[0].problem.x0), max_iters=len(tr), step_tol=0.0)

@@ -54,10 +54,10 @@ def test_orbit_blocks_in_chunks_equal_one_run(monkeypatch, join_blocks, name, kw
     assert [rows.stop - rows.start for rows in row_blocks(3000, 3 * problem.dim)] == [7] * 428 + [4]
     ref = iterate(problem, 3000, tol)
     # the orbit-streaming generator: its blocks end after a tolerance stop and
-    # join to the one run, stationary fill included; blocks of 7 records end
-    # before any cycle search's window, so only a stationary tail is found in
-    # them (random-affine d=2 at n = 27, d=5 at 196, random-1d at 54,
-    # rotator-cone at 1, at tol 0)
+    # join to the one run, stationary fill included; only a stationary tail is
+    # found in 3,000 records (random-affine d=2 at n = 27, d=5 at 196,
+    # random-1d at 54, rotator-cone at 1, at tol 0): affine-consistent's period
+    # 6 starts at n = 2,147, after the last anchor of Brent's search, 2,015
     joined = join_blocks(list(_orbit_blocks(problem, 3000, tol)))
     assert (len(joined), joined.stop_reason) == (len(ref), ref.stop_reason)
     stationary = (ref.tail_start, 1) if ref.tail_period == 1 else (None, None)
@@ -95,12 +95,11 @@ def test_orbit_blocks_carry_the_orbit_wide_index_of_a_breakdown(monkeypatch):
     monkeypatch.setattr(drsplit.space, "BLOCK_NUMBERS", 21)
 
     def breaks_at_record_20():
-        # N_{0} in R^1, whose 21st resolvent call returns NaN; T x = x + 1
-        calls = [0]
-
+        # N_{0} in R^1, but NaN at record 20's point x = 23; T x = x + 1. The
+        # image depends on the point alone, so the index does not depend on
+        # how the calls fall into blocks, guesses or stacked calls
         def resolvent(x):
-            calls[0] += 1
-            return np.full_like(x, np.nan if calls[0] == 21 else 0.0)
+            return np.where(x == 23.0, np.nan, 0.0)
 
         return DRProblem(MonotoneOperator(resolvent, 1), normal_cone(Singleton([1.0])), [3.0])
 

@@ -9,16 +9,23 @@ Monte Carlo factorization algorithm", BIT 20, 1980) over windows of 32, 64,
 128, ... records. Every trace here must equal, bitwise, a loop that computes
 each record, with the tail that loop sees first: the first record that equals
 an earlier one. Counting resolvent maps bound the records ``iterate``
-computes, so a change that turns the tails off fails here.
+computes, so a change that turns the tails off fails here. Streamed in blocks
+of any size, an orbit that hypothesis scripts must equal ``iterate``, and the
+blocks after a tail must be tiled without a resolvent call.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import drsplit.space
 from drsplit import (
     DRProblem,
     MonotoneOperator,
+    NonFiniteIterateError,
     StopReason,
     build_scenario,
     iterate,
@@ -100,8 +107,8 @@ def test_tail_equals_the_record_by_record_loop(case, join_blocks):
     reference = _reference(problem, MAX_ITERS, 0.0)
     assert reference[2] == tail
     _assert_equals_reference(iterate(problem, MAX_ITERS, 0.0), reference)
-    # the stream's blocks are iterate calls from where the last one ended:
-    # joined, the same rows and the same tail
+    # the stream's blocks continue one running orbit: joined, the same rows
+    # and the same tail
     _assert_equals_reference(join_blocks(list(_orbit_blocks(problem, MAX_ITERS, 0.0))), reference)
 
 
@@ -176,8 +183,8 @@ def test_a_stop_in_the_block_that_ends_the_cycle_search_is_taken():
 def test_far_out_stream_cycles_to_its_limit(join_blocks):
     # the far-out d=3 start: every step norm overflows, and the orbit cycles
     # with period 19 from n = 823; the stream of 10^5 records at tol 1e-13
-    # finds the cycle in its first block, and each later block finds it
-    # again from its own first row and tiles the rest
+    # finds the cycle in its first block, and tiles every later block from a
+    # copy of the last period without a resolvent call
     U, V, _ = random_affine_pair(3, np.random.default_rng(0))
     A, B = normal_cone(U), normal_cone(V)
     start = np.full(3, 1e200)
@@ -185,12 +192,81 @@ def test_far_out_stream_cycles_to_its_limit(join_blocks):
     assert reference[1:] == (StopReason.MAX_ITERS, (823, 19))
     calls_a, calls_b = [], []
     counted = DRProblem(_counting(A, calls_a), _counting(B, calls_b), start)
-    _assert_equals_reference(join_blocks(list(_orbit_blocks(counted, 100_000, 1e-13))), reference)
+    blocks = list(_orbit_blocks(counted, 100_000, 1e-13))
+    assert len(blocks) == len(range(0, 100_000, drsplit.space.BLOCK_NUMBERS // (3 * 3))) > 1
+    _assert_equals_reference(join_blocks(blocks), reference)
     (governing, shadow, b_shadow), _, _ = reference
     with np.errstate(over="ignore", invalid="ignore"):
         last_step = governing[-1] - ((governing[-1] - shadow[-1]) + b_shadow[-1])
         assert np.isinf(row_norms(last_step[None])[0])
-    # the first block finds the tail; each later one starts inside the cycle
-    blocks = len(range(0, 100_000, drsplit.space.BLOCK_NUMBERS // (3 * 3)))
-    bound = _window_bound(823, 19) + (blocks - 1) * _window_bound(0, 19)
-    assert len(calls_a) == len(calls_b) <= bound < 100_000
+    assert len(calls_a) == len(calls_b) <= _window_bound(823, 19) < 100_000
+
+
+@st.composite
+def _scripted_orbits(draw):
+    """A J_A = Id and a J_B that walks a scripted orbit in R^2 (so T = J_B):
+    alternating steps, then a translation by (2, 0) from a drawn row, then a
+    cycle of a drawn period whose points step by (0, 5) from a drawn tail
+    start; at most one step of norm 1e-3 and one NaN image, at drawn rows.
+    Drawn with it: ``max_iters``, ``step_tol`` and the stream's block rows.
+    Returned with them: the counted J_A calls and the scripted tail."""
+    translation = draw(st.integers(0, 100))
+    tail_start = draw(st.integers(translation, translation + 100))
+    period = draw(st.integers(1, 50))
+    length = tail_start + period  # the distinct points
+    # each event in one of four orbits
+    small_at, broken_at = (draw(st.integers(0, length - 1)) if draw(st.integers(0, 3)) == 0 else None for _ in "ab")
+    points = [np.array([1000.0, 0.0])]
+    for n in range(length - 1):
+        step = (3.0 + n % 2, 0.0) if n < translation else (2.0, 0.0) if n < tail_start else (0.0, 5.0)
+        points.append(points[-1] + (np.array([1e-3, 0.0]) if n == small_at else np.array(step)))
+    successor = {p.tobytes(): q for p, q in zip(points, [*points[1:], points[tail_start]])}
+    if broken_at is not None:
+        successor[points[broken_at].tobytes()] = np.array([np.nan, 0.0])
+
+    def walk(y):  # a point off the orbit, as a guess can hold, goes to half of it
+        rows = [successor.get(row.tobytes(), 0.5 * row) for row in y.reshape(-1, 2)]
+        return np.array(rows).reshape(y.shape)
+
+    calls = []
+    identity = MonotoneOperator(resolvent_map=lambda x: calls.append(1) or x.copy(), dim=2, label="identity")
+    problem = DRProblem(identity, MonotoneOperator(resolvent_map=walk, dim=2, label="scripted walk"), points[0])
+    max_iters = draw(st.integers(1, 4 * length + 100))
+    step_tol = draw(st.sampled_from([0.0, 0.01]))
+    return problem, calls, max_iters, step_tol, draw(st.integers(1, max_iters)), (tail_start, period)
+
+
+def _run(make):
+    """The traces ``make()`` gives, or the index of its ``NonFiniteIterateError``."""
+    try:
+        return make()
+    except NonFiniteIterateError as exc:
+        return exc.iteration
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_scripted_orbits())
+def test_streamed_orbit_equals_iterate_for_any_block_size(join_blocks, orbit):
+    problem, calls, max_iters, step_tol, rows, tail = orbit
+    whole = _run(lambda: iterate(problem, max_iters, step_tol))
+    calls_by_block = []
+
+    def stream():
+        with mock.patch.object(drsplit.space, "BLOCK_NUMBERS", 3 * 2 * rows):  # blocks of ``rows`` records
+            return [calls_by_block.append(len(calls)) or b for b in _orbit_blocks(problem, max_iters, step_tol)]
+
+    blocks = _run(stream)
+    if isinstance(whole, int):  # the same orbit-wide index of the breakdown
+        assert blocks == whole
+        return
+    joined = join_blocks(blocks)
+    assert (len(joined), joined.stop_reason) == (len(whole), whole.stop_reason)
+    for name in ("governing", "shadow", "b_shadow"):
+        assert getattr(joined, name).tobytes() == getattr(whole, name).tobytes(), name
+    # a tail, where one is found, is the scripted one
+    assert {(t.tail_start, t.tail_period) for t in (joined, whole)} <= {(None, None), tail}
+    # every block after the first that reports a tail is tiled from it
+    tailed = [i for i, b in enumerate(blocks) if b.tail_start is not None]
+    for i in range(tailed[0] + 1, len(blocks)) if tailed else []:
+        assert (blocks[i].tail_start, blocks[i].tail_period) == (0, blocks[tailed[0]].tail_period)
+        assert calls_by_block[i] == calls_by_block[i - 1]
